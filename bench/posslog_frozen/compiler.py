@@ -1,0 +1,236 @@
+"""Compiling a weighted base into a product-based possibilistic network.
+
+The pipeline fixes an elimination ordering and peels variables off one at
+a time. At each stage the current base determines the node's parents and
+its conditional table, then the variable is forgotten via the marginal
+base, and the next stage starts from the result. Parents always lie later
+in the ordering, so the edge set is acyclic by construction, and the
+chain-rule product over the emitted tables reproduces the input base's
+distribution exactly.
+
+Parent determination starts from the variables sharing a clause with the
+node. That seed can be too small: once the node is derivable to some
+positive degree in a given parent context, any remaining clause can shift
+that context's conditional degree when instantiated against, either by
+drowning the derivation outright under a stronger conflict or by
+rescaling the product-conditioned ratio through a weaker one. So whenever
+a parent instantiation leaves the node derivable (to any positive degree,
+for either value), the variables of every clause of the conditioned base
+not mentioning the node join the parent set, and the sweep restarts. If
+the node is underivable both ways in a context, no completion of that
+context can move its conditionals off 1, and nothing needs to be added.
+The loop is monotone over a finite universe, hence terminates. The
+resulting parent sets are sufficient for exactness but not guaranteed
+minimal.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from typing import Callable, Iterable, Sequence
+
+from .errors import DomainError, InconsistentBaseError
+from .marginalize import marginal_base
+from .model import (
+    ONE,
+    Clause,
+    Literal,
+    Var,
+    WeightedBase,
+    negate,
+    unit,
+)
+from .network import CPT, Network
+from .normalize import remove_subsumed, remove_tautologies, to_clausal
+from .semantics import certainty_degree, inconsistency_degree
+
+
+@dataclass(frozen=True)
+class Ordering:
+    """An elimination order: first variable is eliminated first, and a
+    node's parents may only be later variables."""
+
+    sequence: tuple[Var, ...]
+
+    def __init__(self, sequence: Iterable[Var]):
+        sequence = tuple(sequence)
+        if len(set(sequence)) != len(sequence):
+            raise DomainError("ordering repeats a variable")
+        object.__setattr__(self, "sequence", sequence)
+
+    @classmethod
+    def of(cls, sequence) -> "Ordering":
+        return sequence if isinstance(sequence, Ordering) else cls(sequence)
+
+    def position(self, var: Var) -> int:
+        try:
+            return self.sequence.index(var)
+        except ValueError:
+            raise DomainError(f"{var} not in ordering") from None
+
+    def validate_for(self, variables: Iterable[Var]) -> None:
+        expected = set(variables)
+        if set(self.sequence) != expected or len(self.sequence) != len(expected):
+            raise DomainError("ordering must list each base variable exactly once")
+
+
+@dataclass(frozen=True)
+class ParentSet:
+    var: Var
+    parents: frozenset[Var]
+
+    def __init__(self, var: Var, parents: Iterable[Var]):
+        parents = frozenset(parents)
+        if var in parents:
+            raise DomainError(f"{var} cannot be its own parent")
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "parents", parents)
+
+
+def immediate_parents(b: WeightedBase, var: Var) -> frozenset[Var]:
+    """Variables that share a clause with `var` (either polarity)."""
+    if not b.is_clausal:
+        raise DomainError("immediate_parents requires a clausal base")
+    out: set[Var] = set()
+    for c, _ in b.entries:
+        if var in c.variables:
+            out |= c.variables
+    out.discard(var)
+    return frozenset(out)
+
+
+def _condition(b: WeightedBase, literals: Sequence[Literal]) -> WeightedBase:
+    """Syntactic conditioning on a set of literals, keeping the universe:
+    clauses containing an instance literal vanish, negations of instance
+    literals are deleted from the rest."""
+    chosen = set(literals)
+    dropped = {negate(l) for l in literals}
+    out = []
+    for c, w in b.entries:
+        if chosen & c.literals:
+            continue
+        out.append((Clause(c.literals - dropped), w))
+    return WeightedBase(out, b.variables)
+
+
+def hidden_parent_closure(
+    b: WeightedBase, var: Var, seed: Iterable[Var]
+) -> frozenset[Var]:
+    """Grow `seed` until no parent instantiation exposes an influencing
+    clause (see the module docstring for the rule and its rationale).
+    Instantiations are swept in variable-name order, so runs are
+    reproducible."""
+    if not b.is_clausal:
+        raise DomainError("hidden_parent_closure requires a clausal base")
+    parents = set(seed)
+    parents.discard(var)
+    while True:
+        grew = False
+        swept = sorted(parents)
+        for values in product((False, True), repeat=len(swept)):
+            instance = [Literal(v, val) for v, val in zip(swept, values)]
+            conditioned = _condition(b, instance)
+            context = conditioned.extended([(unit(l), ONE) for l in instance])
+            alpha = certainty_degree(context, Literal(var, True))
+            beta = certainty_degree(context, Literal(var, False))
+            if alpha == 0 and beta == 0:
+                continue
+            fresh: set[Var] = set()
+            for c, _ in conditioned.entries:
+                if var not in c.variables:
+                    fresh |= c.variables
+            fresh -= parents
+            fresh.discard(var)
+            if fresh:
+                parents |= fresh
+                grew = True
+                break
+        if not grew:
+            return frozenset(parents)
+
+
+def conditional_possibility(
+    b: WeightedBase, lit: Literal, context: Iterable[Literal]
+) -> Fraction:
+    """Product-based conditional degree of `lit` given a literal context.
+
+    h is the degree of the context alone, h' the degree of context plus
+    literal, both obtained by adding the corresponding hard constraints
+    and reading off the inconsistency degree. An impossible context makes
+    both values of the variable fully possible by convention.
+    """
+    if not b.is_clausal:
+        raise DomainError("conditional_possibility requires a clausal base")
+    with_context = b.extended([(unit(x), ONE) for x in context])
+    h = ONE - inconsistency_degree(with_context)
+    if h == 0:
+        return ONE
+    h_joint = ONE - inconsistency_degree(with_context.extended([(unit(lit), ONE)]))
+    return h_joint / h
+
+
+def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
+    """The full conditional table of `var` given `parents`, one column per
+    parent instantiation, both polarities per column."""
+    parents = tuple(parents)
+    table = {}
+    for assignment in product((False, True), repeat=len(parents)):
+        context = [Literal(p, val) for p, val in zip(parents, assignment)]
+        for polarity in (False, True):
+            table[(assignment, polarity)] = conditional_possibility(
+                b, Literal(var, polarity), context
+            )
+    return CPT(var, parents, table)
+
+
+@dataclass(frozen=True)
+class StageSummary:
+    """Per-variable compilation trace, for logging and inspection."""
+
+    index: int
+    parent_set: ParentSet
+    stage_entries: int
+    cpt_cells: int
+    marginal_entries: int
+
+
+def compile_network(
+    b: WeightedBase,
+    ordering,
+    on_stage: Callable[[StageSummary], None] | None = None,
+) -> Network:
+    """Compile a consistent base into a product-based network whose
+    chain-rule distribution equals the base's distribution exactly.
+
+    The base is first clausalized, tautology-freed and subsumption-reduced;
+    an inconsistent input is rejected with its inconsistency degree. Each
+    stage computes the node's parents and table from the current base,
+    then forgets the variable.
+    """
+    ordering = Ordering.of(ordering)
+    ordering.validate_for(b.variables)
+    stage = remove_subsumed(remove_tautologies(to_clausal(b)))
+    inc = inconsistency_degree(stage)
+    if inc != 0:
+        raise InconsistentBaseError(inc)
+    nodes = []
+    for i, var in enumerate(ordering.sequence):
+        parents = hidden_parent_closure(stage, var, immediate_parents(stage, var))
+        ordered_parents = tuple(sorted(parents, key=ordering.position))
+        cpt = cpt_for(stage, var, ordered_parents)
+        nodes.append(cpt)
+        stage_entries = len(stage)
+        stage = marginal_base(stage, var)
+        if on_stage is not None:
+            on_stage(
+                StageSummary(
+                    index=i,
+                    parent_set=ParentSet(var, parents),
+                    stage_entries=stage_entries,
+                    cpt_cells=len(cpt.cells),
+                    marginal_entries=len(stage),
+                )
+            )
+    return Network(nodes)

@@ -1,0 +1,173 @@
+"""Brute-force reference semantics for differential testing.
+
+Deliberately redundant: the evaluation here shares no code with the
+semantics module. Worlds are enumerated exhaustively, formulas are
+evaluated by direct recursion over plain dicts, and distributions are
+compared pointwise with exact rationals.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import DomainError, GenerationError, ResourceCapError
+from .model import (
+    And,
+    Clause,
+    Const,
+    Distribution,
+    Formula,
+    Interpretation,
+    Literal,
+    Not,
+    Or,
+    Var,
+    WeightedBase,
+    as_weight,
+)
+from .network import Network, network_distribution
+
+DEFAULT_ENUMERATION_CAP = 20
+
+DEFAULT_WEIGHT_POOL = tuple(
+    Fraction(t) for t in ("1/5", "1/3", "2/5", "1/2", "2/3", "7/10", "1")
+)
+
+
+def _holds(f: Formula, world: dict[Var, bool]) -> bool:
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Literal):
+        return world[f.var] is f.positive
+    if isinstance(f, Clause):
+        for lit in f.literals:
+            if world[lit.var] is lit.positive:
+                return True
+        return False
+    if isinstance(f, Not):
+        return not _holds(f.operand, world)
+    if isinstance(f, And):
+        for p in f.parts:
+            if not _holds(p, world):
+                return False
+        return True
+    if isinstance(f, Or):
+        for p in f.parts:
+            if _holds(p, world):
+                return True
+        return False
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def enumerate_distribution(
+    b: WeightedBase, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Distribution:
+    """Exact distribution of a base by exhaustive evaluation, one world at
+    a time. Refuses universes above `cap` variables."""
+    n = len(b.variables)
+    if n > cap:
+        raise ResourceCapError(
+            f"{n} variables exceed the enumeration cap of {cap}"
+        )
+    one = Fraction(1)
+    values = []
+    for bits in range(1 << n):
+        world = {
+            v: bool((bits >> (n - 1 - j)) & 1) for j, v in enumerate(b.variables)
+        }
+        worst = None
+        for f, w in b.entries:
+            if not _holds(f, world):
+                if worst is None or w > worst:
+                    worst = w
+        values.append(one if worst is None else one - worst)
+    return Distribution(b.variables, values)
+
+
+def distributions_equal(d1: Distribution, d2: Distribution) -> bool:
+    """Exact pointwise equality over a shared variable set (the two
+    universes may order it differently)."""
+    if set(d1.universe) != set(d2.universe):
+        raise DomainError("distributions are over different universes")
+    n = len(d1.universe)
+    reorder = [d1.universe.index(v) for v in d2.universe]
+    for i, value in enumerate(d1.values):
+        j = 0
+        for pos, src in enumerate(reorder):
+            if (i >> (n - 1 - src)) & 1:
+                j |= 1 << (n - 1 - pos)
+        if d2.values[j] != value:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class Mismatch:
+    world: Interpretation
+    base_value: Fraction
+    network_value: Fraction
+
+    def __str__(self) -> str:
+        return f"{self.world}: base={self.base_value} network={self.network_value}"
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    mismatches: tuple[Mismatch, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+
+def verify_compilation(b: WeightedBase, n: Network) -> VerificationReport:
+    """Compare a base's enumerated distribution against a network's
+    chain-rule distribution, world by world."""
+    if set(b.variables) != set(n.variables):
+        raise DomainError("base and network are over different universes")
+    reference = enumerate_distribution(b)
+    compiled = network_distribution(n)
+    mismatches = []
+    for w, expected in reference.items():
+        actual = compiled[w]
+        if actual != expected:
+            mismatches.append(Mismatch(w, expected, actual))
+    return VerificationReport(tuple(mismatches))
+
+
+def random_base(
+    seed: int,
+    n_vars: int,
+    n_clauses: int,
+    weight_pool=DEFAULT_WEIGHT_POOL,
+    require_consistent: bool = True,
+    max_tries: int = 500,
+) -> WeightedBase:
+    """Deterministic pseudorandom clausal base: clause length 1 to 3 over
+    distinct variables (so no tautologies), weights drawn from the pool.
+    With `require_consistent`, regenerates until the distribution is
+    normalized, within a bounded retry budget."""
+    if n_vars < 1:
+        raise DomainError("need at least one variable")
+    rng = random.Random(seed)
+    variables = tuple(Var(f"v{i + 1}") for i in range(n_vars))
+    pool = [as_weight(w) for w in weight_pool]
+    if not pool:
+        raise DomainError("empty weight pool")
+    for _ in range(max_tries):
+        entries = []
+        for _ in range(n_clauses):
+            k = rng.randint(1, min(3, n_vars))
+            chosen = rng.sample(range(n_vars), k)
+            lits = [Literal(variables[i], rng.random() < 0.5) for i in chosen]
+            entries.append((Clause(lits), rng.choice(pool)))
+        candidate = WeightedBase(entries, variables)
+        if not require_consistent:
+            return candidate
+        if enumerate_distribution(candidate).is_normalized:
+            return candidate
+    raise GenerationError(
+        f"no consistent base found in {max_tries} tries (seed={seed})"
+    )
