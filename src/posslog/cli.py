@@ -1,8 +1,9 @@
 """Command line surface.
 
 Exit codes: 0 success (or verification pass), 1 verification mismatch,
-2 usage or syntax problem, 3 inconsistent base. Standard output carries
-only the result payload; progress and summaries go to standard error.
+2 usage, syntax, schema or resource error, 3 inconsistent base. Standard
+output carries only the result payload; progress and summaries go to
+standard error.
 """
 
 from __future__ import annotations
@@ -12,23 +13,12 @@ import sys
 from fractions import Fraction
 
 from . import io as formats
-from .compiler import (
-    Ordering,
-    compile_network,
-    conditional_possibility,
-    hidden_parent_closure,
-    immediate_parents,
-)
-from .errors import (
-    DomainError,
-    InconsistentBaseError,
-    NetworkSchemaError,
-    ParseError,
-    PosslogError,
-)
+from .compiler import Ordering, compile_stages, conditional_possibility
+from .errors import InconsistentBaseError, PosslogError
 from .marginalize import marginal_base
 from .model import And, Literal, Var, WeightedBase, Interpretation
-from .normalize import remove_subsumed, remove_tautologies, to_clausal
+from .network import Network
+from .normalize import remove_tautologies, to_clausal
 from .oracle import DEFAULT_WEIGHT_POOL, random_base, verify_compilation
 from .semantics import (
     inconsistency_degree,
@@ -131,19 +121,19 @@ def _print_value(value: Fraction, decimal: bool) -> None:
 def cmd_compile(args) -> int:
     base = formats.parse_base(_read(args.base))
     order = _parse_order(args.order, base)
-
-    def log(stage):
+    nodes = []
+    for stage in compile_stages(base, order):
         parents = " ".join(
             p.name for p in sorted(stage.parent_set.parents, key=order.position)
         )
         print(
-            f"[{stage.index + 1}/{len(order.sequence)}] {order.sequence[stage.index]}:"
-            f" parents=[{parents}] cpt={stage.cpt_cells} cells,"
+            f"[{stage.index + 1}/{len(order.sequence)}] {stage.parent_set.var}:"
+            f" parents=[{parents}] cpt={len(stage.cpt.cells)} cells,"
             f" stage={stage.stage_entries} -> marginal={stage.marginal_entries} entries",
             file=sys.stderr,
         )
-
-    net = compile_network(base, order, on_stage=log)
+        nodes.append(stage.cpt)
+    net = Network(nodes)
     _write(args.out, formats.serialize_network(net))
     if args.dot:
         _write(args.dot, formats.export_dot(net))
@@ -193,14 +183,9 @@ def cmd_parents(args) -> int:
     if args.var not in known:
         raise _UsageError(f"unknown variable {args.var!r}")
     target = known[args.var]
-    stage = remove_subsumed(base)
-    for var in order.sequence:
-        if var == target:
-            parents = hidden_parent_closure(stage, var, immediate_parents(stage, var))
-            print(" ".join(p.name for p in sorted(parents, key=order.position)))
-            return EXIT_OK
-        stage = marginal_base(stage, var)
-    raise _UsageError(f"variable {args.var!r} not reached by the ordering")
+    stage = next(s for s in compile_stages(base, order) if s.parent_set.var == target)
+    print(" ".join(p.name for p in sorted(stage.parent_set.parents, key=order.position)))
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -288,12 +273,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NetworkSchemaError, _UsageError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InconsistentBaseError as exc:
         print(f"error: Inc = {exc.degree}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except PosslogError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

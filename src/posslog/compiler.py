@@ -29,17 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InconsistentBaseError
-from .marginalize import marginal_base
+from .marginalize import instantiate, marginal_base
 from .model import (
     ONE,
-    Clause,
     Literal,
     Var,
     WeightedBase,
-    negate,
     unit,
 )
 from .network import CPT, Network
@@ -101,20 +99,6 @@ def immediate_parents(b: WeightedBase, var: Var) -> frozenset[Var]:
     return frozenset(out)
 
 
-def _condition(b: WeightedBase, literals: Sequence[Literal]) -> WeightedBase:
-    """Syntactic conditioning on a set of literals, keeping the universe:
-    clauses containing an instance literal vanish, negations of instance
-    literals are deleted from the rest."""
-    chosen = set(literals)
-    dropped = {negate(l) for l in literals}
-    out = []
-    for c, w in b.entries:
-        if chosen & c.literals:
-            continue
-        out.append((Clause(c.literals - dropped), w))
-    return WeightedBase(out, b.variables)
-
-
 def hidden_parent_closure(
     b: WeightedBase, var: Var, seed: Iterable[Var]
 ) -> frozenset[Var]:
@@ -131,7 +115,7 @@ def hidden_parent_closure(
         swept = sorted(parents)
         for values in product((False, True), repeat=len(swept)):
             instance = [Literal(v, val) for v, val in zip(swept, values)]
-            conditioned = _condition(b, instance)
+            conditioned = instantiate(b, *instance)
             context = conditioned.extended([(unit(l), ONE) for l in instance])
             alpha = certainty_degree(context, Literal(var, True))
             beta = certainty_degree(context, Literal(var, False))
@@ -192,22 +176,18 @@ class StageSummary:
     index: int
     parent_set: ParentSet
     stage_entries: int
-    cpt_cells: int
+    cpt: CPT
     marginal_entries: int
 
 
-def compile_network(
-    b: WeightedBase,
-    ordering,
-    on_stage: Callable[[StageSummary], None] | None = None,
-) -> Network:
-    """Compile a consistent base into a product-based network whose
-    chain-rule distribution equals the base's distribution exactly.
+def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
+    """Compile a consistent base one variable at a time, yielding each
+    stage's summary (with its table) as soon as the variable is forgotten.
 
     The base is first clausalized, tautology-freed and subsumption-reduced;
-    an inconsistent input is rejected with its inconsistency degree. Each
-    stage computes the node's parents and table from the current base,
-    then forgets the variable.
+    an inconsistent input is rejected with its inconsistency degree when
+    iteration starts. Each stage computes the node's parents and table
+    from the current base, then forgets the variable.
     """
     ordering = Ordering.of(ordering)
     ordering.validate_for(b.variables)
@@ -215,22 +195,23 @@ def compile_network(
     inc = inconsistency_degree(stage)
     if inc != 0:
         raise InconsistentBaseError(inc)
-    nodes = []
     for i, var in enumerate(ordering.sequence):
         parents = hidden_parent_closure(stage, var, immediate_parents(stage, var))
         ordered_parents = tuple(sorted(parents, key=ordering.position))
         cpt = cpt_for(stage, var, ordered_parents)
-        nodes.append(cpt)
         stage_entries = len(stage)
         stage = marginal_base(stage, var)
-        if on_stage is not None:
-            on_stage(
-                StageSummary(
-                    index=i,
-                    parent_set=ParentSet(var, parents),
-                    stage_entries=stage_entries,
-                    cpt_cells=len(cpt.cells),
-                    marginal_entries=len(stage),
-                )
-            )
-    return Network(nodes)
+        yield StageSummary(
+            index=i,
+            parent_set=ParentSet(var, parents),
+            stage_entries=stage_entries,
+            cpt=cpt,
+            marginal_entries=len(stage),
+        )
+
+
+def compile_network(b: WeightedBase, ordering) -> Network:
+    """Compile a consistent base into a product-based network whose
+    chain-rule distribution equals the base's distribution exactly
+    (see `compile_stages`)."""
+    return Network(s.cpt for s in compile_stages(b, ordering))

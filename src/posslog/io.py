@@ -344,9 +344,13 @@ def parse_network(text: str) -> Network:
                 weight_text = cell["weight"]
             except KeyError as exc:
                 _schema_fail(f"cpt cell of {name} missing {exc.args[0]!r}")
+            if not isinstance(assignment_doc, dict):
+                _schema_fail(f"assignment in cpt of {name} must be an object")
             if set(assignment_doc) != {p.name for p in parent_vars}:
                 _schema_fail(f"cpt cell of {name} does not assign exactly its parents")
-            assignment = tuple(bool(assignment_doc[p.name]) for p in parent_vars)
+            assignment = tuple(assignment_doc[p.name] for p in parent_vars)
+            if not all(isinstance(v, bool) for v in (*assignment, polarity)):
+                _schema_fail(f"cpt cell of {name} has a non-boolean polarity or value")
             try:
                 weight = Fraction(str(weight_text))
             except (ValueError, ZeroDivisionError) as exc:
@@ -355,7 +359,7 @@ def parse_network(text: str) -> Network:
                 ) from exc
             if not 0 <= weight <= 1:
                 _schema_fail(f"weight {weight_text} of {name} outside [0, 1]")
-            key = (assignment, bool(polarity))
+            key = (assignment, polarity)
             if key in table:
                 _schema_fail(f"duplicate cpt cell in {name}")
             table[key] = weight

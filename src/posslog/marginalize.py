@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .model import (
+    Clause,
     Distribution,
     Literal,
     Var,
@@ -26,25 +27,33 @@ from .normalize import remove_subsumed, remove_tautologies
 from .semantics import distribution_of_base
 
 
-def instantiate(b: WeightedBase, lit: Literal) -> WeightedBase:
-    """Condition a clausal, tautology-free base on `lit` and forget its
-    variable: drop clauses containing `lit`, delete `negate(lit)` where it
-    occurs (weights kept). An empty clause may result; it carries the
-    conflict weight of contexts incompatible with `lit`."""
+def instantiate(b: WeightedBase, *literals: Literal) -> WeightedBase:
+    """Condition a clausal, tautology-free base on `literals` and forget
+    their variables: drop clauses containing a chosen literal, delete the
+    negations of chosen literals where they occur (weights kept). A literal
+    whose variable is outside the universe, or already chosen, is skipped,
+    so the result equals instantiating one literal at a time. An empty
+    clause may result; it carries the conflict weight of contexts
+    incompatible with the chosen literals."""
     if not b.is_clausal:
         raise DomainError("instantiate requires a clausal base")
-    if lit.var not in b.variables:
+    by_var: dict[Var, Literal] = {}
+    for lit in literals:
+        if lit.var in b.variables:
+            by_var.setdefault(lit.var, lit)
+    if not by_var:
         return b
-    nl = negate(lit)
+    chosen = frozenset(by_var.values())
+    dropped = frozenset(negate(l) for l in chosen)
     out = []
     for c, w in b.entries:
-        if lit in c:
+        if not chosen.isdisjoint(c.literals):
             continue
-        if nl in c:
-            out.append((c.without(nl), w))
-        else:
+        if dropped.isdisjoint(c.literals):
             out.append((c, w))
-    return WeightedBase(out, tuple(v for v in b.variables if v != lit.var))
+        else:
+            out.append((Clause(c.literals - dropped), w))
+    return WeightedBase(out, tuple(v for v in b.variables if v not in by_var))
 
 
 def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:

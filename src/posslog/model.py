@@ -151,14 +151,6 @@ class Or:
 Formula = Union[Const, Literal, Clause, Not, And, Or]
 
 
-def conj(*parts: Formula) -> Formula:
-    return And(parts)
-
-
-def disj(*parts: Formula) -> Formula:
-    return Or(parts)
-
-
 def vars_of(f: Formula) -> frozenset[Var]:
     """The exact set of variables occurring in a formula."""
     if isinstance(f, Const):
@@ -438,11 +430,6 @@ class Distribution:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "values", cooked)
 
-    @classmethod
-    def from_function(cls, universe: Iterable[Var], fn) -> "Distribution":
-        universe = tuple(universe)
-        return cls(universe, tuple(fn(w) for w in interpretations(universe)))
-
     def index_of(self, w: Interpretation) -> int:
         n = len(self.universe)
         i = 0
@@ -461,6 +448,3 @@ class Distribution:
     @property
     def is_normalized(self) -> bool:
         return any(v == ONE for v in self.values)
-
-    def max_value(self) -> Fraction:
-        return max(self.values)

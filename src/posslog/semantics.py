@@ -82,34 +82,6 @@ def distribution_of_base(b: WeightedBase) -> Distribution:
 # satisfiability
 
 
-def _encode_clause(c: Clause, index: dict[Var, int]) -> frozenset[int]:
-    """Signed-integer form of a clause, growing `index` (1-based) as needed."""
-    enc = []
-    for lit in c.literals:
-        i = index.setdefault(lit.var, len(index) + 1)
-        enc.append(i if lit.positive else -i)
-    return frozenset(enc)
-
-
-def _encode(clauses: Iterable[Clause]) -> tuple[list[frozenset[int]], int, bool]:
-    """Map clauses onto signed integer literals.
-
-    Returns (encoded clauses, variable count, saw_empty). Tautological
-    clauses are dropped; duplicate literals collapse via set semantics.
-    """
-    index: dict[Var, int] = {}
-    out: list[frozenset[int]] = []
-    saw_empty = False
-    for c in clauses:
-        if c.is_tautology:
-            continue
-        if c.is_empty:
-            saw_empty = True
-            continue
-        out.append(_encode_clause(c, index))
-    return out, len(index), saw_empty
-
-
 @lru_cache(maxsize=32)
 def _truth_tables(n: int) -> tuple[int, ...]:
     """truth_tables(n)[j] is the bitset of the 2**n worlds where variable j
@@ -124,21 +96,6 @@ def _truth_tables(n: int) -> tuple[int, ...]:
         reps = full // ((1 << period) - 1)
         tables.append(block * reps)
     return tuple(tables)
-
-
-def _bitset_models(int_clauses: Iterable[frozenset[int]], n: int) -> int:
-    """Bitset of worlds satisfying all clauses (n <= _BITSET_MAX_VARS)."""
-    full = (1 << (1 << n)) - 1
-    tables = _truth_tables(n)
-    acc = full
-    for c in int_clauses:
-        cb = 0
-        for lit in c:
-            cb |= tables[lit - 1] if lit > 0 else (full & ~tables[-lit - 1])
-        acc &= cb
-        if not acc:
-            return 0
-    return acc
 
 
 def _dpll_sat(clauses: list[frozenset[int]]) -> bool:
@@ -171,14 +128,54 @@ def _dpll_sat(clauses: list[frozenset[int]]) -> bool:
     )
 
 
+def _first_unsat_group(groups: Iterable[Iterable[Clause]]) -> int | None:
+    """Index of the first group whose clauses, together with those of all
+    earlier groups, are unsatisfiable; None when every cut is satisfiable.
+
+    Clauses are mapped onto signed integer literals (tautologies dropped).
+    An empty clause encodes to the empty set, which both the bitset sweep
+    and the DPLL search read as false.
+    """
+    index: dict[Var, int] = {}
+    encoded: list[list[frozenset[int]]] = []
+    for group in groups:
+        enc = []
+        for c in group:
+            if c.is_tautology:
+                continue
+            lits = []
+            for lit in c.literals:
+                i = index.setdefault(lit.var, len(index) + 1)
+                lits.append(i if lit.positive else -i)
+            enc.append(frozenset(lits))
+        encoded.append(enc)
+
+    n = len(index)
+    if n <= _BITSET_MAX_VARS:
+        full = (1 << (1 << n)) - 1
+        tables = _truth_tables(n)
+        acc = full
+        for k, enc in enumerate(encoded):
+            for c in enc:
+                cb = 0
+                for lit in c:
+                    cb |= tables[lit - 1] if lit > 0 else (full & ~tables[-lit - 1])
+                acc &= cb
+                if not acc:
+                    return k
+        return None
+
+    accumulated: list[frozenset[int]] = []
+    for k, enc in enumerate(encoded):
+        accumulated.extend(enc)
+        if not _dpll_sat(accumulated):
+            return k
+    return None
+
+
 def is_satisfiable(clauses: Iterable[Clause]) -> bool:
     """True iff some interpretation satisfies every clause."""
-    enc, n, saw_empty = _encode(clauses)
-    if saw_empty:
-        return False
-    if n <= _BITSET_MAX_VARS:
-        return _bitset_models(enc, n) != 0
-    return _dpll_sat(enc)
+    return _first_unsat_group([clauses]) is None
 
 
 def entails(premises: Iterable[Clause], conclusion: Clause) -> bool:
@@ -210,54 +207,11 @@ def inconsistency_degree(b: WeightedBase) -> Fraction:
     grow as the threshold drops, so the first unsatisfiable one wins.
     """
     _require_clausal(b, "inconsistency_degree")
-    levels = b.distinct_weights()
-    if not levels:
-        return ZERO
-
-    by_level: dict[Fraction, list[Clause]] = {w: [] for w in levels}
+    by_level: dict[Fraction, list[Clause]] = {w: [] for w in b.distinct_weights()}
     for c, w in b.entries:
         by_level[w].append(c)
-
-    index: dict[Var, int] = {}
-    encoded: dict[Fraction, list[frozenset[int]]] = {}
-    saw_empty_at: Fraction | None = None
-    for w in levels:
-        enc_level = []
-        for c in by_level[w]:
-            if c.is_tautology:
-                continue
-            if c.is_empty:
-                if saw_empty_at is None or w > saw_empty_at:
-                    saw_empty_at = w
-                continue
-            enc_level.append(_encode_clause(c, index))
-        encoded[w] = enc_level
-
-    n = len(index)
-    if n <= _BITSET_MAX_VARS:
-        acc = (1 << (1 << n)) - 1
-        tables = _truth_tables(n)
-        full = acc
-        for w in levels:
-            if saw_empty_at is not None and w <= saw_empty_at:
-                return saw_empty_at
-            for c in encoded[w]:
-                cb = 0
-                for lit in c:
-                    cb |= tables[lit - 1] if lit > 0 else (full & ~tables[-lit - 1])
-                acc &= cb
-            if not acc:
-                return w
-        return ZERO
-
-    accumulated: list[frozenset[int]] = []
-    for w in levels:
-        if saw_empty_at is not None and w <= saw_empty_at:
-            return saw_empty_at
-        accumulated.extend(encoded[w])
-        if not _dpll_sat(accumulated):
-            return w
-    return ZERO
+    k = _first_unsat_group(by_level.values())
+    return ZERO if k is None else list(by_level)[k]
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,20 @@ class TestGen:
         assert main(["verify", str(base_path), str(net_path)]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "size",
+        [
+            ["--vars", "1", "--clauses", "50"],  # GenerationError
+            ["--vars", "22", "--clauses", "5"],  # ResourceCapError
+        ],
+    )
+    def test_unsatisfiable_request_exits_2(self, tmp_path, capsys, size):
+        code = main(["gen", "--seed", "1", *size, "-o", str(tmp_path / "g.base")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_weight_pool_flag(self, tmp_path, capsys):
         path = tmp_path / "p.base"
         assert main(["gen", "--seed", "3", "--vars", "3", "--clauses", "5",

@@ -6,11 +6,13 @@ import pytest
 from posslog import (
     DomainError,
     InconsistentBaseError,
+    Network,
     Ordering,
     ParentSet,
     WeightedBase,
     check_normalization,
     compile_network,
+    compile_stages,
     conditional_possibility,
     cpt_for,
     distribution_of_base,
@@ -160,12 +162,12 @@ class TestCompileNetwork:
             assert verify_compilation(support, net).ok
             assert check_normalization(net) == ()
 
-    def test_stage_callback(self, weather):
-        stages = []
-        compile_network(weather, (SE, WI, SU), on_stage=stages.append)
+    def test_compile_stages(self, weather):
+        stages = list(compile_stages(weather, (SE, WI, SU)))
         assert [s.parent_set.var for s in stages] == [SE, WI, SU]
         assert all(isinstance(s, StageSummary) for s in stages)
         assert stages[0].parent_set.parents == frozenset({WI, SU})
+        assert Network(s.cpt for s in stages) == compile_network(weather, (SE, WI, SU))
 
     def test_formula_entries_are_clausalized_first(self):
         from posslog import And

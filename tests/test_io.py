@@ -216,6 +216,45 @@ class TestNetworkJson:
         with pytest.raises(NetworkSchemaError):
             parse_network(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("assignment", ["y"]),
+            ("assignment", "y"),
+            ("polarity", "false"),
+            ("polarity", 1),
+            ("value", "false"),
+            ("value", 1),
+        ],
+    )
+    def test_non_boolean_or_malformed_cell_rejected(self, field, value):
+        # The edited cell is the all-true one, so a truthy non-boolean
+        # would otherwise load as a valid, complete table.
+        cells = [
+            {"assignment": {"y": a}, "polarity": p, "weight": "1/1"}
+            for a in (False, True)
+            for p in (False, True)
+        ]
+        if field == "value":
+            cells[-1]["assignment"]["y"] = value
+        else:
+            cells[-1][field] = value
+        doc = {
+            "nodes": [
+                {"var": "x", "parents": ["y"], "cpt": cells},
+                {
+                    "var": "y",
+                    "parents": [],
+                    "cpt": [
+                        {"assignment": {}, "polarity": p, "weight": "1/1"}
+                        for p in (False, True)
+                    ],
+                },
+            ]
+        }
+        with pytest.raises(NetworkSchemaError):
+            parse_network(json.dumps(doc))
+
     def test_unnormalized_column_warns_but_parses(self):
         doc = {
             "nodes": [

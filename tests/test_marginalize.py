@@ -85,6 +85,22 @@ class TestInstantiate:
                 )
                 assert val == full[extended]
 
+    def test_several_literals_equal_one_at_a_time(self):
+        # literals may repeat a variable or lie outside the universe; each
+        # such literal is skipped, exactly as a one-literal call skips it
+        rng = random.Random(53)
+        for _ in range(100):
+            b = random_clausal_base(rng, rng.randint(1, 5), rng.randint(1, 8))
+            choices = b.variables + (Var("outside"),)
+            literals = [
+                Literal(rng.choice(choices), rng.random() < 0.5)
+                for _ in range(rng.randint(2, 3))
+            ]
+            one_at_a_time = b
+            for lit in literals:
+                one_at_a_time = instantiate(one_at_a_time, lit)
+            assert instantiate(b, *literals) == one_at_a_time
+
 
 class TestMarginalBase:
     def test_weather_marginal_distribution(self, weather):

@@ -19,14 +19,14 @@ from posslog import (
     base_of_distribution,
     certainty_degree,
     distribution_of_base,
+    enumerate_distribution,
     inconsistency_degree,
-    interpretations,
     is_satisfiable,
     necessity,
     possibility,
     satisfies,
 )
-from posslog.semantics import _bitset_models, _dpll_sat, _encode
+from posslog import semantics
 
 from helpers import (
     A1,
@@ -90,25 +90,40 @@ class TestSatisfiability:
         strong += [clause(neg(SE)), clause(pos(WI)), clause(pos(SU))]
         assert is_satisfiable(strong)
 
-    def test_bitset_and_dpll_agree(self):
+    def test_bitset_and_dpll_agree(self, monkeypatch):
+        # Both solver paths answer the public queries on the same inputs,
+        # including empty clauses at random weight levels, and both agree
+        # with exhaustive enumeration.
         rng = random.Random(17)
         universe = tuple(Var(f"q{i}") for i in range(7))
+        pool = [F(1, 5), F(1, 3), F(1, 2), F(2, 3), F(1)]
+        bases = []
         for _ in range(250):
-            clauses = []
+            entries = []
             for _ in range(rng.randint(1, 14)):
                 size = rng.randint(1, 3)
                 chosen = rng.sample(universe, size)
-                clauses.append(Clause(Literal(v, rng.random() < 0.5) for v in chosen))
-            enc, n, saw_empty = _encode(clauses)
-            assert not saw_empty
-            expected = _dpll_sat(list(enc))
-            assert (_bitset_models(enc, n) != 0) == expected
-            # brute force as a second witness
-            brute = any(
-                all(satisfies(w, c) for c in clauses)
-                for w in interpretations(universe)
-            )
-            assert expected == brute
+                entries.append(
+                    (Clause(Literal(v, rng.random() < 0.5) for v in chosen),
+                     rng.choice(pool))
+                )
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                entries.insert(rng.randrange(len(entries) + 1),
+                               (Clause(), rng.choice(pool)))
+            bases.append(WeightedBase(entries, universe))
+
+        def answers():
+            return [
+                (is_satisfiable(c for c, _ in b.entries), inconsistency_degree(b))
+                for b in bases
+            ]
+
+        bitset = answers()
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
+        dpll = answers()
+        for b, by_bitset, by_dpll in zip(bases, bitset, dpll):
+            inc = 1 - max(enumerate_distribution(b).values)
+            assert by_bitset == by_dpll == (inc == 0, inc)
 
 
 class TestAlphaCut:
