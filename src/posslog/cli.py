@@ -123,11 +123,9 @@ def cmd_compile(args) -> int:
     order = _parse_order(args.order, base)
     nodes = []
     for stage in compile_stages(base, order):
-        parents = " ".join(
-            p.name for p in sorted(stage.parent_set.parents, key=order.position)
-        )
+        parents = " ".join(p.name for p in stage.cpt.parents)
         print(
-            f"[{stage.index + 1}/{len(order.sequence)}] {stage.parent_set.var}:"
+            f"[{stage.index + 1}/{len(order.sequence)}] {stage.cpt.var}:"
             f" parents=[{parents}] cpt={len(stage.cpt.cells)} cells,"
             f" stage={stage.stage_entries} -> marginal={stage.marginal_entries} entries",
             file=sys.stderr,
@@ -183,8 +181,8 @@ def cmd_parents(args) -> int:
     if args.var not in known:
         raise _UsageError(f"unknown variable {args.var!r}")
     target = known[args.var]
-    stage = next(s for s in compile_stages(base, order) if s.parent_set.var == target)
-    print(" ".join(p.name for p in sorted(stage.parent_set.parents, key=order.position)))
+    stage = next(s for s in compile_stages(base, order) if s.cpt.var == target)
+    print(" ".join(p.name for p in stage.cpt.parents))
     return EXIT_OK
 
 

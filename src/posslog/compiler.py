@@ -74,19 +74,6 @@ class Ordering:
             raise DomainError("ordering must list each base variable exactly once")
 
 
-@dataclass(frozen=True)
-class ParentSet:
-    var: Var
-    parents: frozenset[Var]
-
-    def __init__(self, var: Var, parents: Iterable[Var]):
-        parents = frozenset(parents)
-        if var in parents:
-            raise DomainError(f"{var} cannot be its own parent")
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "parents", parents)
-
-
 def immediate_parents(b: WeightedBase, var: Var) -> frozenset[Var]:
     """Variables that share a clause with `var` (either polarity)."""
     if not b.is_clausal:
@@ -116,9 +103,8 @@ def hidden_parent_closure(
         for values in product((False, True), repeat=len(swept)):
             instance = [Literal(v, val) for v, val in zip(swept, values)]
             conditioned = instantiate(b, *instance)
-            context = conditioned.extended([(unit(l), ONE) for l in instance])
-            alpha = certainty_degree(context, Literal(var, True))
-            beta = certainty_degree(context, Literal(var, False))
+            alpha = certainty_degree(conditioned, Literal(var, True))
+            beta = certainty_degree(conditioned, Literal(var, False))
             if alpha == 0 and beta == 0:
                 continue
             fresh: set[Var] = set()
@@ -171,10 +157,11 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
 
 @dataclass(frozen=True)
 class StageSummary:
-    """Per-variable compilation trace, for logging and inspection."""
+    """Per-variable compilation trace, for logging and inspection. The
+    node and its parents, in ordering order, are `cpt.var` and
+    `cpt.parents`."""
 
     index: int
-    parent_set: ParentSet
     stage_entries: int
     cpt: CPT
     marginal_entries: int
@@ -197,13 +184,11 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
         raise InconsistentBaseError(inc)
     for i, var in enumerate(ordering.sequence):
         parents = hidden_parent_closure(stage, var, immediate_parents(stage, var))
-        ordered_parents = tuple(sorted(parents, key=ordering.position))
-        cpt = cpt_for(stage, var, ordered_parents)
+        cpt = cpt_for(stage, var, sorted(parents, key=ordering.position))
         stage_entries = len(stage)
         stage = marginal_base(stage, var)
         yield StageSummary(
             index=i,
-            parent_set=ParentSet(var, parents),
             stage_entries=stage_entries,
             cpt=cpt,
             marginal_entries=len(stage),

@@ -27,6 +27,7 @@ from .model import (
     Or,
     Var,
     WeightedBase,
+    negate,
     vars_of,
 )
 from .network import CPT, Network, check_normalization
@@ -37,6 +38,11 @@ _TOKEN_RE = re.compile(
 )
 
 _KEYWORDS = {"true", "false", "vars"}
+
+# Deepest `(`/`!` nesting a formula may have. The parser and every later
+# walk over the formula tree recurse once per level, so the cap keeps them
+# all far from Python's recursion limit.
+MAX_NESTING = 100
 
 
 class NormalizationWarning(UserWarning):
@@ -62,13 +68,14 @@ def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:
 
 class _FormulaParser:
     """Recursive descent over the token list: `|` binds loosest, then `&`,
-    then `!`."""
+    then `!`. A `!` applied to a literal is folded into the literal."""
 
     def __init__(self, tokens, lineno, line_length):
         self.tokens = tokens
         self.lineno = lineno
         self.line_length = line_length
         self.pos = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -103,16 +110,21 @@ class _FormulaParser:
         if tok is None:
             self._fail("formula ends unexpectedly")
         kind, text, _ = tok
-        if text == "!":
+        if text in ("!", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self._fail(f"formula nested deeper than {MAX_NESTING} levels", tok)
             self.pos += 1
-            return Not(self._unary())
-        if text == "(":
-            self.pos += 1
-            inner = self._or()
-            closing = self._peek()
-            if closing is None or closing[1] != ")":
-                self._fail("missing closing parenthesis", closing)
-            self.pos += 1
+            if text == "!":
+                inner = self._unary()
+                inner = negate(inner) if isinstance(inner, Literal) else Not(inner)
+            else:
+                inner = self._or()
+                closing = self._peek()
+                if closing is None or closing[1] != ")":
+                    self._fail("missing closing parenthesis", closing)
+                self.pos += 1
+            self.depth -= 1
             return inner
         if kind == "name":
             self.pos += 1
@@ -131,32 +143,8 @@ def _as_clause_if_flat(f: Formula) -> Formula:
     Clause, so files that are already clausal parse as clausal bases."""
     if isinstance(f, Literal):
         return Clause((f,))
-    if isinstance(f, Not) and isinstance(f.operand, Literal):
-        return Clause((Literal(f.operand.var, not f.operand.positive),))
-    if isinstance(f, Or):
-        lits = []
-        for p in f.parts:
-            if isinstance(p, Literal):
-                lits.append(p)
-            elif isinstance(p, Not) and isinstance(p.operand, Literal):
-                lits.append(Literal(p.operand.var, not p.operand.positive))
-            else:
-                return f
-        return Clause(lits)
-    return f
-
-
-def _normalize_negations(f: Formula) -> Formula:
-    """Fold `Not` applied directly to a literal into the literal itself."""
-    if isinstance(f, Not):
-        inner = _normalize_negations(f.operand)
-        if isinstance(inner, Literal):
-            return Literal(inner.var, not inner.positive)
-        return Not(inner)
-    if isinstance(f, And):
-        return And(tuple(_normalize_negations(p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_normalize_negations(p) for p in f.parts))
+    if isinstance(f, Or) and all(isinstance(p, Literal) for p in f.parts):
+        return Clause(f.parts)
     return f
 
 
@@ -165,8 +153,7 @@ def parse_formula(text: str, lineno: int = 1) -> Formula:
     tokens = _tokenize(text, lineno)
     if not tokens:
         raise ParseError("empty formula", lineno, 1)
-    parsed = _FormulaParser(tokens, lineno, len(text)).parse()
-    return _normalize_negations(parsed)
+    return _FormulaParser(tokens, lineno, len(text)).parse()
 
 
 def parse_base(text: str) -> WeightedBase:
@@ -214,7 +201,7 @@ def parse_base(text: str) -> WeightedBase:
         if not body:
             raise ParseError("entry has no formula", lineno, len(line) + 1)
         formula = _FormulaParser(body, lineno, len(line)).parse()
-        formula = _as_clause_if_flat(_normalize_negations(formula))
+        formula = _as_clause_if_flat(formula)
         if declared is not None:
             extra = vars_of(formula) - set(declared)
             if extra:
@@ -372,8 +359,12 @@ def parse_network(text: str) -> Network:
         by_name[var.name] = cpt
     ordering = doc.get("ordering")
     if ordering is not None:
-        if not isinstance(ordering, list) or set(ordering) != set(by_name):
-            _schema_fail("'ordering' must list every node variable exactly once")
+        if (
+            not isinstance(ordering, list)
+            or not all(isinstance(name, str) for name in ordering)
+            or set(ordering) != set(by_name)
+        ):
+            _schema_fail("'ordering' must be a list of names, each node exactly once")
         nodes = [by_name[name] for name in ordering]
     else:
         nodes = list(by_name.values())

@@ -55,27 +55,17 @@ def merge_duplicates(b: WeightedBase) -> WeightedBase:
     return WeightedBase([(c, best[c]) for c in order], b.variables)
 
 
-def is_subsumed(
-    b: WeightedBase, entry: tuple[Clause, Fraction], strict: bool = False
-) -> bool:
-    """Whether `entry` is redundant inside `b`.
-
-    Non-strict: the rest of the base, cut at the entry's weight, already
-    entails the clause. Strict: the strictly-higher cut of the full base
-    entails it.
-    """
+def is_subsumed(b: WeightedBase, entry: tuple[Clause, Fraction]) -> bool:
+    """Whether `entry` is redundant inside `b`: the rest of the base, cut
+    at the entry's weight, already entails the clause."""
     if not b.is_clausal:
         raise DomainError("is_subsumed requires a clausal base")
     if entry not in b.entries:
         raise DomainError("entry is not part of the base")
     clause, weight = entry
-    if strict:
-        premises = [c for c, w in b.entries if w > weight]
-    else:
-        remaining = list(b.entries)
-        remaining.remove(entry)
-        premises = [c for c, w in remaining if w >= weight]
-    return entails(premises, clause)
+    remaining = list(b.entries)
+    remaining.remove(entry)
+    return entails([c for c, w in remaining if w >= weight], clause)
 
 
 def _entry_key(entry: tuple[Clause, Fraction]):
@@ -88,16 +78,15 @@ def _entry_key(entry: tuple[Clause, Fraction]):
 
 
 def remove_subsumed(b: WeightedBase) -> WeightedBase:
-    """Merge duplicates, then remove non-strictly subsumed entries until a
-    fixpoint. Lower-weight entries go first (ties broken by a deterministic
-    clause order) so the surviving base is reproducible."""
+    """Merge duplicates, then test each entry once, lower weights first
+    (ties broken by a deterministic clause order), dropping it if the
+    entries still present subsume it. One pass reaches the fixpoint:
+    dropping a premise only weakens entailment, so an entry kept once is
+    never redundant later."""
     current = merge_duplicates(b)
-    entries = list(current.entries)
-    while True:
-        candidate = WeightedBase(entries, b.variables)
-        for entry in sorted(entries, key=_entry_key):
-            if is_subsumed(candidate, entry, strict=False):
-                entries.remove(entry)
-                break
-        else:
-            return candidate
+    for entry in sorted(current.entries, key=_entry_key):
+        if is_subsumed(current, entry):
+            entries = list(current.entries)
+            entries.remove(entry)
+            current = WeightedBase(entries, b.variables)
+    return current

@@ -91,8 +91,24 @@ class TestCompile:
         capsys.readouterr()
         assert code == 2
 
+    def test_deep_nesting_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.base"
+        path.write_text("1/2: " + "(" * 1200 + "a" + ")" * 1200 + "\n")
+        for argv in (["compile", str(path)], ["query", str(path), "pi", "a"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err.startswith("error:")
+
 
 class TestQuery:
+    def test_deeply_nested_query_exits_2(self, weather_file, capsys):
+        query = "(" * 1200 + "su" + ")" * 1200
+        code = main(["query", weather_file, "pi", query])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+
     def test_conditional_golden(self, weather_file, capsys):
         code = main(["query", weather_file, "cond", "!se", "--context", "wi & su"])
         captured = capsys.readouterr()
@@ -234,6 +250,18 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 1
         assert len(captured.out.strip().splitlines()) == 6
+
+    def test_non_string_ordering_exits_2(self, weather_file, tmp_path, capsys):
+        net_path = tmp_path / "net.json"
+        assert main(["compile", weather_file, "-o", str(net_path)]) == 0
+        doc = json.loads(net_path.read_text())
+        doc["ordering"] = [[name] for name in doc["ordering"]]
+        net_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["verify", weather_file, str(net_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
 
     def test_universe_mismatch_exits_2(self, weather_file, tmp_path, capsys):
         other = Network([CPT(SU, (), {((), True): F(1), ((), False): F(1)})])

@@ -1,15 +1,17 @@
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from posslog import (
     DomainError,
     InconsistentBaseError,
+    Literal,
     Network,
     Ordering,
-    ParentSet,
     WeightedBase,
+    certainty_degree,
     check_normalization,
     compile_network,
     compile_stages,
@@ -18,10 +20,14 @@ from posslog import (
     distribution_of_base,
     hidden_parent_closure,
     immediate_parents,
+    instantiate,
     network_distribution,
+    remove_tautologies,
+    unit,
     verify_compilation,
 )
 from posslog.compiler import StageSummary
+from posslog.model import ONE
 
 from helpers import (
     A1,
@@ -35,6 +41,7 @@ from helpers import (
     clause,
     neg,
     pos,
+    random_clausal_base,
 )
 
 F = Fraction
@@ -79,6 +86,47 @@ class TestHiddenParentClosure:
         assert hidden_parent_closure(b, A1, immediate_parents(b, A1)) == frozenset(
             {A3}
         )
+
+    def test_equals_closure_over_hard_unit_contexts(self):
+        # Reference: each context is the instantiated base plus the
+        # context's literals as hard units. Those units sit on variables
+        # the instantiated base no longer mentions.
+        def unit_context_closure(b, var, seed):
+            parents = set(seed) - {var}
+            while True:
+                grew = False
+                swept = sorted(parents)
+                for values in product((False, True), repeat=len(swept)):
+                    instance = [Literal(v, val) for v, val in zip(swept, values)]
+                    conditioned = instantiate(b, *instance)
+                    context = conditioned.extended([(unit(l), ONE) for l in instance])
+                    if (
+                        certainty_degree(context, Literal(var, True)) == 0
+                        and certainty_degree(context, Literal(var, False)) == 0
+                    ):
+                        continue
+                    fresh = set()
+                    for c, _ in conditioned.entries:
+                        if var not in c.variables:
+                            fresh |= c.variables
+                    fresh -= parents | {var}
+                    if fresh:
+                        parents |= fresh
+                        grew = True
+                        break
+                if not grew:
+                    return frozenset(parents)
+
+        rng = random.Random(29)
+        for _ in range(300):
+            b = remove_tautologies(
+                random_clausal_base(rng, rng.randint(1, 5), rng.randint(1, 9))
+            )
+            for var in b.variables:
+                seed = immediate_parents(b, var)
+                assert hidden_parent_closure(b, var, seed) == unit_context_closure(
+                    b, var, seed
+                )
 
 
 class TestConditionalPossibility:
@@ -164,9 +212,9 @@ class TestCompileNetwork:
 
     def test_compile_stages(self, weather):
         stages = list(compile_stages(weather, (SE, WI, SU)))
-        assert [s.parent_set.var for s in stages] == [SE, WI, SU]
+        assert [s.cpt.var for s in stages] == [SE, WI, SU]
         assert all(isinstance(s, StageSummary) for s in stages)
-        assert stages[0].parent_set.parents == frozenset({WI, SU})
+        assert stages[0].cpt.parents == (WI, SU)
         assert Network(s.cpt for s in stages) == compile_network(weather, (SE, WI, SU))
 
     def test_formula_entries_are_clausalized_first(self):
@@ -194,12 +242,3 @@ class TestOrdering:
         with pytest.raises(DomainError):
             order.position(X)
 
-
-class TestParentSet:
-    def test_self_parent_rejected(self):
-        with pytest.raises(DomainError):
-            ParentSet(X, {X})
-
-    def test_holds_a_frozenset(self):
-        ps = ParentSet(X, [Y])
-        assert ps.parents == frozenset({Y})

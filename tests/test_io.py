@@ -10,6 +10,7 @@ from posslog import (
     Clause,
     Network,
     NetworkSchemaError,
+    Or,
     ParseError,
     WeightedBase,
     compile_network,
@@ -21,7 +22,7 @@ from posslog import (
     serialize_base,
     serialize_network,
 )
-from posslog.io import NormalizationWarning, render_formula
+from posslog.io import MAX_NESTING, NormalizationWarning, render_formula
 
 from helpers import (
     A1,
@@ -33,6 +34,7 @@ from helpers import (
     X,
     Y,
     clause,
+    neg,
     pos,
     random_clausal_base,
     random_formula,
@@ -102,6 +104,30 @@ class TestParseBase:
             parse_base(text)
         assert err.value.line == line
         assert err.value.column >= 1
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda k: "(" * k + "x | y" + ")" * k,
+            lambda k: "!" * k + "x",
+            lambda k: "!(x & " * (k // 2) + "y" + ")" * (k // 2),
+        ],
+        ids=["parentheses", "negations", "alternating"],
+    )
+    def test_nesting_cap(self, nest):
+        parse_formula(nest(MAX_NESTING))
+        parse_base(f"1/2: {nest(MAX_NESTING)}\n")
+        with pytest.raises(ParseError) as err:
+            parse_formula(nest(MAX_NESTING + 2))
+        assert "nested deeper" in str(err.value)
+        with pytest.raises(ParseError):
+            parse_base(f"1/2: {nest(MAX_NESTING + 2)}\n")
+
+    def test_negations_fold_into_literals(self):
+        assert parse_formula("!!!x") == neg(X)
+        assert parse_formula("!(x) | y") == Or((neg(X), pos(Y)))
+        (entry,) = parse_base("1/2: !x | !!y\n").entries
+        assert entry[0] == clause(neg(X), pos(Y))
 
 
 class TestSerializeBase:
@@ -225,6 +251,8 @@ class TestNetworkJson:
             ("polarity", 1),
             ("value", "false"),
             ("value", 1),
+            ("ordering", [["x"]]),
+            ("ordering", [1]),
         ],
     )
     def test_non_boolean_or_malformed_cell_rejected(self, field, value):
@@ -237,7 +265,7 @@ class TestNetworkJson:
         ]
         if field == "value":
             cells[-1]["assignment"]["y"] = value
-        else:
+        elif field != "ordering":
             cells[-1][field] = value
         doc = {
             "nodes": [
@@ -252,6 +280,8 @@ class TestNetworkJson:
                 },
             ]
         }
+        if field == "ordering":
+            doc["ordering"] = value
         with pytest.raises(NetworkSchemaError):
             parse_network(json.dumps(doc))
 

@@ -17,6 +17,7 @@ from posslog import (
     to_clausal,
     vars_of,
 )
+from posslog.normalize import _entry_key
 
 from helpers import (
     A1,
@@ -106,11 +107,6 @@ class TestIsSubsumed:
         b = WeightedBase([e], (X,))
         assert not is_subsumed(b, e)
 
-    def test_strict_subsumption_of_duplicate(self):
-        low = (clause(pos(X), neg(Y)), F(1, 3))
-        b = WeightedBase([(clause(pos(X), neg(Y)), F(2, 3)), low], (X, Y))
-        assert is_subsumed(b, low, strict=True)
-
     def test_entry_must_belong_to_base(self):
         b = WeightedBase([(clause(pos(X)), F(1, 2))], (X, Y))
         with pytest.raises(DomainError):
@@ -144,6 +140,27 @@ class TestRemoveSubsumed:
             reduced = remove_subsumed(b)
             assert same_distribution(b, reduced)
             assert remove_subsumed(reduced) == reduced
+
+    def test_one_pass_equals_restart_loop(self):
+        # Reference: rescan from the lowest entry after every removal.
+        def restart_loop(b):
+            entries = list(merge_duplicates(b).entries)
+            while True:
+                candidate = WeightedBase(entries, b.variables)
+                for entry in sorted(entries, key=_entry_key):
+                    if is_subsumed(candidate, entry):
+                        entries.remove(entry)
+                        break
+                else:
+                    return candidate
+
+        rng = random.Random(23)
+        for _ in range(300):
+            pool = [F(k, 4) for k in range(1, 5)][: rng.randint(1, 4)]
+            b = random_clausal_base(rng, rng.randint(1, 5), rng.randint(1, 10), pool)
+            dupes = [(c, rng.choice(pool)) for c, _ in b.entries if rng.random() < 0.3]
+            b = remove_tautologies(b.extended(dupes))
+            assert remove_subsumed(b) == restart_loop(b)
 
 
 class TestMergeDuplicates:

@@ -55,7 +55,10 @@ class TestEnumerateDistribution:
         wide = WeightedBase((), tuple(Var(f"w{i}") for i in range(21)))
         with pytest.raises(ResourceCapError):
             enumerate_distribution(wide)
-        assert enumerate_distribution(wide, cap=21) is not None
+        small = WeightedBase((), (SU, WI, SE))
+        assert len(enumerate_distribution(small, cap=3).values) == 8
+        with pytest.raises(ResourceCapError):
+            enumerate_distribution(small, cap=2)
 
     def test_agrees_with_semantics_on_random_bases(self):
         rng = random.Random(71)
