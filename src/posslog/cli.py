@@ -43,6 +43,10 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from exc
 
 
 def _write(path: str, text: str) -> None:

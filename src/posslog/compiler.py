@@ -32,17 +32,14 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InconsistentBaseError
-from .marginalize import instantiate, marginal_base
-from .model import (
-    ONE,
-    Literal,
-    Var,
-    WeightedBase,
-    unit,
-)
+from .marginalize import marginal_base
+from .model import ONE, Literal, Var, WeightedBase
 from .network import CPT, Network
 from .normalize import remove_subsumed, remove_tautologies, to_clausal
-from .semantics import certainty_degree, inconsistency_degree
+from .semantics import _levels, _Levels, inconsistency_degree
+
+# Unused here, but bench/tracing.py wraps `compiler.certainty_degree` by name.
+from .semantics import certainty_degree  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -92,33 +89,62 @@ def hidden_parent_closure(
     """Grow `seed` until no parent instantiation exposes an influencing
     clause (see the module docstring for the rule and its rationale).
     Instantiations are swept in variable-name order, so runs are
-    reproducible."""
+    reproducible.
+
+    The base is encoded into its weight levels once. A clause survives an
+    instantiation unless it holds one of the chosen literals, so each
+    clause that could bring a fresh parent is kept as two masks over the
+    swept parents: the bits an instantiation must set and the bits it must
+    clear for the clause to survive.
+    """
     if not b.is_clausal:
         raise DomainError("hidden_parent_closure requires a clausal base")
+    levels = _levels(b)
+    node = (Literal(var, True), Literal(var, False))
     parents = set(seed)
     parents.discard(var)
     while True:
-        grew = False
         swept = sorted(parents)
-        for values in product((False, True), repeat=len(swept)):
-            instance = [Literal(v, val) for v, val in zip(swept, values)]
-            conditioned = instantiate(b, *instance)
-            alpha = certainty_degree(conditioned, Literal(var, True))
-            beta = certainty_degree(conditioned, Literal(var, False))
-            if alpha == 0 and beta == 0:
+        bit = {v: 1 << (len(swept) - 1 - j) for j, v in enumerate(swept)}
+        candidates = []
+        for c, _ in b.entries:
+            variables = c.variables
+            if var in variables or variables <= parents:
                 continue
+            must = clear = 0
+            for lit in c.literals:
+                if lit.var in bit:
+                    if lit.positive:
+                        clear |= bit[lit.var]
+                    else:
+                        must |= bit[lit.var]
+            candidates.append((must, clear, variables))
+        grew = False
+        # Instantiation i gives swept[j] the value of bit len(swept)-1-j of
+        # i: the order of product((False, True), repeat=len(swept)).
+        for i in range(1 << len(swept)):
             fresh: set[Var] = set()
-            for c, _ in conditioned.entries:
-                if var not in c.variables:
-                    fresh |= c.variables
-            fresh -= parents
-            fresh.discard(var)
-            if fresh:
-                parents |= fresh
-                grew = True
-                break
+            for must, clear, variables in candidates:
+                if i & must == must and not i & clear:
+                    fresh |= variables
+            if not fresh:
+                continue
+            context = [Literal(v, bool(i & bit[v])) for v in swept]
+            inc = levels.inconsistency(context)
+            if all(levels.inconsistency(context + [x]) == inc for x in node):
+                continue
+            parents |= fresh
+            grew = True
+            break
         if not grew:
             return frozenset(parents)
+
+
+def _conditional(levels: _Levels, lit: Literal, context: Sequence[Literal]) -> Fraction:
+    h = ONE - levels.inconsistency(context)
+    if h == 0:
+        return ONE
+    return (ONE - levels.inconsistency((*context, lit))) / h
 
 
 def conditional_possibility(
@@ -127,30 +153,29 @@ def conditional_possibility(
     """Product-based conditional degree of `lit` given a literal context.
 
     h is the degree of the context alone, h' the degree of context plus
-    literal, both obtained by adding the corresponding hard constraints
-    and reading off the inconsistency degree. An impossible context makes
-    both values of the variable fully possible by convention.
+    literal, both read off the base's weight levels with the literals as
+    hard facts. An impossible context makes both values of the variable
+    fully possible by convention.
     """
     if not b.is_clausal:
         raise DomainError("conditional_possibility requires a clausal base")
-    with_context = b.extended([(unit(x), ONE) for x in context])
-    h = ONE - inconsistency_degree(with_context)
-    if h == 0:
-        return ONE
-    h_joint = ONE - inconsistency_degree(with_context.extended([(unit(lit), ONE)]))
-    return h_joint / h
+    return _conditional(_levels(b), lit, tuple(context))
 
 
 def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     """The full conditional table of `var` given `parents`, one column per
-    parent instantiation, both polarities per column."""
+    parent instantiation, both polarities per column, all read off one
+    encoding of the base."""
+    if not b.is_clausal:
+        raise DomainError("cpt_for requires a clausal base")
+    levels = _levels(b)
     parents = tuple(parents)
     table = {}
     for assignment in product((False, True), repeat=len(parents)):
-        context = [Literal(p, val) for p, val in zip(parents, assignment)]
+        context = tuple(Literal(p, val) for p, val in zip(parents, assignment))
         for polarity in (False, True):
-            table[(assignment, polarity)] = conditional_possibility(
-                b, Literal(var, polarity), context
+            table[(assignment, polarity)] = _conditional(
+                levels, Literal(var, polarity), context
             )
     return CPT(var, parents, table)
 

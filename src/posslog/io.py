@@ -314,6 +314,8 @@ def parse_network(text: str) -> Network:
             cells = raw["cpt"]
         except KeyError as exc:
             _schema_fail(f"node missing field {exc.args[0]!r}")
+        if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
+            _schema_fail(f"'parents' of {name} must be a list of names")
         try:
             var = Var(name)
             parent_vars = tuple(Var(p) for p in parents)

@@ -381,10 +381,6 @@ class WeightedBase:
     def is_clausal(self) -> bool:
         return all(isinstance(f, Clause) for f, _ in self.entries)
 
-    def distinct_weights(self) -> list[Fraction]:
-        """Distinct entry weights, highest first."""
-        return sorted({w for _, w in self.entries}, reverse=True)
-
     def extended(self, extra: Iterable[tuple[Formula, object]]) -> "WeightedBase":
         """A new base with `extra` entries appended; the universe grows to
         cover any new variables, preserving existing order."""

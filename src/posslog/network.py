@@ -52,17 +52,13 @@ class CPT:
             if not isinstance(weight, Fraction):
                 weight = as_weight(weight)
             cooked[(tuple(bool(x) for x in assignment), bool(polarity))] = weight
-        expected = [
-            (assignment, polarity)
-            for assignment in product((False, True), repeat=len(parents))
-            for polarity in (False, True)
-        ]
-        missing = [k for k in expected if k not in cooked]
-        if missing or len(cooked) != len(expected):
-            raise DomainError(
-                f"table for {var} must define exactly {len(expected)} cells"
-            )
-        cells = tuple((a, p, cooked[(a, p)]) for a, p in expected)
+        # Distinct keys whose assignments each give every parent a value
+        # form the whole table exactly when there are 2^(k+1) of them, so
+        # completeness is checked without enumerating the table's keys.
+        size = 2 << len(parents)
+        if len(cooked) != size or any(len(a) != len(parents) for a, _ in cooked):
+            raise DomainError(f"table for {var} must define exactly {size} cells")
+        cells = tuple(sorted((a, p, w) for (a, p), w in cooked.items()))
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "cells", cells)

@@ -8,8 +8,9 @@ and the converse construction of a base from a distribution.
 
 Satisfiability is decided by a complete search with unit propagation; for
 small universes (the common case here) an exhaustive bitset sweep is used
-instead, which also lets the inconsistency degree be computed in a single
-descending pass over the weight levels.
+instead. Either way a base is encoded once into its weight levels, which
+then answer the inconsistency degree of the base under any literal context:
+on the bitset path that is a few integer ANDs per question.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InconsistentBaseError
 from .model import (
@@ -128,54 +129,120 @@ def _dpll_sat(clauses: list[frozenset[int]]) -> bool:
     )
 
 
-def _first_unsat_group(groups: Iterable[Iterable[Clause]]) -> int | None:
-    """Index of the first group whose clauses, together with those of all
-    earlier groups, are unsatisfiable; None when every cut is satisfiable.
+class _Levels:
+    """A clause set split into weight levels (highest first), encoded once
+    and then asked for the inconsistency degree of the set together with
+    any literal context taken as hard facts.
+
+    Up to `_BITSET_MAX_VARS` variables, level i is the bitset of the worlds
+    that satisfy every clause of the first i+1 levels, so the bitsets only
+    shrink; encoding stops at the first empty one, since every later level
+    is empty too. A context is then the AND of its literals' truth tables,
+    and the degree is the first level weight whose models miss it. Above
+    the cap the encoded groups are kept and each question runs the DPLL
+    search on the growing cut plus the context's unit clauses.
 
     Clauses are mapped onto signed integer literals (tautologies dropped).
     An empty clause encodes to the empty set, which both the bitset sweep
-    and the DPLL search read as false.
+    and the DPLL search read as false. A context literal on a variable no
+    clause mentions constrains nothing, unless the context also holds its
+    negation.
     """
-    index: dict[Var, int] = {}
-    encoded: list[list[frozenset[int]]] = []
-    for group in groups:
-        enc = []
-        for c in group:
-            if c.is_tautology:
-                continue
-            lits = []
-            for lit in c.literals:
-                i = index.setdefault(lit.var, len(index) + 1)
-                lits.append(i if lit.positive else -i)
-            enc.append(frozenset(lits))
-        encoded.append(enc)
 
-    n = len(index)
-    if n <= _BITSET_MAX_VARS:
+    __slots__ = ("weights", "_index", "_full", "_bits", "_models", "_groups")
+
+    def __init__(self, weights: Sequence[Fraction], groups: Iterable[Iterable[Clause]]):
+        index: dict[Var, int] = {}
+        encoded: list[list[frozenset[int]]] = []
+        for group in groups:
+            enc = []
+            for c in group:
+                if c.is_tautology:
+                    continue
+                lits = []
+                for lit in c.literals:
+                    i = index.setdefault(lit.var, len(index) + 1)
+                    lits.append(i if lit.positive else -i)
+                enc.append(frozenset(lits))
+            encoded.append(enc)
+        self.weights = tuple(weights)
+        self._index = index
+
+        n = len(index)
+        if n > _BITSET_MAX_VARS:
+            self._models = None
+            self._groups = encoded
+            return
         full = (1 << (1 << n)) - 1
-        tables = _truth_tables(n)
+        bits: dict[int, int] = {}  # signed literal -> the worlds where it holds
+        for i, table in enumerate(_truth_tables(n), 1):
+            bits[i] = table
+            bits[-i] = full ^ table
+        models = []
         acc = full
-        for k, enc in enumerate(encoded):
+        for enc in encoded:
             for c in enc:
                 cb = 0
                 for lit in c:
-                    cb |= tables[lit - 1] if lit > 0 else (full & ~tables[-lit - 1])
+                    cb |= bits[lit]
                 acc &= cb
                 if not acc:
-                    return k
-        return None
+                    break
+            models.append(acc)
+            if not acc:
+                break
+        self._full = full
+        self._bits = bits
+        self._models = models
+        self._groups = None
 
-    accumulated: list[frozenset[int]] = []
-    for k, enc in enumerate(encoded):
-        accumulated.extend(enc)
-        if not _dpll_sat(accumulated):
-            return k
-    return None
+    def inconsistency(self, context: Iterable[Literal] = ()) -> Fraction:
+        """1 when the context contradicts itself; otherwise the weight of
+        the first level whose cut has no model of the context, or 0."""
+        free: set[Literal] = set()
+        units: list[int] = []
+        for lit in context:
+            i = self._index.get(lit.var)
+            if i is None:
+                if negate(lit) in free:
+                    return ONE
+                free.add(lit)
+            else:
+                units.append(i if lit.positive else -i)
+
+        if self._models is not None:
+            mask = self._full
+            for u in units:
+                mask &= self._bits[u]
+            if not mask:
+                return ONE
+            for w, models in zip(self.weights, self._models):
+                if not models & mask:
+                    return w
+            return ZERO
+
+        if any(-u in units for u in units):
+            return ONE
+        accumulated = [frozenset((u,)) for u in units]
+        for w, enc in zip(self.weights, self._groups):
+            accumulated.extend(enc)
+            if not _dpll_sat(accumulated):
+                return w
+        return ZERO
+
+
+def _levels(b: WeightedBase) -> _Levels:
+    """The weight levels of a clausal base, highest first."""
+    by_weight: dict[Fraction, list[Clause]] = {}
+    for c, w in b.entries:
+        by_weight.setdefault(w, []).append(c)
+    weights = sorted(by_weight, reverse=True)
+    return _Levels(weights, [by_weight[w] for w in weights])
 
 
 def is_satisfiable(clauses: Iterable[Clause]) -> bool:
     """True iff some interpretation satisfies every clause."""
-    return _first_unsat_group([clauses]) is None
+    return _Levels((ONE,), [clauses]).inconsistency() == 0
 
 
 def entails(premises: Iterable[Clause], conclusion: Clause) -> bool:
@@ -207,11 +274,7 @@ def inconsistency_degree(b: WeightedBase) -> Fraction:
     grow as the threshold drops, so the first unsatisfiable one wins.
     """
     _require_clausal(b, "inconsistency_degree")
-    by_level: dict[Fraction, list[Clause]] = {w: [] for w in b.distinct_weights()}
-    for c, w in b.entries:
-        by_level[w].append(c)
-    k = _first_unsat_group(by_level.values())
-    return ZERO if k is None else list(by_level)[k]
+    return _levels(b).inconsistency()
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +309,9 @@ def certainty_degree(b: WeightedBase, lit: Literal) -> Fraction:
     the refutation level counts only when it exceeds the base's own
     inconsistency, otherwise nothing genuinely supports the literal."""
     _require_clausal(b, "certainty_degree")
-    base_inc = inconsistency_degree(b)
-    refute_inc = inconsistency_degree(b.extended([(unit(negate(lit)), ONE)]))
+    levels = _levels(b)
+    base_inc = levels.inconsistency()
+    refute_inc = levels.inconsistency((negate(lit),))
     return refute_inc if refute_inc > base_inc else ZERO
 
 

@@ -100,6 +100,16 @@ class TestCompile:
             assert code == 2
             assert captured.err.startswith("error:")
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.base"
+        path.write_bytes(b"\xff\xfe1/2: a\n")
+        for argv in (["compile", str(path)], ["query", str(path), "pi", "a"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err.startswith("error:")
+            assert "UTF-8" in captured.err
+
 
 class TestQuery:
     def test_deeply_nested_query_exits_2(self, weather_file, capsys):

@@ -5,11 +5,14 @@ from itertools import permutations, product
 import pytest
 
 from posslog import (
+    CPT,
+    Clause,
     DomainError,
     InconsistentBaseError,
     Literal,
     Network,
     Ordering,
+    Var,
     WeightedBase,
     certainty_degree,
     check_normalization,
@@ -20,12 +23,18 @@ from posslog import (
     distribution_of_base,
     hidden_parent_closure,
     immediate_parents,
+    inconsistency_degree,
     instantiate,
+    marginal_base,
     network_distribution,
+    remove_subsumed,
     remove_tautologies,
+    serialize_network,
+    to_clausal,
     unit,
     verify_compilation,
 )
+from posslog import semantics
 from posslog.compiler import StageSummary
 from posslog.model import ONE
 
@@ -242,3 +251,128 @@ class TestOrdering:
         with pytest.raises(DomainError):
             order.position(X)
 
+
+
+# ---------------------------------------------------------------------------
+# The weight-level kernel against the hard-unit conditioning it replaced.
+# These copies condition by appending the context as weight-1 unit clauses
+# and asking `inconsistency_degree` of each extended base.
+
+
+def hard_unit_conditional(b, lit, context):
+    with_context = b.extended([(unit(x), ONE) for x in context])
+    h = ONE - inconsistency_degree(with_context)
+    if h == 0:
+        return ONE
+    return (ONE - inconsistency_degree(with_context.extended([(unit(lit), ONE)]))) / h
+
+
+def instantiated_closure(b, var, seed):
+    parents = set(seed) - {var}
+    while True:
+        grew = False
+        swept = sorted(parents)
+        for values in product((False, True), repeat=len(swept)):
+            instance = [Literal(v, val) for v, val in zip(swept, values)]
+            conditioned = instantiate(b, *instance)
+            if (
+                certainty_degree(conditioned, Literal(var, True)) == 0
+                and certainty_degree(conditioned, Literal(var, False)) == 0
+            ):
+                continue
+            fresh = set()
+            for c, _ in conditioned.entries:
+                if var not in c.variables:
+                    fresh |= c.variables
+            fresh -= parents | {var}
+            if fresh:
+                parents |= fresh
+                grew = True
+                break
+        if not grew:
+            return frozenset(parents)
+
+
+def hard_unit_network(b, ordering):
+    stage = remove_subsumed(remove_tautologies(to_clausal(b)))
+    nodes = []
+    for var in ordering:
+        parents = instantiated_closure(stage, var, immediate_parents(stage, var))
+        parents = sorted(parents, key=list(ordering).index)
+        table = {
+            (assignment, polarity): hard_unit_conditional(
+                stage,
+                Literal(var, polarity),
+                [Literal(p, v) for p, v in zip(parents, assignment)],
+            )
+            for assignment in product((False, True), repeat=len(parents))
+            for polarity in (False, True)
+        }
+        nodes.append(CPT(var, parents, table))
+        stage = marginal_base(stage, var)
+    return Network(nodes)
+
+
+def kernel_bases(seed, count):
+    """Seeded tautology-free bases, some with empty clauses."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        b = remove_tautologies(
+            random_clausal_base(rng, rng.randint(1, 5), rng.randint(1, 9))
+        )
+        if rng.random() < 0.15:
+            b = b.extended([(Clause(), rng.choice((F(1, 5), F(1, 2), F(1))))])
+        yield rng, b
+
+
+@pytest.fixture(params=["bitset", "dpll"])
+def solver_path(request, monkeypatch):
+    if request.param == "dpll":
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
+    return request.param
+
+
+class TestLevelKernel:
+    def test_conditional_equals_hard_units(self, solver_path):
+        # Contexts may repeat or contradict a variable (y, !y), and both
+        # context and query literals may lie outside the base's universe.
+        outside = (Var("o1"), Var("o2"))
+        for rng, b in kernel_bases(31, 300):
+            pool = b.variables + outside
+            for _ in range(6):
+                context = [
+                    Literal(rng.choice(pool), rng.random() < 0.5)
+                    for _ in range(rng.randint(0, 3))
+                ]
+                if rng.random() < 0.2:
+                    v = rng.choice(pool)
+                    context += [Literal(v, True), Literal(v, False)]
+                    rng.shuffle(context)
+                lit = Literal(rng.choice(pool), rng.random() < 0.5)
+                assert conditional_possibility(b, lit, context) == (
+                    hard_unit_conditional(b, lit, context)
+                ), (b, lit, context)
+
+    def test_closure_equals_instantiated_closure(self, solver_path):
+        for rng, b in kernel_bases(37, 300):
+            for var in b.variables:
+                seed = immediate_parents(b, var)
+                if rng.random() < 0.3:
+                    seed |= {rng.choice(b.variables), Var("o1")}
+                assert hidden_parent_closure(b, var, seed) == instantiated_closure(
+                    b, var, seed
+                ), (b, var, seed)
+
+    def test_compile_is_byte_identical(self, solver_path):
+        rng = random.Random(41)
+        done = 0
+        while done < 60:
+            b = random_clausal_base(rng, rng.randint(2, 5), rng.randint(1, 8))
+            if inconsistency_degree(b) != 0:
+                continue
+            done += 1
+            order = list(b.variables)
+            rng.shuffle(order)
+            assert serialize_network(compile_network(b, order)) == serialize_network(
+                hard_unit_network(b, order)
+            )

@@ -253,6 +253,8 @@ class TestNetworkJson:
             ("value", 1),
             ("ordering", [["x"]]),
             ("ordering", [1]),
+            ("parents", "y"),
+            ("parents", {"y": True}),
         ],
     )
     def test_non_boolean_or_malformed_cell_rejected(self, field, value):
@@ -282,7 +284,21 @@ class TestNetworkJson:
         }
         if field == "ordering":
             doc["ordering"] = value
+        if field == "parents":
+            doc["nodes"][0]["parents"] = value
         with pytest.raises(NetworkSchemaError):
+            parse_network(json.dumps(doc))
+
+    def test_table_size_checked_before_enumerating(self):
+        # 40 parents would need 2^41 cells; the node gives 2, and the
+        # refusal must come from counting them, not from building the table.
+        parents = [f"p{i}" for i in range(40)]
+        cells = [
+            {"assignment": dict.fromkeys(parents, False), "polarity": p, "weight": "1"}
+            for p in (False, True)
+        ]
+        doc = {"nodes": [{"var": "x", "parents": parents, "cpt": cells}]}
+        with pytest.raises(NetworkSchemaError, match="exactly"):
             parse_network(json.dumps(doc))
 
     def test_unnormalized_column_warns_but_parses(self):

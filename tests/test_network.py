@@ -39,6 +39,18 @@ class TestCPT:
         with pytest.raises(DomainError):
             CPT(X, (Y,), {((True,), True): F(1)})
 
+    def test_requires_one_value_per_parent(self):
+        # The right number of distinct cells, but two of them assign no
+        # parent and two assign two values to the single parent.
+        table = {
+            ((), False): F(1),
+            ((), True): F(1),
+            ((True, True), False): F(1),
+            ((True, True), True): F(1),
+        }
+        with pytest.raises(DomainError):
+            CPT(X, (Y,), table)
+
     def test_rejects_self_parent(self):
         with pytest.raises(DomainError):
             CPT(X, (X,), {})

@@ -22,9 +22,11 @@ from posslog import (
     enumerate_distribution,
     inconsistency_degree,
     is_satisfiable,
+    negate,
     necessity,
     possibility,
     satisfies,
+    unit,
 )
 from posslog import semantics
 
@@ -243,6 +245,27 @@ class TestCertaintyDegree:
         free = Var("zz")
         extended = WeightedBase(weather.entries, weather.variables + (free,))
         assert certainty_degree(extended, pos(free)) == 0
+
+    @pytest.mark.parametrize("path", ["bitset", "dpll"])
+    def test_equals_hard_unit_refutation(self, path, monkeypatch):
+        # Reference: the refutation level read off the base extended with
+        # the negated literal as a weight-1 unit clause.
+        def hard_unit_certainty(b, lit):
+            base_inc = inconsistency_degree(b)
+            refute_inc = inconsistency_degree(b.extended([(unit(negate(lit)), F(1))]))
+            return refute_inc if refute_inc > base_inc else 0
+
+        if path == "dpll":
+            monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
+        rng = random.Random(43)
+        outside = Var("o1")
+        for _ in range(300):
+            b = random_clausal_base(rng, rng.randint(1, 5), rng.randint(1, 9))
+            if rng.random() < 0.15:
+                b = b.extended([(Clause(), rng.choice((F(1, 5), F(1, 2), F(1))))])
+            for v in b.variables + (outside,):
+                for lit in (pos(v), neg(v)):
+                    assert certainty_degree(b, lit) == hard_unit_certainty(b, lit)
 
     def test_drowned_by_conflict(self):
         b = WeightedBase(
