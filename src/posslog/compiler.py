@@ -36,10 +36,7 @@ from .marginalize import marginal_base
 from .model import ONE, Literal, Var, WeightedBase
 from .network import CPT, Network
 from .normalize import remove_subsumed, remove_tautologies, to_clausal
-from .semantics import _levels, _Levels, inconsistency_degree
-
-# Unused here, but bench/tracing.py wraps `compiler.certainty_degree` by name.
-from .semantics import certainty_degree  # noqa: F401
+from .semantics import _levels, certainty_degree, inconsistency_degree
 
 
 @dataclass(frozen=True)
@@ -91,15 +88,13 @@ def hidden_parent_closure(
     Instantiations are swept in variable-name order, so runs are
     reproducible.
 
-    The base is encoded into its weight levels once. A clause survives an
-    instantiation unless it holds one of the chosen literals, so each
-    clause that could bring a fresh parent is kept as two masks over the
-    swept parents: the bits an instantiation must set and the bits it must
-    clear for the clause to survive.
+    A clause survives an instantiation unless it holds one of the chosen
+    literals, so each clause that could bring a fresh parent is kept as two
+    masks over the swept parents: the bits an instantiation must set and
+    the bits it must clear for the clause to survive.
     """
     if not b.is_clausal:
         raise DomainError("hidden_parent_closure requires a clausal base")
-    levels = _levels(b)
     node = (Literal(var, True), Literal(var, False))
     parents = set(seed)
     parents.discard(var)
@@ -130,21 +125,13 @@ def hidden_parent_closure(
             if not fresh:
                 continue
             context = [Literal(v, bool(i & bit[v])) for v in swept]
-            inc = levels.inconsistency(context)
-            if all(levels.inconsistency(context + [x]) == inc for x in node):
+            if all(certainty_degree(b, x, context) == 0 for x in node):
                 continue
             parents |= fresh
             grew = True
             break
         if not grew:
             return frozenset(parents)
-
-
-def _conditional(levels: _Levels, lit: Literal, context: Sequence[Literal]) -> Fraction:
-    h = ONE - levels.inconsistency(context)
-    if h == 0:
-        return ONE
-    return (ONE - levels.inconsistency((*context, lit))) / h
 
 
 def conditional_possibility(
@@ -157,25 +144,24 @@ def conditional_possibility(
     hard facts. An impossible context makes both values of the variable
     fully possible by convention.
     """
-    if not b.is_clausal:
-        raise DomainError("conditional_possibility requires a clausal base")
-    return _conditional(_levels(b), lit, tuple(context))
+    levels = _levels(b, "conditional_possibility")
+    context = tuple(context)
+    h = ONE - levels.inconsistency(context)
+    if h == 0:
+        return ONE
+    return (ONE - levels.inconsistency((*context, lit))) / h
 
 
 def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     """The full conditional table of `var` given `parents`, one column per
-    parent instantiation, both polarities per column, all read off one
-    encoding of the base."""
-    if not b.is_clausal:
-        raise DomainError("cpt_for requires a clausal base")
-    levels = _levels(b)
+    parent instantiation, both polarities per column."""
     parents = tuple(parents)
     table = {}
     for assignment in product((False, True), repeat=len(parents)):
         context = tuple(Literal(p, val) for p, val in zip(parents, assignment))
         for polarity in (False, True):
-            table[(assignment, polarity)] = _conditional(
-                levels, Literal(var, polarity), context
+            table[(assignment, polarity)] = conditional_possibility(
+                b, Literal(var, polarity), context
             )
     return CPT(var, parents, table)
 

@@ -376,6 +376,13 @@ class WeightedBase:
                     raise DomainError(f"entry mentions undeclared variables: {names}")
         object.__setattr__(self, "entries", tuple(cooked))
         object.__setattr__(self, "variables", universe)
+        # The weight-level encoding `semantics` builds on the first degree
+        # question asked of this base and keeps for the next ones.
+        object.__setattr__(self, "_levels", None)
+
+    def __reduce__(self):
+        # Rebuilt from its fields, so a pickle never carries the encoding.
+        return (WeightedBase, (self.entries, self.variables))
 
     @property
     def is_clausal(self) -> bool:

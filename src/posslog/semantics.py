@@ -37,7 +37,6 @@ from .model import (
     interpretations,
     negate,
     satisfies,
-    unit,
 )
 
 # Above this many variables the exhaustive bitset path would allocate
@@ -231,13 +230,29 @@ class _Levels:
         return ZERO
 
 
-def _levels(b: WeightedBase) -> _Levels:
-    """The weight levels of a clausal base, highest first."""
-    by_weight: dict[Fraction, list[Clause]] = {}
-    for c, w in b.entries:
-        by_weight.setdefault(w, []).append(c)
-    weights = sorted(by_weight, reverse=True)
-    return _Levels(weights, [by_weight[w] for w in weights])
+def _require_clausal(b: WeightedBase, op: str) -> None:
+    if not b.is_clausal:
+        raise DomainError(f"{op} requires a clausal base; run to_clausal first")
+
+
+def _levels(b: WeightedBase, op: str) -> _Levels:
+    """The weight levels of a clausal base, highest first.
+
+    They are encoded on the first degree question asked of `b` and kept on
+    the base, which is immutable, so a stage's closure and CPT sweep ask
+    all their questions of one encoding. `op` names the caller in the
+    error for a base that is not clausal.
+    """
+    levels = b._levels
+    if levels is None:
+        _require_clausal(b, op)
+        by_weight: dict[Fraction, list[Clause]] = {}
+        for c, w in b.entries:
+            by_weight.setdefault(w, []).append(c)
+        weights = sorted(by_weight, reverse=True)
+        levels = _Levels(weights, [by_weight[w] for w in weights])
+        object.__setattr__(b, "_levels", levels)
+    return levels
 
 
 def is_satisfiable(clauses: Iterable[Clause]) -> bool:
@@ -246,18 +261,14 @@ def is_satisfiable(clauses: Iterable[Clause]) -> bool:
 
 
 def entails(premises: Iterable[Clause], conclusion: Clause) -> bool:
-    """Classical entailment, decided by refutation."""
-    units = [unit(negate(l)) for l in conclusion.literals]
-    return not is_satisfiable(list(premises) + units)
+    """Classical entailment, decided by refutation: the premises have no
+    model once the conclusion's negated literals are hard facts."""
+    refutation = (negate(l) for l in conclusion.literals)
+    return _Levels((ONE,), [premises]).inconsistency(refutation) != 0
 
 
 # ---------------------------------------------------------------------------
 # cuts and inconsistency
-
-
-def _require_clausal(b: WeightedBase, op: str) -> None:
-    if not b.is_clausal:
-        raise DomainError(f"{op} requires a clausal base; run to_clausal first")
 
 
 def alpha_cut(b: WeightedBase, cut: CutSpec) -> frozenset[Clause]:
@@ -273,8 +284,7 @@ def inconsistency_degree(b: WeightedBase) -> Fraction:
     Computed as one descending sweep over the distinct weights: cuts only
     grow as the threshold drops, so the first unsatisfiable one wins.
     """
-    _require_clausal(b, "inconsistency_degree")
-    return _levels(b).inconsistency()
+    return _levels(b, "inconsistency_degree").inconsistency()
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +314,17 @@ def necessity(b: WeightedBase, f: Formula) -> Fraction:
     return ONE - possibility(b, Not(f))
 
 
-def certainty_degree(b: WeightedBase, lit: Literal) -> Fraction:
-    """Entailment degree of a literal, defined for inconsistent bases too:
-    the refutation level counts only when it exceeds the base's own
-    inconsistency, otherwise nothing genuinely supports the literal."""
-    _require_clausal(b, "certainty_degree")
-    levels = _levels(b)
-    base_inc = levels.inconsistency()
-    refute_inc = levels.inconsistency((negate(lit),))
+def certainty_degree(
+    b: WeightedBase, lit: Literal, context: Iterable[Literal] = ()
+) -> Fraction:
+    """Entailment degree of a literal, with the literals of `context` taken
+    as hard facts; defined for inconsistent bases too: the refutation level
+    counts only when it exceeds the inconsistency of the base under the
+    context, otherwise nothing genuinely supports the literal."""
+    levels = _levels(b, "certainty_degree")
+    context = tuple(context)
+    base_inc = levels.inconsistency(context)
+    refute_inc = levels.inconsistency((*context, negate(lit)))
     return refute_inc if refute_inc > base_inc else ZERO
 
 
