@@ -134,6 +134,13 @@ def hidden_parent_closure(
             return frozenset(parents)
 
 
+def _conditional(context_degree: Fraction, joint_degree: Fraction) -> Fraction:
+    """Π(x | c) = Π(c ∧ x) / Π(c) from the inconsistency degrees of c and
+    of c ∧ x; an impossible context makes x fully possible by convention."""
+    h = ONE - context_degree
+    return ONE if h == 0 else (ONE - joint_degree) / h
+
+
 def conditional_possibility(
     b: WeightedBase, lit: Literal, context: Iterable[Literal]
 ) -> Fraction:
@@ -141,28 +148,44 @@ def conditional_possibility(
 
     h is the degree of the context alone, h' the degree of context plus
     literal, both read off the base's weight levels with the literals as
-    hard facts. An impossible context makes both values of the variable
-    fully possible by convention.
+    hard facts: the one-column case of `cpt_for`.
     """
     levels = _levels(b, "conditional_possibility")
     context = tuple(context)
-    h = ONE - levels.inconsistency(context)
-    if h == 0:
-        return ONE
-    return (ONE - levels.inconsistency((*context, lit))) / h
+    return _conditional(
+        levels.inconsistency(context), levels.inconsistency((*context, lit))
+    )
 
 
 def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     """The full conditional table of `var` given `parents`, one column per
-    parent instantiation, both polarities per column."""
+    parent instantiation, both polarities per column.
+
+    Each column's context is grown from the previous parents' contexts one
+    parent at a time (on the bitset path: one AND with the parent's truth
+    table), so h is asked once per column and h' once per polarity. The
+    answers are level indices, and the few distinct pairs of them share
+    one exact division each.
+    """
     parents = tuple(parents)
+    levels = _levels(b, "cpt_for")
+    # In the order of product((False, True), repeat=len(parents)).
+    contexts = [levels.condition()]
+    for p in parents:
+        values = (Literal(p, False), Literal(p, True))
+        contexts = [levels.narrow(c, lit) for c in contexts for lit in values]
+    node = (Literal(var, False), Literal(var, True))
+    degrees = levels.degrees
+    ratios: dict[tuple[int, int], Fraction] = {}
     table = {}
-    for assignment in product((False, True), repeat=len(parents)):
-        context = tuple(Literal(p, val) for p, val in zip(parents, assignment))
-        for polarity in (False, True):
-            table[(assignment, polarity)] = conditional_possibility(
-                b, Literal(var, polarity), context
-            )
+    for assignment, ctx in zip(product((False, True), repeat=len(parents)), contexts):
+        h = levels.level(ctx)
+        for x in node:
+            key = (h, levels.level(levels.narrow(ctx, x)))
+            ratio = ratios.get(key)
+            if ratio is None:
+                ratio = ratios[key] = _conditional(degrees[key[0]], degrees[key[1]])
+            table[(assignment, x.positive)] = ratio
     return CPT(var, parents, table)
 
 

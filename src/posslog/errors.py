@@ -36,7 +36,8 @@ class NetworkSchemaError(PosslogError):
 
 
 class ResourceCapError(PosslogError):
-    """Exhaustive enumeration was requested beyond the configured cap."""
+    """A computation would exceed one of the explicit size caps: worlds
+    enumerated by the oracle, or clauses of a CNF expansion."""
 
 
 class GenerationError(PosslogError):

@@ -260,31 +260,63 @@ def serialize_base(b: WeightedBase) -> str:
 # network JSON
 
 
+_JSON_BOOL = ("false", "true")
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of already rendered items, laid out as
+    `json.dumps(..., indent=2)` lays it out at depth `indent`."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def serialize_network(n: Network) -> str:
     """Canonical JSON for a network; parse_network inverts it exactly and
-    re-serialization is byte-identical."""
-    doc = {
-        "ordering": [v.name for v in n.variables],
-        "nodes": [
-            {
-                "var": cpt.var.name,
-                "parents": [p.name for p in cpt.parents],
-                "cpt": [
-                    {
-                        "assignment": {
-                            p.name: bool(v)
-                            for p, v in zip(cpt.parents, assignment)
-                        },
-                        "polarity": bool(polarity),
-                        "weight": _weight_text(weight),
-                    }
-                    for assignment, polarity, weight in cpt.cells
-                ],
-            }
-            for cpt in n.nodes
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    re-serialization is byte-identical.
+
+    The text is what `json.dumps(doc, indent=2, sort_keys=True)` gives for
+    the document {"nodes": [{"cpt": [{"assignment": {parent: value},
+    "polarity": ..., "weight": "p/q"}], "parents": [...], "var": ...}],
+    "ordering": [...]}, written directly: with an indent, json falls back
+    to its pure-Python encoder. Names match `[A-Za-z][A-Za-z0-9_]*` and
+    weights are `p/q`, so no string needs escaping.
+    """
+    nodes = []
+    for cpt in n.nodes:
+        names = [p.name for p in cpt.parents]
+        by_name = sorted(range(len(names)), key=names.__getitem__)
+        assignments: dict[tuple[bool, ...], str] = {}
+        cells = []
+        for assignment, polarity, weight in cpt.cells:
+            text = assignments.get(assignment)
+            if text is None:
+                if names:
+                    text = (
+                        "{\n"
+                        + ",\n".join(
+                            f'            "{names[j]}": {_JSON_BOOL[assignment[j]]}'
+                            for j in by_name
+                        )
+                        + "\n          }"
+                    )
+                else:
+                    text = "{}"
+                assignments[assignment] = text
+            cells.append(
+                f'{{\n          "assignment": {text},'
+                f'\n          "polarity": {_JSON_BOOL[polarity]},'
+                f'\n          "weight": "{_weight_text(weight)}"\n        }}'
+            )
+        parents = _json_list([f'"{name}"' for name in names], "      ")
+        nodes.append(
+            f'{{\n      "cpt": {_json_list(cells, "      ")},'
+            f'\n      "parents": {parents},'
+            f'\n      "var": "{cpt.var.name}"\n    }}'
+        )
+    ordering = _json_list([f'"{v.name}"' for v in n.variables], "  ")
+    return f'{{\n  "nodes": {_json_list(nodes, "  ")},\n  "ordering": {ordering}\n}}\n'
 
 
 def _schema_fail(message: str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -283,14 +283,22 @@ def _eval(f: Formula, w: Interpretation) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# Most clauses any CNF built by `cnf_clauses` may hold, at any step of the
+# expansion. Pruning the result is quadratic in its size: about 1.5 s at
+# the cap (Python 3.11, Intel Xeon). A disjunction of 13 two-literal terms
+# already expands to 8,192 clauses.
+MAX_CNF_CLAUSES = 4096
+
+
 def cnf_clauses(f: Formula) -> tuple[Clause, ...]:
     """A CNF of `f` over its own variables, as a tuple of clauses.
 
     Uses negation push-down plus distributive expansion; no auxiliary
     variables are introduced (they would surface as spurious graph nodes
     downstream). Tautological and strictly redundant clauses are pruned.
-    The expansion is exponential in the worst case, which is acceptable at
-    the desk scale this package targets.
+    The expansion is exponential in the worst case, so it raises
+    `ResourceCapError` before any step would hold more than
+    `MAX_CNF_CLAUSES` clauses.
     """
     clauses = _cnf(f, False)
     kept: list[Clause] = []
@@ -320,13 +328,23 @@ def _cnf(f: Formula, negated: bool) -> list[Clause]:
         conjunctive = isinstance(f, And) != negated
         parts = [_cnf(p, negated) for p in f.parts]
         if conjunctive:
+            _check_cnf_size(sum(len(part) for part in parts))
             return [c for part in parts for c in part]
         # disjunction: distribute pairwise
         acc: list[Clause] = [Clause()]
         for part in parts:
+            _check_cnf_size(len(acc) * len(part))
             acc = [a.union(c) for a in acc for c in part]
         return acc
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _check_cnf_size(size: int) -> None:
+    if size > MAX_CNF_CLAUSES:
+        raise ResourceCapError(
+            f"CNF expansion needs {size} clauses,"
+            f" more than the cap of {MAX_CNF_CLAUSES}"
+        )
 
 
 Entry = tuple[Formula, Fraction]

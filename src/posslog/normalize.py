@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .model import Clause, Literal, WeightedBase, cnf_clauses
-from .semantics import entails
+from .semantics import _clause_models, entails
 
 
 def to_clausal(b: WeightedBase) -> WeightedBase:
@@ -82,11 +82,50 @@ def remove_subsumed(b: WeightedBase) -> WeightedBase:
     (ties broken by a deterministic clause order), dropping it if the
     entries still present subsume it. One pass reaches the fixpoint:
     dropping a premise only weakens entailment, so an entry kept once is
-    never redundant later."""
-    current = merge_duplicates(b)
-    for entry in sorted(current.entries, key=_entry_key):
-        if is_subsumed(current, entry):
-            entries = list(current.entries)
-            entries.remove(entry)
-            current = WeightedBase(entries, b.variables)
-    return current
+    never redundant later.
+
+    Each clause is encoded once into its models over the variables the
+    clauses mention. Every entry weighing more than the one under test is
+    tested later, so it is still present: the premises are the AND of all
+    heavier entries, of the kept entries of equal weight tested before, and
+    of those of equal weight still to come. The entry is redundant when
+    they have no model outside its own. A lighter entry is never a premise,
+    so the weight groups can be worked through heaviest first. Above the
+    bitset cap each test asks `entails` of the entries still present.
+    """
+    merged = merge_duplicates(b)
+    entries = merged.entries
+    order = sorted(range(len(entries)), key=lambda k: _entry_key(entries[k]))
+    alive = [True] * len(entries)
+    encoded = _clause_models([c for c, _ in entries])
+    if encoded is None:
+        for k in order:
+            clause, weight = entries[k]
+            premises = [
+                c
+                for j, (c, w) in enumerate(entries)
+                if alive[j] and j != k and w >= weight
+            ]
+            alive[k] = not entails(premises, clause)
+    else:
+        full, models = encoded
+        by_weight: dict[Fraction, list[int]] = {}
+        for k in order:
+            by_weight.setdefault(entries[k][1], []).append(k)
+        heavier = full  # the models of every entry of a greater weight
+        for group in reversed(by_weight.values()):
+            # rest[t]: heavier entries and the group's entries from t on.
+            rest = [heavier]
+            for k in reversed(group):
+                rest.append(rest[-1] & models[k])
+            rest.reverse()
+            kept = full
+            for t, k in enumerate(group):
+                if kept & rest[t + 1] & ~models[k]:
+                    kept &= models[k]
+                else:
+                    alive[k] = False
+            heavier = rest[0]
+    if all(alive):
+        return merged
+    return WeightedBase([e for e, keep in zip(entries, alive) if keep], b.variables)

@@ -128,6 +128,48 @@ def _dpll_sat(clauses: list[frozenset[int]]) -> bool:
     )
 
 
+def _encode(c: Clause, index: dict[Var, int]) -> frozenset[int]:
+    """A clause as signed variable numbers (negative for a negated
+    literal); a variable not yet in `index` gets the next number."""
+    lits = []
+    for lit in c.literals:
+        i = index.setdefault(lit.var, len(index) + 1)
+        lits.append(i if lit.positive else -i)
+    return frozenset(lits)
+
+
+def _literal_models(n: int) -> tuple[int, dict[int, int]]:
+    """The set of all 2**n worlds, and the worlds where each signed
+    literal holds."""
+    full = (1 << (1 << n)) - 1
+    bits: dict[int, int] = {}
+    for i, table in enumerate(_truth_tables(n), 1):
+        bits[i] = table
+        bits[-i] = full ^ table
+    return full, bits
+
+
+def _models_of(c: frozenset[int], bits: dict[int, int]) -> int:
+    """The worlds that satisfy an encoded clause."""
+    out = 0
+    for lit in c:
+        out |= bits[lit]
+    return out
+
+
+def _clause_models(clauses: Sequence[Clause]) -> tuple[int, list[int]] | None:
+    """The models of each clause over the variables the clauses mention,
+    with the set of all those worlds; None above `_BITSET_MAX_VARS`, where
+    satisfiability is left to the DPLL search. An empty clause has no
+    model and a tautology has every world."""
+    index: dict[Var, int] = {}
+    encoded = [_encode(c, index) for c in clauses]
+    if len(index) > _BITSET_MAX_VARS:
+        return None
+    full, bits = _literal_models(len(index))
+    return full, [_models_of(c, bits) for c in encoded]
+
+
 class _Levels:
     """A clause set split into weight levels (highest first), encoded once
     and then asked for the inconsistency degree of the set together with
@@ -141,6 +183,12 @@ class _Levels:
     the cap the encoded groups are kept and each question runs the DPLL
     search on the growing cut plus the context's unit clauses.
 
+    A context is built once by `condition` (or grown a literal at a time
+    by `narrow`) and can then be asked its `level`: on the bitset path it
+    is the mask of its worlds, above the cap the tuple of its unit clauses.
+    Its degree is `degrees[level]`, read off the descending ladder of 1,
+    the level weights and 0, so that callers can memoize on the index.
+
     Clauses are mapped onto signed integer literals (tautologies dropped).
     An empty clause encodes to the empty set, which both the bitset sweep
     and the DPLL search read as false. A context literal on a variable no
@@ -148,86 +196,92 @@ class _Levels:
     negation.
     """
 
-    __slots__ = ("weights", "_index", "_full", "_bits", "_models", "_groups")
+    __slots__ = ("degrees", "_index", "_bits", "_models", "_groups", "_unconditioned")
 
     def __init__(self, weights: Sequence[Fraction], groups: Iterable[Iterable[Clause]]):
         index: dict[Var, int] = {}
-        encoded: list[list[frozenset[int]]] = []
-        for group in groups:
-            enc = []
-            for c in group:
-                if c.is_tautology:
-                    continue
-                lits = []
-                for lit in c.literals:
-                    i = index.setdefault(lit.var, len(index) + 1)
-                    lits.append(i if lit.positive else -i)
-                enc.append(frozenset(lits))
-            encoded.append(enc)
-        self.weights = tuple(weights)
+        encoded = [
+            [_encode(c, index) for c in group if not c.is_tautology] for group in groups
+        ]
+        self.degrees = (ONE, *weights, ZERO)
         self._index = index
 
         n = len(index)
         if n > _BITSET_MAX_VARS:
-            self._models = None
+            self._bits = self._models = None
             self._groups = encoded
+            self._unconditioned = ()
             return
-        full = (1 << (1 << n)) - 1
-        bits: dict[int, int] = {}  # signed literal -> the worlds where it holds
-        for i, table in enumerate(_truth_tables(n), 1):
-            bits[i] = table
-            bits[-i] = full ^ table
+        full, bits = _literal_models(n)
         models = []
         acc = full
         for enc in encoded:
             for c in enc:
-                cb = 0
-                for lit in c:
-                    cb |= bits[lit]
-                acc &= cb
+                acc &= _models_of(c, bits)
                 if not acc:
                     break
             models.append(acc)
             if not acc:
                 break
-        self._full = full
         self._bits = bits
         self._models = models
         self._groups = None
+        self._unconditioned = full
+
+    def condition(self, context: Iterable[Literal] = ()):
+        """The worlds of a literal context: a bitset, 0 when the context
+        contradicts itself; above the cap its unit clauses, None when a
+        contradiction lies on variables no clause mentions."""
+        free: set[Literal] = set()
+        ctx = self._unconditioned
+        for lit in context:
+            if lit.var in self._index:
+                ctx = self.narrow(ctx, lit)
+            elif negate(lit) in free:
+                return 0 if self._models is not None else None
+            else:
+                free.add(lit)
+        return ctx
+
+    def narrow(self, ctx, lit: Literal):
+        """`ctx` with `lit` added. A context does not record literals on
+        variables no clause mentions, so a clash with one goes unseen here:
+        add only literals on variables the context does not mention yet,
+        and let `condition` take any other context."""
+        i = self._index.get(lit.var)
+        if i is None:
+            return ctx
+        if not lit.positive:
+            i = -i
+        if self._models is not None:
+            return ctx & self._bits[i]
+        return None if ctx is None else (*ctx, i)
+
+    def level(self, ctx) -> int:
+        """The index into `degrees` of the context's degree: 0 (degree 1)
+        for a contradictory context; otherwise i for the first level i whose
+        cut has no model of the context, or the last index (degree 0)."""
+        if self._models is not None:
+            if not ctx:
+                return 0
+            for i, models in enumerate(self._models, 1):
+                if not models & ctx:
+                    return i
+            return len(self.degrees) - 1
+
+        if ctx is None or any(-u in ctx for u in ctx):
+            return 0
+        accumulated = [frozenset((u,)) for u in ctx]
+        for i, enc in enumerate(self._groups, 1):
+            accumulated.extend(enc)
+            if not _dpll_sat(accumulated):
+                return i
+        return len(self.degrees) - 1
 
     def inconsistency(self, context: Iterable[Literal] = ()) -> Fraction:
         """1 when the context contradicts itself; otherwise the weight of
         the first level whose cut has no model of the context, or 0."""
-        free: set[Literal] = set()
-        units: list[int] = []
-        for lit in context:
-            i = self._index.get(lit.var)
-            if i is None:
-                if negate(lit) in free:
-                    return ONE
-                free.add(lit)
-            else:
-                units.append(i if lit.positive else -i)
-
-        if self._models is not None:
-            mask = self._full
-            for u in units:
-                mask &= self._bits[u]
-            if not mask:
-                return ONE
-            for w, models in zip(self.weights, self._models):
-                if not models & mask:
-                    return w
-            return ZERO
-
-        if any(-u in units for u in units):
-            return ONE
-        accumulated = [frozenset((u,)) for u in units]
-        for w, enc in zip(self.weights, self._groups):
-            accumulated.extend(enc)
-            if not _dpll_sat(accumulated):
-                return w
-        return ZERO
+        return self.degrees[self.level(self.condition(context))]
 
 
 def _require_clausal(b: WeightedBase, op: str) -> None:

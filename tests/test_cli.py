@@ -119,6 +119,18 @@ class TestQuery:
         assert code == 2
         assert captured.err.startswith("error:")
 
+    def test_cnf_expansion_cap_exits_2(self, tmp_path, capsys):
+        # (a0 & b0) | ... | (a21 & b21) expands to 2^22 CNF clauses.
+        names = [f"{x}{i}" for i in range(22) for x in "ab"]
+        path = tmp_path / "wide.base"
+        path.write_text(f"vars {' '.join(names)}\n1/2: a0 | b0\n")
+        query = " | ".join(f"(a{i} & b{i})" for i in range(22))
+        code = main(["query", str(path), "pi", query])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "CNF" in captured.err
+
     def test_conditional_golden(self, weather_file, capsys):
         code = main(["query", weather_file, "cond", "!se", "--context", "wi & su"])
         captured = capsys.readouterr()

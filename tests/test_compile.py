@@ -34,7 +34,6 @@ from posslog import (
     unit,
     verify_compilation,
 )
-from posslog import semantics
 from posslog.compiler import StageSummary
 from posslog.model import ONE
 
@@ -325,13 +324,6 @@ def kernel_bases(seed, count):
         yield rng, b
 
 
-@pytest.fixture(params=["bitset", "dpll"])
-def solver_path(request, monkeypatch):
-    if request.param == "dpll":
-        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
-    return request.param
-
-
 class TestLevelKernel:
     def test_conditional_equals_hard_units(self, solver_path):
         # Contexts may repeat or contradict a variable (y, !y), and both
@@ -362,6 +354,26 @@ class TestLevelKernel:
                 assert hidden_parent_closure(b, var, seed) == instantiated_closure(
                     b, var, seed
                 ), (b, var, seed)
+
+    def test_cpt_equals_per_cell_conditionals(self, solver_path):
+        # Parents come in a random order, may leave clause variables out,
+        # and may include a variable outside the base's universe.
+        for rng, b in kernel_bases(43, 300):
+            var = rng.choice(b.variables + (Var("o1"),))
+            pool = [v for v in b.variables + (Var("o2"),) if v != var]
+            parents = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+            table = {
+                (assignment, polarity): conditional_possibility(
+                    b,
+                    Literal(var, polarity),
+                    [Literal(p, v) for p, v in zip(parents, assignment)],
+                )
+                for assignment in product((False, True), repeat=len(parents))
+                for polarity in (False, True)
+            }
+            assert cpt_for(b, var, parents) == CPT(var, parents, table), (
+                b, var, parents,
+            )
 
     def test_compile_is_byte_identical(self, solver_path):
         rng = random.Random(41)

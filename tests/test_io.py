@@ -1,9 +1,13 @@
 import json
 import random
 import re
+import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posslog import (
     CPT,
@@ -12,6 +16,7 @@ from posslog import (
     NetworkSchemaError,
     Or,
     ParseError,
+    Var,
     WeightedBase,
     compile_network,
     distribution_of_base,
@@ -317,6 +322,93 @@ class TestNetworkJson:
         with pytest.warns(NormalizationWarning):
             net = parse_network(json.dumps(doc))
         assert net.variables == (X,)
+
+
+# ---------------------------------------------------------------------------
+# The network writer against json's own indented, key-sorted rendering of
+# the same document.
+
+
+def json_reference(n: Network) -> str:
+    doc = {
+        "ordering": [v.name for v in n.variables],
+        "nodes": [
+            {
+                "var": cpt.var.name,
+                "parents": [p.name for p in cpt.parents],
+                "cpt": [
+                    {
+                        "assignment": {
+                            p.name: v for p, v in zip(cpt.parents, assignment)
+                        },
+                        "polarity": polarity,
+                        "weight": f"{weight.numerator}/{weight.denominator}",
+                    }
+                    for assignment, polarity, weight in cpt.cells
+                ],
+            }
+            for cpt in n.nodes
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Upper case sorts before lower case, and "a_" after "a1".
+NODE_NAMES = ("a", "b", "z", "B", "Z", "a1", "a_", "a10", "x_y", "Qq")
+
+
+@st.composite
+def networks(draw):
+    """Up to 5 nodes listed in any order. The parents of a node come from
+    the nodes before it in a separately drawn topological order, listed in
+    drawn order, so their name order and their node order both vary."""
+    names = draw(st.lists(st.sampled_from(NODE_NAMES), unique=True, max_size=5))
+    rank = draw(st.permutations(names))
+    weights = st.integers(0, 60).map(lambda k: F(k, 60))
+    nodes = []
+    for name in names:
+        earlier = rank[: rank.index(name)]
+        parents = (
+            draw(st.lists(st.sampled_from(earlier), unique=True, max_size=3))
+            if earlier
+            else []
+        )
+        table = {
+            (assignment, polarity): draw(weights)
+            for assignment in product((False, True), repeat=len(parents))
+            for polarity in (False, True)
+        }
+        nodes.append(CPT(Var(name), [Var(p) for p in parents], table))
+    return Network(nodes)
+
+
+def _unsorted_parents_network():
+    # z's parents are listed [y, b]: neither in name order nor in node order.
+    def table(k):
+        return {
+            (a, p): F(1, 3) if p else F(1)
+            for a in product((False, True), repeat=k)
+            for p in (False, True)
+        }
+
+    b, y, z = Var("b"), Var("y"), Var("z")
+    return Network(
+        [CPT(z, (y, b), table(2)), CPT(b, (), table(0)), CPT(y, (b,), table(1))]
+    )
+
+
+class TestNetworkWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(networks())
+    @example(Network([]))
+    @example(Network([CPT(X, (), {((), False): F(1), ((), True): F(0)})]))
+    @example(_unsorted_parents_network())
+    def test_equals_json_reference_and_round_trips(self, net):
+        text = serialize_network(net)
+        assert text == json_reference(net)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NormalizationWarning)
+            assert parse_network(text) == net
 
 
 def _tokenize_dot(text: str):

@@ -13,6 +13,7 @@ from posslog import (
     Literal,
     Not,
     Or,
+    ResourceCapError,
     Var,
     WeightedBase,
     as_weight,
@@ -22,6 +23,8 @@ from posslog import (
     satisfies,
     vars_of,
 )
+
+from posslog import model
 
 from helpers import SE, SU, WI, X, Y, clause, neg, pos, random_formula
 
@@ -176,6 +179,26 @@ class TestFormulas:
 
     def test_cnf_of_tautology_is_empty(self):
         assert cnf_clauses(Or((pos(X), neg(X)))) == ()
+
+    def test_cnf_expansion_cap(self, monkeypatch):
+        def dnf(k):  # expands to 2**k clauses
+            return Or(
+                tuple(And((pos(Var(f"a{i}")), pos(Var(f"b{i}")))) for i in range(k))
+            )
+
+        monkeypatch.setattr(model, "MAX_CNF_CLAUSES", 8)
+        assert len(cnf_clauses(dnf(3))) == 8
+        with pytest.raises(ResourceCapError, match="16 clauses"):
+            cnf_clauses(dnf(4))
+        # A conjunction of expansions is held to the cap as a whole.
+        with pytest.raises(ResourceCapError, match="9 clauses"):
+            cnf_clauses(And((dnf(3), pos(X))))
+        # A negated conjunction expands like a disjunction.
+        negated = Not(
+            And(tuple(Or((neg(Var(f"a{i}")), neg(Var(f"b{i}")))) for i in range(4)))
+        )
+        with pytest.raises(ResourceCapError, match="16 clauses"):
+            cnf_clauses(negated)
 
 
 class TestInterpretations:

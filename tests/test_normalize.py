@@ -162,6 +162,33 @@ class TestRemoveSubsumed:
             b = remove_tautologies(b.extended(dupes))
             assert remove_subsumed(b) == restart_loop(b)
 
+    def test_equals_entails_loop(self, solver_path):
+        # Reference: the pass as it was written over `is_subsumed`, which
+        # asks `entails` of the base rebuilt after every removal.
+        def entails_loop(b):
+            current = merge_duplicates(b)
+            for entry in sorted(current.entries, key=_entry_key):
+                if is_subsumed(current, entry):
+                    entries = list(current.entries)
+                    entries.remove(entry)
+                    current = WeightedBase(entries, b.variables)
+            return current
+
+        # Few weights, so that ties are common; duplicates, tautologies and
+        # empty clauses go straight in.
+        rng = random.Random(29)
+        for _ in range(300):
+            pool = [F(k, 4) for k in range(1, 5)][: rng.randint(1, 4)]
+            b = random_clausal_base(rng, rng.randint(1, 5), rng.randint(0, 10), pool)
+            extra = [(c, rng.choice(pool)) for c, _ in b.entries if rng.random() < 0.3]
+            for _ in range(rng.randint(0, 2)):
+                v = rng.choice(b.variables)
+                extra.append((clause(pos(v), neg(v)), rng.choice(pool)))
+            if rng.random() < 0.2:
+                extra.append((clause(), rng.choice(pool)))
+            b = b.extended(extra)
+            assert remove_subsumed(b) == entails_loop(b), b
+
 
 class TestMergeDuplicates:
     def test_keeps_first_occurrence_order(self):
