@@ -31,12 +31,16 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, InconsistentBaseError
+from .errors import DomainError, InconsistentBaseError, ResourceCapError
 from .marginalize import marginal_base
 from .model import ONE, Literal, Var, WeightedBase
 from .network import CPT, Network
 from .normalize import remove_subsumed, remove_tautologies, to_clausal
 from .semantics import _levels, certainty_degree, inconsistency_degree
+
+# Most cells a node's table may have: 2 per parent instantiation, so at most
+# 19 parents. `parse_network` holds every node it reads to the same cap.
+MAX_CPT_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,9 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     The base is first clausalized, tautology-freed and subsumption-reduced;
     an inconsistent input is rejected with its inconsistency degree when
     iteration starts. Each stage computes the node's parents and table
-    from the current base, then forgets the variable.
+    from the current base, then forgets the variable. A node whose table
+    would have more than `MAX_CPT_CELLS` cells raises `ResourceCapError`
+    before the table is built.
     """
     ordering = Ordering.of(ordering)
     ordering.validate_for(b.variables)
@@ -218,6 +224,12 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
         raise InconsistentBaseError(inc)
     for i, var in enumerate(ordering.sequence):
         parents = hidden_parent_closure(stage, var, immediate_parents(stage, var))
+        cells = 2 << len(parents)
+        if cells > MAX_CPT_CELLS:
+            raise ResourceCapError(
+                f"the table of {var} would have {cells} cells,"
+                f" more than the cap of {MAX_CPT_CELLS}"
+            )
         cpt = cpt_for(stage, var, sorted(parents, key=ordering.position))
         stage_entries = len(stage)
         stage = marginal_base(stage, var)

@@ -37,7 +37,9 @@ class NetworkSchemaError(PosslogError):
 
 class ResourceCapError(PosslogError):
     """A computation would exceed one of the explicit size caps: worlds
-    enumerated by the oracle, or clauses of a CNF expansion."""
+    enumerated by the oracle, clauses of a CNF expansion
+    (`model.MAX_CNF_CLAUSES`), or cells of a compiled node's table
+    (`compiler.MAX_CPT_CELLS`)."""
 
 
 class GenerationError(PosslogError):

@@ -16,6 +16,8 @@ import json
 import re
 import warnings
 from fractions import Fraction
+
+from . import compiler
 from .errors import DomainError, NetworkSchemaError, ParseError
 from .model import (
     And,
@@ -230,10 +232,14 @@ def render_formula(f: Formula, _parent_prec: int = 0) -> str:
     if isinstance(f, Literal):
         return str(f)
     if isinstance(f, Clause):
-        return str(f) if f.literals else "false"
+        if not f.literals:
+            return "false"
+        return f"({f})" if len(f) > 1 and _parent_prec > 1 else str(f)
     if isinstance(f, Not):
         return "!" + render_formula(f.operand, 3)
     if isinstance(f, (And, Or)):
+        if not f.parts:
+            return "true" if isinstance(f, And) else "false"
         prec = 2 if isinstance(f, And) else 1
         sep = " & " if isinstance(f, And) else " | "
         body = sep.join(render_formula(p, prec) for p in f.parts)
@@ -325,11 +331,14 @@ def _schema_fail(message: str):
 
 def parse_network(text: str) -> Network:
     """Parse and validate the network JSON schema. Structural violations
-    (missing cells, cyclic parents, malformed weights) are errors; columns
-    that never reach 1 only provoke a NormalizationWarning."""
+    (missing cells, cyclic parents, malformed weights, a node with more
+    parents than `compiler.MAX_CPT_CELLS` allows) are errors; columns that
+    never reach 1 only provoke a NormalizationWarning."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers longer than Python converts, and
+        # RecursionError arrays or objects nested past the recursion limit.
         raise NetworkSchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc:
         _schema_fail("document must be an object with a 'nodes' list")
@@ -353,6 +362,11 @@ def parse_network(text: str) -> Network:
             parent_vars = tuple(Var(p) for p in parents)
         except (DomainError, TypeError) as exc:
             raise NetworkSchemaError(f"bad node naming: {exc}") from exc
+        if 2 << len(parent_vars) > compiler.MAX_CPT_CELLS:
+            _schema_fail(
+                f"the table of {name} would have {2 << len(parent_vars)} cells,"
+                f" more than the cap of {compiler.MAX_CPT_CELLS}"
+            )
         table = {}
         if not isinstance(cells, list):
             _schema_fail(f"cpt of {name} must be a list")
@@ -372,6 +386,9 @@ def parse_network(text: str) -> Network:
             assignment = tuple(assignment_doc[p.name] for p in parent_vars)
             if not all(isinstance(v, bool) for v in (*assignment, polarity)):
                 _schema_fail(f"cpt cell of {name} has a non-boolean polarity or value")
+            if isinstance(weight_text, str) and "e" in weight_text.lower():
+                # Fraction("1e-999999999") would build a billion-digit integer.
+                _schema_fail(f"weight {weight_text!r} in cpt of {name} has an exponent")
             try:
                 weight = Fraction(str(weight_text))
             except (ValueError, ZeroDivisionError) as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .model import (
-    Clause,
     Distribution,
     Literal,
     Var,
@@ -23,8 +22,21 @@ from .model import (
     ZERO,
     negate,
 )
-from .normalize import remove_subsumed, remove_tautologies
+from .normalize import _encoded, _reduce, remove_subsumed, remove_tautologies
 from .semantics import distribution_of_base
+
+# `remove_subsumed` and `remove_tautologies` are not called here: a
+# marginal base runs their cores on integer clauses. They stay importable
+# from this module, where bench/tracing.py wraps them.
+
+
+def _condition(
+    entries: list[tuple[int, int]], chosen: int, dropped: int
+) -> list[tuple[int, int]]:
+    """Integer clauses conditioned on the literal bits `chosen`: a clause
+    holding one is satisfied and goes, and the bits `dropped` (their
+    negations) are cleared from the others."""
+    return [(c & ~dropped, w) for c, w in entries if not c & chosen]
 
 
 def instantiate(b: WeightedBase, *literals: Literal) -> WeightedBase:
@@ -43,17 +55,16 @@ def instantiate(b: WeightedBase, *literals: Literal) -> WeightedBase:
             by_var.setdefault(lit.var, lit)
     if not by_var:
         return b
-    chosen = frozenset(by_var.values())
-    dropped = frozenset(negate(l) for l in chosen)
-    out = []
-    for c, w in b.entries:
-        if not chosen.isdisjoint(c.literals):
-            continue
-        if dropped.isdisjoint(c.literals):
-            out.append((c, w))
-        else:
-            out.append((Clause(c.literals - dropped), w))
-    return WeightedBase(out, tuple(v for v in b.variables if v not in by_var))
+    codec, encoded, weights = _encoded(b)
+    chosen = dropped = 0
+    for lit in by_var.values():
+        chosen |= codec.bits[lit]
+        dropped |= codec.bits[negate(lit)]
+    conditioned = _condition(encoded, chosen, dropped)
+    return WeightedBase(
+        [(codec.decode(c), weights[r]) for c, r in conditioned],
+        tuple(v for v in b.variables if v not in by_var),
+    )
 
 
 def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
@@ -61,23 +72,30 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
     max-marginal of the input's distribution over `var`.
 
     Built as all pairwise disjunctions of the two instantiation bases with
-    min-combined weights, then canonicalized (tautology removal, duplicate
-    merge, subsumption removal). The cross-product blowup is accepted; the
-    cleanup runs immediately after.
+    min-combined weights, then canonicalized: tautologies dropped, then
+    `remove_subsumed`'s duplicate merge and subsumption removal. The
+    cross-product blowup is accepted; the cleanup runs immediately after.
+    Every step works on integer clauses (`semantics._ClauseBits`), and
+    only the result is decoded into a base.
     """
     if not b.is_clausal:
         raise DomainError("marginal_base requires a clausal base")
     if var not in b.variables:
         raise DomainError(f"variable {var} not in the base universe")
-    pos = instantiate(b, Literal(var, True))
-    neg = instantiate(b, Literal(var, False))
-    cross = [
-        (c1.union(c2), min(w1, w2))
-        for c1, w1 in pos.entries
-        for c2, w2 in neg.entries
-    ]
-    combined = WeightedBase(cross, pos.variables)
-    return remove_subsumed(remove_tautologies(combined))
+    codec, encoded, weights = _encoded(b)
+    x = codec.bits[Literal(var, True)]
+    not_x = codec.bits[Literal(var, False)]
+    neg = _condition(encoded, not_x, x)
+    cross = []
+    for c1, r1 in _condition(encoded, x, not_x):
+        for c2, r2 in neg:
+            c = c1 | c2
+            if not codec.is_tautology(c):
+                cross.append((c, r1 if r1 < r2 else r2))
+    return WeightedBase(
+        [(codec.decode(c), weights[r]) for c, r in _reduce(cross)],
+        tuple(v for v in b.variables if v != var),
+    )
 
 
 def decompose_check(b: WeightedBase, var: Var) -> tuple[Distribution, Distribution]:

@@ -89,7 +89,9 @@ class Clause:
 
     @property
     def is_tautology(self) -> bool:
-        return any(negate(l) in self.literals for l in self.literals)
+        # A set of literals holds both polarities of some variable exactly
+        # when it has fewer distinct variables than literals.
+        return len({l.var for l in self.literals}) < len(self.literals)
 
     @property
     def is_empty(self) -> bool:
@@ -284,9 +286,8 @@ def _eval(f: Formula, w: Interpretation) -> bool:
 
 
 # Most clauses any CNF built by `cnf_clauses` may hold, at any step of the
-# expansion. Pruning the result is quadratic in its size: about 1.5 s at
-# the cap (Python 3.11, Intel Xeon). A disjunction of 13 two-literal terms
-# already expands to 8,192 clauses.
+# expansion. A disjunction of 13 two-literal terms already expands to 8,192
+# clauses.
 MAX_CNF_CLAUSES = 4096
 
 
@@ -300,16 +301,28 @@ def cnf_clauses(f: Formula) -> tuple[Clause, ...]:
     `ResourceCapError` before any step would hold more than
     `MAX_CNF_CLAUSES` clauses.
     """
-    clauses = _cnf(f, False)
-    kept: list[Clause] = []
-    for c in clauses:
-        if c.is_tautology:
+    # The expansion's clauses in order, each dropped if a clause kept so far
+    # is a subset of it, and otherwise kept in place of the kept clauses it
+    # is a subset of. Kept clauses are bucketed by length: only a shorter
+    # one can be a proper subset, an equal-length subset is the same clause,
+    # and only a longer one can be a proper superset.
+    kept: dict[frozenset[Literal], Clause] = {}
+    by_length: dict[int, set[frozenset[Literal]]] = {}
+    for c in _cnf(f, False):
+        lits = c.literals
+        if lits in kept or c.is_tautology:
             continue
-        if any(k.literals <= c.literals for k in kept):
+        n = len(lits)
+        if any(k <= lits for m, bucket in by_length.items() if m < n for k in bucket):
             continue
-        kept = [k for k in kept if not c.literals <= k.literals]
-        kept.append(c)
-    return tuple(kept)
+        for m, bucket in by_length.items():
+            if m > n:
+                for k in [k for k in bucket if lits <= k]:
+                    bucket.remove(k)
+                    del kept[k]
+        kept[lits] = c
+        by_length.setdefault(n, set()).add(lits)
+    return tuple(kept.values())
 
 
 def _cnf(f: Formula, negated: bool) -> list[Clause]:

@@ -8,10 +8,17 @@ removal are all pure simplifications.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Hashable, Iterable
 
 from .errors import DomainError
-from .model import Clause, Literal, WeightedBase, cnf_clauses
-from .semantics import _clause_models, entails
+from .model import ZERO, Clause, Literal, WeightedBase, cnf_clauses
+from .semantics import (
+    _bits_models,
+    _bits_signed,
+    _ClauseBits,
+    _refutes,
+    entails,
+)
 
 
 def to_clausal(b: WeightedBase) -> WeightedBase:
@@ -34,9 +41,18 @@ def remove_tautologies(b: WeightedBase) -> WeightedBase:
     dependence links between their variables downstream."""
     if not b.is_clausal:
         raise DomainError("remove_tautologies requires a clausal base")
-    return WeightedBase(
-        [(c, w) for c, w in b.entries if not c.is_tautology], b.variables
-    )
+    kept = [(c, w) for c, w in b.entries if not c.is_tautology]
+    return b if len(kept) == len(b.entries) else WeightedBase(kept, b.variables)
+
+
+def _merged(entries: Iterable[tuple[Hashable, Fraction | int]]) -> dict:
+    """Each distinct clause of `entries` with its maximum weight (or weight
+    rank), in first-occurrence order. Weights are positive."""
+    best: dict = {}
+    for c, w in entries:
+        if w > best.get(c, 0):
+            best[c] = w
+    return best
 
 
 def merge_duplicates(b: WeightedBase) -> WeightedBase:
@@ -44,15 +60,7 @@ def merge_duplicates(b: WeightedBase) -> WeightedBase:
     copies are semantically vacuous). First-occurrence order is kept."""
     if not b.is_clausal:
         raise DomainError("merge_duplicates requires a clausal base")
-    best: dict[Clause, Fraction] = {}
-    order: list[Clause] = []
-    for c, w in b.entries:
-        if c not in best:
-            best[c] = w
-            order.append(c)
-        elif w > best[c]:
-            best[c] = w
-    return WeightedBase([(c, best[c]) for c in order], b.variables)
+    return WeightedBase(_merged(b.entries).items(), b.variables)
 
 
 def is_subsumed(b: WeightedBase, entry: tuple[Clause, Fraction]) -> bool:
@@ -68,21 +76,40 @@ def is_subsumed(b: WeightedBase, entry: tuple[Clause, Fraction]) -> bool:
     return entails([c for c, w in remaining if w >= weight], clause)
 
 
-def _entry_key(entry: tuple[Clause, Fraction]):
-    clause, weight = entry
-    return (
-        weight,
-        len(clause),
-        tuple(sorted((l.var.name, l.positive) for l in clause.literals)),
-    )
-
-
 def remove_subsumed(b: WeightedBase) -> WeightedBase:
     """Merge duplicates, then test each entry once, lower weights first
     (ties broken by a deterministic clause order), dropping it if the
-    entries still present subsume it. One pass reaches the fixpoint:
-    dropping a premise only weakens entailment, so an entry kept once is
-    never redundant later.
+    entries still present subsume it. The clauses are worked on as
+    integers (see `_reduce`) and decoded once into the result."""
+    if not b.is_clausal:
+        raise DomainError("remove_subsumed requires a clausal base")
+    codec, entries, weights = _encoded(b)
+    kept = _reduce(entries)
+    if len(kept) == len(b.entries):
+        return b
+    return WeightedBase([(codec.decode(c), weights[r]) for c, r in kept], b.variables)
+
+
+def _encoded(b: WeightedBase) -> tuple[_ClauseBits, list[tuple[int, int]], list]:
+    """The entries of a clausal base as integer clauses over its universe,
+    each with the rank of its weight: rank r stands for `weights[r]`, and
+    ranks order as the weights do. Rank 0 is unused, so that every rank is
+    positive, as `_merged` needs. Ranks compare as plain ints, where
+    weights would compare as `Fraction`s."""
+    codec = _ClauseBits(b.variables)
+    weights = [ZERO, *sorted({w for _, w in b.entries})]
+    rank = {w: r for r, w in enumerate(weights)}
+    return codec, [(codec.encode(c), rank[w]) for c, w in b.entries], weights
+
+
+def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """`remove_subsumed` on integer clauses (`semantics._ClauseBits`) with
+    weight ranks (see `_encoded`): the merged entries that survive, in
+    first-occurrence order.
+
+    Entries are tested by weight, then clause length, then sorted literals.
+    One pass reaches the fixpoint: dropping a premise only weakens
+    entailment, so an entry kept once is never redundant later.
 
     Each clause is encoded once into its models over the variables the
     clauses mention. Every entry weighing more than the one under test is
@@ -91,25 +118,29 @@ def remove_subsumed(b: WeightedBase) -> WeightedBase:
     of those of equal weight still to come. The entry is redundant when
     they have no model outside its own. A lighter entry is never a premise,
     so the weight groups can be worked through heaviest first. Above the
-    bitset cap each test asks `entails` of the entries still present.
+    bitset cap each test is a DPLL refutation from the entries still
+    present.
     """
-    merged = merge_duplicates(b)
-    entries = merged.entries
-    order = sorted(range(len(entries)), key=lambda k: _entry_key(entries[k]))
+    entries = list(_merged(entries).items())
+    order = sorted(
+        range(len(entries)),
+        key=lambda k: (entries[k][1], *_ClauseBits.order(entries[k][0])),
+    )
     alive = [True] * len(entries)
-    encoded = _clause_models([c for c, _ in entries])
+    encoded = _bits_models([c for c, _ in entries])
     if encoded is None:
+        signed = [_bits_signed(c) for c, _ in entries]
         for k in order:
-            clause, weight = entries[k]
+            weight = entries[k][1]
             premises = [
-                c
-                for j, (c, w) in enumerate(entries)
+                signed[j]
+                for j, (_, w) in enumerate(entries)
                 if alive[j] and j != k and w >= weight
             ]
-            alive[k] = not entails(premises, clause)
+            alive[k] = not _refutes(premises, signed[k])
     else:
         full, models = encoded
-        by_weight: dict[Fraction, list[int]] = {}
+        by_weight: dict[int, list[int]] = {}
         for k in order:
             by_weight.setdefault(entries[k][1], []).append(k)
         heavier = full  # the models of every entry of a greater weight
@@ -126,6 +157,4 @@ def remove_subsumed(b: WeightedBase) -> WeightedBase:
                 else:
                     alive[k] = False
             heavier = rest[0]
-    if all(alive):
-        return merged
-    return WeightedBase([e for e, keep in zip(entries, alive) if keep], b.variables)
+    return [e for e, keep in zip(entries, alive) if keep]

@@ -157,17 +157,109 @@ def _models_of(c: frozenset[int], bits: dict[int, int]) -> int:
     return out
 
 
-def _clause_models(clauses: Sequence[Clause]) -> tuple[int, list[int]] | None:
-    """The models of each clause over the variables the clauses mention,
-    with the set of all those worlds; None above `_BITSET_MAX_VARS`, where
-    satisfiability is left to the DPLL search. An empty clause has no
-    model and a tautology has every world."""
-    index: dict[Var, int] = {}
-    encoded = [_encode(c, index) for c in clauses]
-    if len(index) > _BITSET_MAX_VARS:
+# ---------------------------------------------------------------------------
+# integer clauses
+
+
+class _ClauseBits:
+    """Clauses over an ordered universe as integers, for the syntactic
+    layer (conditioning, the cross product, duplicate merging and
+    subsumption).
+
+    The variable of name rank i owns the two bits at 2(n-1-i): the upper
+    one for its negative literal, the lower one for its positive literal.
+    So a clause is a tautology when some pair has both bits set, and two
+    clauses of the same length compare by their literals sorted as
+    `(name, positive)` pairs exactly as their integers compare, reversed.
+    """
+
+    __slots__ = ("bits", "literals", "_positive")
+
+    def __init__(self, universe: Iterable[Var]):
+        ranked = sorted(universe)
+        n = len(ranked)
+        self.bits: dict[Literal, int] = {}
+        for i, v in enumerate(ranked):
+            shift = 2 * (n - 1 - i)
+            self.bits[Literal(v, True)] = 1 << shift
+            self.bits[Literal(v, False)] = 2 << shift
+        self.literals = {bit: lit for lit, bit in self.bits.items()}
+        self._positive = ((1 << 2 * n) - 1) // 3  # every lower bit of a pair
+
+    def encode(self, c: Clause) -> int:
+        bits = self.bits
+        out = 0
+        for lit in c.literals:
+            out |= bits[lit]
+        return out
+
+    def decode(self, c: int) -> Clause:
+        literals = self.literals
+        out = []
+        while c:
+            low = c & -c
+            out.append(literals[low])
+            c ^= low
+        return Clause(out)
+
+    def is_tautology(self, c: int) -> bool:
+        return bool(c & (c >> 1) & self._positive)
+
+    @staticmethod
+    def order(c: int) -> tuple[int, int]:
+        """Sorts clauses by length, then by their literals sorted as
+        `(name, positive)` pairs."""
+        return c.bit_count(), -c
+
+
+def _bits_models(clauses: Sequence[int]) -> tuple[int, list[int]] | None:
+    """The models of each integer clause over the variables the clauses
+    mention, with the set of all those worlds; None above
+    `_BITSET_MAX_VARS`, where satisfiability is left to the DPLL search.
+    An empty clause has no model and a tautology has every world."""
+    used = 0
+    for c in clauses:
+        used |= c
+    pairs = []  # the lower bit of each mentioned variable's pair
+    while used:
+        low = ((used & -used).bit_length() - 1) & ~1
+        pairs.append(low)
+        used &= ~(3 << low)
+    if len(pairs) > _BITSET_MAX_VARS:
         return None
-    full, bits = _literal_models(len(index))
-    return full, [_models_of(c, bits) for c in encoded]
+    full, bits = _literal_models(len(pairs))
+    models_of: dict[int, int] = {}
+    for i, low in enumerate(pairs, 1):
+        models_of[1 << low] = bits[i]
+        models_of[2 << low] = bits[-i]
+    models = []
+    for c in clauses:
+        m = 0
+        while c:
+            bit = c & -c
+            m |= models_of[bit]
+            c ^= bit
+        models.append(m)
+    return full, models
+
+
+def _bits_signed(c: int) -> frozenset[int]:
+    """An integer clause as the signed variable numbers `_dpll_sat`
+    reads: the pair at bit 2k is variable k+1."""
+    out = []
+    while c:
+        low = c & -c
+        bit = low.bit_length() - 1
+        var = (bit >> 1) + 1
+        out.append(-var if bit & 1 else var)
+        c ^= low
+    return frozenset(out)
+
+
+def _refutes(premises: list[frozenset[int]], conclusion: frozenset[int]) -> bool:
+    """Whether signed-int premises entail a signed-int clause: they have
+    no model once the clause's negated literals are hard facts."""
+    return not _dpll_sat(premises + [frozenset((-lit,)) for lit in conclusion])
 
 
 class _Levels:

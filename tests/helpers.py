@@ -93,3 +93,43 @@ def random_formula(rng: random.Random, variables, depth: int = 3):
         random_formula(rng, variables, depth - 1) for _ in range(rng.randint(2, 3))
     )
     return And(parts) if kind < 0.65 else Or(parts)
+
+
+# Names whose sorted order is neither their declaration order nor the
+# order of any numeric suffix.
+MESSY_NAMES = ("b", "a10", "a2", "Z", "a", "q_1", "B", "zz")
+
+
+def random_messy_base(rng: random.Random) -> WeightedBase:
+    """A clausal base over 1-7 of `MESSY_NAMES` in shuffled order, with few
+    distinct weights (so ties are common), duplicates, tautologies, empty
+    clauses and clauses of up to four literals."""
+    names = rng.sample(MESSY_NAMES, rng.randint(1, 7))
+    variables = tuple(Var(name) for name in names)
+    pool = [F(k, 4) for k in range(1, 5)][: rng.randint(1, 4)]
+    entries = []
+    for _ in range(rng.randint(0, 10)):
+        roll = rng.random()
+        if roll < 0.08:
+            c = Clause()
+        elif roll < 0.16:
+            v = rng.choice(variables)
+            c = Clause((Literal(v, True), Literal(v, False)))
+        else:
+            chosen = rng.sample(variables, rng.randint(1, min(4, len(variables))))
+            c = Clause(Literal(v, rng.random() < 0.5) for v in chosen)
+        entries.append((c, rng.choice(pool)))
+    if len(variables) >= 3 and rng.random() < 0.5:
+        # c|x, c|!x, c|y, c|!y at one weight: either pair makes the other
+        # redundant, so the test order decides which pair survives.
+        x, y, *rest = rng.sample(variables, len(variables))
+        core = [Literal(v, rng.random() < 0.5) for v in rest[: rng.randint(0, 2)]]
+        weight = rng.choice(pool)
+        entries += [
+            (Clause((*core, Literal(v, value))), weight)
+            for v in (x, y)
+            for value in (False, True)
+        ]
+    entries += [(c, rng.choice(pool)) for c, _ in entries if rng.random() < 0.3]
+    rng.shuffle(entries)
+    return WeightedBase(entries, variables)

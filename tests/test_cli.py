@@ -5,6 +5,7 @@ import pytest
 
 from posslog import (
     CPT,
+    compiler,
     Network,
     compile_network,
     distribution_of_base,
@@ -99,6 +100,17 @@ class TestCompile:
             captured = capsys.readouterr()
             assert code == 2
             assert captured.err.startswith("error:")
+
+    def test_table_cap_exits_2(self, weather_file, tmp_path, capsys, monkeypatch):
+        # se, the first node, has 2 parents: 8 cells.
+        monkeypatch.setattr(compiler, "MAX_CPT_CELLS", 4)
+        out = tmp_path / "net.json"
+        code = main(["compile", weather_file, "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "8 cells, more than the cap of 4" in captured.err
+        assert not out.exists()
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin.base"
@@ -284,6 +296,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+
+    def test_table_cap_exits_2(self, weather_file, tmp_path, capsys, monkeypatch):
+        net_path = tmp_path / "net.json"
+        assert main(["compile", weather_file, "-o", str(net_path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(compiler, "MAX_CPT_CELLS", 4)
+        code = main(["verify", weather_file, str(net_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "more than the cap of 4" in captured.err
 
     def test_universe_mismatch_exits_2(self, weather_file, tmp_path, capsys):
         other = Network([CPT(SU, (), {((), True): F(1), ((), False): F(1)})])

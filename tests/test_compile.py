@@ -12,6 +12,7 @@ from posslog import (
     Literal,
     Network,
     Ordering,
+    ResourceCapError,
     Var,
     WeightedBase,
     certainty_degree,
@@ -34,6 +35,7 @@ from posslog import (
     unit,
     verify_compilation,
 )
+from posslog import compiler
 from posslog.compiler import StageSummary
 from posslog.model import ONE
 
@@ -224,6 +226,14 @@ class TestCompileNetwork:
         assert all(isinstance(s, StageSummary) for s in stages)
         assert stages[0].cpt.parents == (WI, SU)
         assert Network(s.cpt for s in stages) == compile_network(weather, (SE, WI, SU))
+
+    def test_table_cap(self, weather, monkeypatch):
+        # se's table, the largest, has 8 cells.
+        monkeypatch.setattr(compiler, "MAX_CPT_CELLS", 8)
+        assert compile_network(weather, (SE, WI, SU)).nodes[0].parents == (WI, SU)
+        monkeypatch.setattr(compiler, "MAX_CPT_CELLS", 7)
+        with pytest.raises(ResourceCapError, match="se would have 8 cells"):
+            compile_network(weather, (SE, WI, SU))
 
     def test_formula_entries_are_clausalized_first(self):
         from posslog import And

@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 
 from posslog import (
     CPT,
+    And,
     Clause,
+    Const,
+    Literal,
     Network,
+    Not,
     NetworkSchemaError,
     Or,
     ParseError,
@@ -27,8 +31,10 @@ from posslog import (
     serialize_base,
     serialize_network,
 )
+from posslog import compiler
 from posslog.io import MAX_NESTING, NormalizationWarning, render_formula
 
+import helpers
 from helpers import (
     A1,
     A2,
@@ -135,6 +141,35 @@ class TestParseBase:
         assert entry[0] == clause(neg(X), pos(Y))
 
 
+BASE_NAMES = ("x", "y", "B", "a1")
+
+
+def formulas(variables):
+    leaves = st.builds(Const, st.booleans()) | st.just(Clause())
+    if variables:
+        literals = st.builds(Literal, st.sampled_from(variables), st.booleans())
+        leaves = leaves | literals | st.builds(Clause, st.lists(literals, max_size=3))
+    return st.recursive(
+        leaves,
+        lambda inner: st.builds(Not, inner)
+        | st.builds(And, st.lists(inner, max_size=3))
+        | st.builds(Or, st.lists(inner, max_size=3)),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def bases(draw):
+    """A base over 0-4 variables in any order, whose entries are formulas
+    of every shape (clauses nested anywhere, empty conjunctions and
+    disjunctions, constants) with weights in (0, 1]."""
+    names = draw(st.lists(st.sampled_from(BASE_NAMES), unique=True, max_size=4))
+    variables = tuple(Var(name) for name in names)
+    weights = st.integers(1, 60).map(lambda k: F(k, 60))
+    entries = draw(st.lists(st.tuples(formulas(variables), weights), max_size=5))
+    return WeightedBase(entries, variables)
+
+
 class TestSerializeBase:
     def test_round_trip_is_semantically_identity(self):
         rng = random.Random(101)
@@ -156,6 +191,22 @@ class TestSerializeBase:
     def test_hard_weight_keeps_denominator(self):
         b = WeightedBase([(clause(pos(X)), F(1))], (X,))
         assert "1/1: x" in serialize_base(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bases())
+    @example(WeightedBase([(And((clause(pos(X), pos(Y)), pos(X))), F(1))]))
+    @example(WeightedBase([(Or(()), F(1, 2)), (And(()), F(1))], (X,)))
+    def test_round_trip_hypothesis(self, b):
+        text = serialize_base(b)
+        again = parse_base(text)
+        assert again.variables == b.variables
+        assert distribution_of_base(again) == distribution_of_base(b)
+        # Parsing folds some shapes (double negations, nested disjunctions,
+        # one-part conjunctions), so the text is a fixpoint after one round.
+        settled = serialize_base(again)
+        assert serialize_base(parse_base(settled)) == settled
+        if all(isinstance(f, Clause) and f.literals for f, _ in b.entries):
+            assert settled == text
 
 
 class TestRenderFormula:
@@ -294,9 +345,11 @@ class TestNetworkJson:
         with pytest.raises(NetworkSchemaError):
             parse_network(json.dumps(doc))
 
-    def test_table_size_checked_before_enumerating(self):
+    def test_table_size_checked_before_enumerating(self, monkeypatch):
         # 40 parents would need 2^41 cells; the node gives 2, and the
         # refusal must come from counting them, not from building the table.
+        # The table-size cap, which would refuse the node first, is lifted.
+        monkeypatch.setattr(compiler, "MAX_CPT_CELLS", 1 << 50)
         parents = [f"p{i}" for i in range(40)]
         cells = [
             {"assignment": dict.fromkeys(parents, False), "polarity": p, "weight": "1"}
@@ -305,6 +358,66 @@ class TestNetworkJson:
         doc = {"nodes": [{"var": "x", "parents": parents, "cpt": cells}]}
         with pytest.raises(NetworkSchemaError, match="exactly"):
             parse_network(json.dumps(doc))
+
+    def test_table_cap(self, weather, monkeypatch):
+        text = serialize_network(compile_network(weather, (SE, WI, SU)))
+        monkeypatch.setattr(compiler, "MAX_CPT_CELLS", 8)  # se has 2 parents
+        assert serialize_network(parse_network(text)) == text
+        monkeypatch.setattr(compiler, "MAX_CPT_CELLS", 7)
+        with pytest.raises(NetworkSchemaError, match="8 cells, more than the cap of 7"):
+            parse_network(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" * 100_000 + "]" * 100_000, id="past-recursion-limit"),
+            pytest.param('{"nodes": [' + "1" * 5000 + "]}", id="past-int-digit-limit"),
+        ],
+    )
+    def test_hostile_json_rejected(self, text):
+        with pytest.raises(NetworkSchemaError):
+            parse_network(text)
+
+    def test_exponent_weight_rejected(self):
+        # Fraction("1e-999999999") would take minutes and gigabytes, so no
+        # string weight may have an exponent, not even a harmless one.
+        doc = {
+            "nodes": [
+                {
+                    "var": "x",
+                    "parents": [],
+                    "cpt": [
+                        {"assignment": {}, "polarity": p, "weight": "1e-9"}
+                        for p in (False, True)
+                    ],
+                }
+            ]
+        }
+        with pytest.raises(NetworkSchemaError, match="exponent"):
+            parse_network(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_raise_only_schema_errors(self, data):
+        text = serialize_network(
+            compile_network(helpers.weather_base(), (SE, WI, SU))
+        )
+        doc = json.loads(text)
+        for _ in range(data.draw(st.integers(1, 4))):
+            doc = mutate(data, doc)
+        mutated = json.dumps(doc)
+        if data.draw(st.booleans()):
+            # Damage the text itself: cut it or splice in a character.
+            at = data.draw(st.integers(0, len(mutated)))
+            splice = data.draw(st.sampled_from(["", "{", "]", '"', ",", "1", "e9"]))
+            cut = data.draw(st.integers(0, 3))
+            mutated = mutated[:at] + splice + mutated[at + cut :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NormalizationWarning)
+            try:
+                parse_network(mutated)
+            except NetworkSchemaError:
+                pass
 
     def test_unnormalized_column_warns_but_parses(self):
         doc = {
@@ -322,6 +435,40 @@ class TestNetworkJson:
         with pytest.warns(NormalizationWarning):
             net = parse_network(json.dumps(doc))
         assert net.variables == (X,)
+
+
+JSON_KEYS = ("nodes", "ordering", "var", "parents", "cpt", "assignment",
+             "polarity", "weight", "su", "wi", "se", "other")
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["1/2", "1/0", "-1/3", "2", "su", "wi", "se", "x", "1e5"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(JSON_KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutate(data, value):
+    """`value` with one place in it replaced, removed or added to."""
+    if isinstance(value, (dict, list)) and value and data.draw(st.integers(0, 3)):
+        keys = list(value) if isinstance(value, dict) else list(range(len(value)))
+        key = data.draw(st.sampled_from(keys))
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        if data.draw(st.integers(0, 5)) == 0:
+            del copy[key]
+        else:
+            copy[key] = mutate(data, copy[key])
+        return copy
+    if isinstance(value, dict) and data.draw(st.booleans()):
+        return {**value, data.draw(st.sampled_from(JSON_KEYS)): data.draw(json_values)}
+    if isinstance(value, list) and data.draw(st.booleans()):
+        return [*value, data.draw(json_values)]
+    return data.draw(json_values)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,19 @@ from posslog import (
     unit,
 )
 
-from helpers import SE, SU, WI, X, Y, clause, neg, pos, random_clausal_base
+import clause_reference
+from helpers import (
+    SE,
+    SU,
+    WI,
+    X,
+    Y,
+    clause,
+    neg,
+    pos,
+    random_clausal_base,
+    random_messy_base,
+)
 
 F = Fraction
 
@@ -156,6 +168,33 @@ class TestMarginalBase:
                     for value in (False, True)
                 ]
                 assert val == max(both)
+
+
+class TestMatchesClauseReference:
+    """Integer clauses give the same entries, in the same order, over the
+    same universe as the `Clause`-level reference."""
+
+    def test_instantiate(self, solver_path):
+        rng = random.Random(61)
+        for _ in range(300):
+            b = random_messy_base(rng)
+            choices = b.variables + (Var("outside"),)
+            literals = [
+                Literal(rng.choice(choices), rng.random() < 0.5)
+                for _ in range(rng.randint(1, 3))
+            ]
+            got = instantiate(b, *literals)
+            want = clause_reference.instantiate(b, *literals)
+            assert (got.entries, got.variables) == (want.entries, want.variables), b
+
+    def test_marginal_base(self, solver_path):
+        rng = random.Random(67)
+        for _ in range(300):
+            b = random_messy_base(rng)
+            var = rng.choice(b.variables)
+            got = marginal_base(b, var)
+            want = clause_reference.marginal_base(b, var)
+            assert (got.entries, got.variables) == (want.entries, want.variables), b
 
 
 class TestDecomposeCheck:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,23 @@ class TestSatisfies:
                 assert satisfies(w, c) == expected
 
 
+def dnf(k):  # (a0 & b0) | ... | (a{k-1} & b{k-1}): expands to 2**k clauses
+    return Or(tuple(And((pos(Var(f"a{i}")), pos(Var(f"b{i}")))) for i in range(k)))
+
+
+def subset_scan(f):
+    """The expansion pruned by a scan over every clause kept so far."""
+    kept = []
+    for c in model._cnf(f, False):
+        if any(negate(l) in c.literals for l in c.literals):
+            continue
+        if any(k.literals <= c.literals for k in kept):
+            continue
+        kept = [k for k in kept if not c.literals <= k.literals]
+        kept.append(c)
+    return tuple(kept)
+
+
 class TestFormulas:
     def test_vars_of(self):
         f = And((Or((pos(X), Not(neg(Y)))), Const(True)))
@@ -177,15 +195,39 @@ class TestFormulas:
             clause(neg(X)),
         }
 
+    def test_prune_equals_subset_scan(self):
+        # Same clauses in the same order.
+        rng = random.Random(43)
+        universe = tuple(Var(name) for name in "pqrs")
+        for _ in range(400):
+            f = random_formula(rng, universe, depth=rng.randint(1, 4))
+            assert cnf_clauses(f) == subset_scan(f), f
+        # DNFs whose terms share variables, so that clauses of every length
+        # subsume one another.
+        for _ in range(100):
+            terms = []
+            for _ in range(rng.randint(1, 6)):
+                chosen = rng.sample(universe, rng.randint(1, 3))
+                terms.append(And(tuple(Literal(v, rng.random() < 0.7) for v in chosen)))
+            f = Or(tuple(terms))
+            assert cnf_clauses(f) == subset_scan(f), f
+        for k in range(1, 9):
+            assert cnf_clauses(dnf(k)) == subset_scan(dnf(k))
+
+    def test_twelve_term_dnf_prunes_fast(self):
+        # 4,096 clauses of 12 literals, none subsuming another: a quadratic
+        # scan takes more than a second.
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert len(cnf_clauses(dnf(12))) == 4096
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.2
+
     def test_cnf_of_tautology_is_empty(self):
         assert cnf_clauses(Or((pos(X), neg(X)))) == ()
 
     def test_cnf_expansion_cap(self, monkeypatch):
-        def dnf(k):  # expands to 2**k clauses
-            return Or(
-                tuple(And((pos(Var(f"a{i}")), pos(Var(f"b{i}")))) for i in range(k))
-            )
-
         monkeypatch.setattr(model, "MAX_CNF_CLAUSES", 8)
         assert len(cnf_clauses(dnf(3))) == 8
         with pytest.raises(ResourceCapError, match="16 clauses"):

@@ -17,7 +17,8 @@ from posslog import (
     to_clausal,
     vars_of,
 )
-from posslog.normalize import _entry_key
+import clause_reference
+from clause_reference import _entry_key
 
 from helpers import (
     A1,
@@ -28,6 +29,7 @@ from helpers import (
     pos,
     random_clausal_base,
     random_formula,
+    random_messy_base,
 )
 
 F = Fraction
@@ -188,6 +190,17 @@ class TestRemoveSubsumed:
                 extra.append((clause(), rng.choice(pool)))
             b = b.extended(extra)
             assert remove_subsumed(b) == entails_loop(b), b
+
+
+    def test_equals_clause_reference(self, solver_path):
+        # Same entries in the same order, so the same equivalent clause
+        # survives a tie.
+        rng = random.Random(71)
+        for _ in range(300):
+            b = random_messy_base(rng)
+            got = remove_subsumed(b)
+            want = clause_reference.remove_subsumed(b)
+            assert (got.entries, got.variables) == (want.entries, want.variables), b
 
 
 class TestMergeDuplicates:
