@@ -130,7 +130,7 @@ def cmd_compile(args) -> int:
         parents = " ".join(p.name for p in stage.cpt.parents)
         print(
             f"[{stage.index + 1}/{len(order.sequence)}] {stage.cpt.var}:"
-            f" parents=[{parents}] cpt={len(stage.cpt.cells)} cells,"
+            f" parents=[{parents}] cpt={2 * len(stage.cpt.neg)} cells,"
             f" stage={stage.stage_entries} -> marginal={stage.marginal_entries} entries",
             file=sys.stderr,
         )

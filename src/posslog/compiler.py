@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InconsistentBaseError, ResourceCapError
@@ -173,24 +172,25 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     """
     parents = tuple(parents)
     levels = _levels(b, "cpt_for")
-    # In the order of product((False, True), repeat=len(parents)).
+    # Context i is column i: parent assignment i read in binary, first
+    # parent most significant.
     contexts = [levels.condition()]
     for p in parents:
         values = (Literal(p, False), Literal(p, True))
         contexts = [levels.narrow(c, lit) for c in contexts for lit in values]
     node = (Literal(var, False), Literal(var, True))
+    columns: tuple[list[Fraction], list[Fraction]] = ([], [])
     degrees = levels.degrees
     ratios: dict[tuple[int, int], Fraction] = {}
-    table = {}
-    for assignment, ctx in zip(product((False, True), repeat=len(parents)), contexts):
+    for ctx in contexts:
         h = levels.level(ctx)
-        for x in node:
+        for x, column in zip(node, columns):
             key = (h, levels.level(levels.narrow(ctx, x)))
             ratio = ratios.get(key)
             if ratio is None:
                 ratio = ratios[key] = _conditional(degrees[key[0]], degrees[key[1]])
-            table[(assignment, x.positive)] = ratio
-    return CPT(var, parents, table)
+            column.append(ratio)
+    return CPT._from_columns(var, parents, *columns)
 
 
 @dataclass(frozen=True)

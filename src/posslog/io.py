@@ -27,6 +27,7 @@ from .model import (
     Literal,
     Not,
     Or,
+    RESERVED_NAMES,
     Var,
     WeightedBase,
     negate,
@@ -38,8 +39,6 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+/\d+|\d*\.\d+|\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<op>[!&|():]))"
 )
-
-_KEYWORDS = {"true", "false", "vars"}
 
 # Deepest `(`/`!` nesting a formula may have. The parser and every later
 # walk over the formula tree recurse once per level, so the cap keeps them
@@ -179,7 +178,7 @@ def parse_base(text: str) -> WeightedBase:
                 )
             names = []
             for kind, name, col in tokens[1:]:
-                if kind != "name" or name in _KEYWORDS:
+                if kind != "name" or name in RESERVED_NAMES:
                     raise ParseError(f"bad variable name {name!r}", lineno, col)
                 names.append(name)
             if not names:
@@ -293,28 +292,18 @@ def serialize_network(n: Network) -> str:
     for cpt in n.nodes:
         names = [p.name for p in cpt.parents]
         by_name = sorted(range(len(names)), key=names.__getitem__)
-        assignments: dict[tuple[bool, ...], str] = {}
         cells = []
-        for assignment, polarity, weight in cpt.cells:
-            text = assignments.get(assignment)
-            if text is None:
-                if names:
-                    text = (
-                        "{\n"
-                        + ",\n".join(
-                            f'            "{names[j]}": {_JSON_BOOL[assignment[j]]}'
-                            for j in by_name
-                        )
-                        + "\n          }"
-                    )
-                else:
-                    text = "{}"
-                assignments[assignment] = text
-            cells.append(
-                f'{{\n          "assignment": {text},'
-                f'\n          "polarity": {_JSON_BOOL[polarity]},'
-                f'\n          "weight": "{_weight_text(weight)}"\n        }}'
+        for assignment, neg, pos in cpt.columns():
+            fields = ",\n".join(
+                f'            "{names[j]}": {_JSON_BOOL[assignment[j]]}' for j in by_name
             )
+            text = f"{{\n{fields}\n          }}" if names else "{}"
+            for polarity, weight in ((False, neg), (True, pos)):
+                cells.append(
+                    f'{{\n          "assignment": {text},'
+                    f'\n          "polarity": {_JSON_BOOL[polarity]},'
+                    f'\n          "weight": "{_weight_text(weight)}"\n        }}'
+                )
         parents = _json_list([f'"{name}"' for name in names], "      ")
         nodes.append(
             f'{{\n      "cpt": {_json_list(cells, "      ")},'
@@ -440,12 +429,11 @@ def export_dot(n: Network) -> str:
     lines = ["digraph possibilistic_network {"]
     for cpt in n.nodes:
         if cpt.parents:
-            label = f"{cpt.var.name}\\n{len(cpt.cells)} cells"
+            label = f"{cpt.var.name}\\n{2 * len(cpt.neg)} cells"
         else:
-            pos = cpt.cell((), True)
-            neg = cpt.cell((), False)
             label = (
-                f"{cpt.var.name}\\nprior {_weight_text(pos)} : {_weight_text(neg)}"
+                f"{cpt.var.name}\\nprior {_weight_text(cpt.pos[0])}"
+                f" : {_weight_text(cpt.neg[0])}"
             )
         lines.append(f'  "{cpt.var.name}" [label="{label}"];')
     for cpt in n.nodes:

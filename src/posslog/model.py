@@ -17,6 +17,9 @@ from .errors import DomainError, ResourceCapError
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+# Words of the base grammar that match the name pattern but are not names.
+RESERVED_NAMES = frozenset({"true", "false", "vars"})
+
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
@@ -26,12 +29,16 @@ def as_weight(value) -> Fraction:
 
     Floats are rejected: binary floats silently misrepresent inputs such as
     0.4, and exactness is the whole point. Pass a string (".4", "2/3"), an
-    int, a Decimal or a Fraction instead.
+    int, a Decimal or a Fraction instead. A string may not use exponent
+    notation: `Fraction("1e-999999999")` would build a billion-digit
+    integer.
     """
     if isinstance(value, float):
         raise DomainError(
             f"float weight {value!r} is inexact; pass a string, Fraction or Decimal"
         )
+    if isinstance(value, str) and "e" in value.lower():
+        raise DomainError(f"weight {value!r} has an exponent")
     try:
         w = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -48,7 +55,7 @@ class Var:
     name: str
 
     def __post_init__(self):
-        if not _NAME_RE.match(self.name):
+        if not _NAME_RE.match(self.name) or self.name in RESERVED_NAMES:
             raise DomainError(f"invalid variable name {self.name!r}")
 
     def __str__(self) -> str:

@@ -9,7 +9,7 @@ immutable after construction, evaluated eagerly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping
@@ -21,62 +21,96 @@ Assignment = tuple[bool, ...]
 Cell = tuple[Assignment, bool, Fraction]
 
 
+def _column(assignment: Iterable[bool]) -> int:
+    """The number of the column of a parent assignment (see `CPT`)."""
+    i = 0
+    for value in assignment:
+        i = i << 1 | bool(value)
+    return i
+
+
 @dataclass(frozen=True)
 class CPT:
     """Conditional possibility table of one variable.
 
-    Cells are stored canonically, sorted by parent assignment (False before
-    True, parents in their listed order) then polarity, so equal tables are
-    byte-stable under serialization. Completeness (all 2^|parents| x 2
-    cells) is enforced; the normalization condition is audited separately
-    by `check_normalization` so that imperfect tables can still be loaded
-    and inspected.
+    The table is two columns of degrees, `neg[i]` = Π(¬x | u) and
+    `pos[i]` = Π(x | u), where column i is the parent assignment u that
+    reads i in binary, first parent most significant: the order of
+    product((False, True), repeat=len(parents)). `table` maps each
+    (assignment, polarity) to its degree, as a mapping or as an iterable of
+    pairs. Completeness (all 2^|parents| x 2 cells) is enforced; the
+    normalization condition is audited separately by `check_normalization`
+    so that imperfect tables can still be loaded and inspected.
     """
 
     var: Var
     parents: tuple[Var, ...]
-    cells: tuple[Cell, ...]
-    _table: Mapping[tuple[Assignment, bool], Fraction] = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    neg: tuple[Fraction, ...]
+    pos: tuple[Fraction, ...]
 
     def __init__(self, var: Var, parents: Iterable[Var], table):
         parents = tuple(parents)
+        size = 2 << len(parents)
+        items = table.items() if isinstance(table, Mapping) else list(table)
+        # Fewer items than cells cannot fill the table, so a long parent
+        # list with a few cells is refused before its columns are allocated.
+        if len(items) < size:
+            raise DomainError(f"table for {var} must define exactly {size} cells")
+        columns = ([None] * (size >> 1), [None] * (size >> 1))
+        filled = 0
+        for (assignment, polarity), weight in items:
+            assignment = tuple(assignment)
+            if len(assignment) != len(parents):
+                raise DomainError(f"assignment {assignment} of {var} has the wrong length")
+            if not isinstance(weight, Fraction):
+                weight = as_weight(weight)
+            column, i = columns[bool(polarity)], _column(assignment)
+            filled += column[i] is None
+            column[i] = weight
+        if filled != size:
+            raise DomainError(f"table for {var} must define exactly {size} cells")
+        self._store(var, parents, *columns)
+
+    @classmethod
+    def _from_columns(cls, var: Var, parents: tuple[Var, ...], neg, pos) -> "CPT":
+        """A table given as its two columns in column-number order."""
+        cpt = cls.__new__(cls)
+        cpt._store(var, parents, neg, pos)
+        return cpt
+
+    def _store(self, var, parents, neg, pos) -> None:
         if var in parents:
             raise DomainError(f"{var} cannot be its own parent")
         if len(set(parents)) != len(parents):
             raise DomainError("duplicate parent")
-        cooked: dict[tuple[Assignment, bool], Fraction] = {}
-        items = table.items() if isinstance(table, Mapping) else table
-        for (assignment, polarity), weight in items:
-            if not isinstance(weight, Fraction):
-                weight = as_weight(weight)
-            cooked[(tuple(bool(x) for x in assignment), bool(polarity))] = weight
-        # Distinct keys whose assignments each give every parent a value
-        # form the whole table exactly when there are 2^(k+1) of them, so
-        # completeness is checked without enumerating the table's keys.
-        size = 2 << len(parents)
-        if len(cooked) != size or any(len(a) != len(parents) for a, _ in cooked):
-            raise DomainError(f"table for {var} must define exactly {size} cells")
-        cells = tuple(sorted((a, p, w) for (a, p), w in cooked.items()))
+        if not len(neg) == len(pos) == 1 << len(parents):
+            raise DomainError(f"columns of {var} must hold {1 << len(parents)} degrees")
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_table", cooked)
+        object.__setattr__(self, "neg", tuple(neg))
+        object.__setattr__(self, "pos", tuple(pos))
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        """Every (parent assignment, polarity, degree) cell, sorted by
+        assignment (False before True) then polarity."""
+        return tuple(
+            cell
+            for assignment, neg, pos in self.columns()
+            for cell in ((assignment, False, neg), (assignment, True, pos))
+        )
 
     def cell(self, assignment: Assignment, polarity: bool) -> Fraction:
-        try:
-            return self._table[(tuple(assignment), polarity)]
-        except KeyError:
-            raise DomainError(
-                f"no cell for assignment {assignment} of {self.var}"
-            ) from None
+        assignment = tuple(assignment)
+        if len(assignment) != len(self.parents):
+            raise DomainError(f"no cell for assignment {assignment} of {self.var}")
+        return (self.pos if polarity else self.neg)[_column(assignment)]
 
     def columns(self) -> Iterator[tuple[Assignment, Fraction, Fraction]]:
         """Yield (parent assignment, degree of negative value, degree of
-        positive value) for every column."""
-        for assignment in product((False, True), repeat=len(self.parents)):
-            yield assignment, self.cell(assignment, False), self.cell(assignment, True)
+        positive value) for every column, in column-number order."""
+        assignments = product((False, True), repeat=len(self.parents))
+        return zip(assignments, self.neg, self.pos)
 
 
 @dataclass(frozen=True)
@@ -135,8 +169,8 @@ def chain_rule_eval(n: Network, w: Interpretation) -> Fraction:
     selected by the world's values at the node and its parents."""
     result = Fraction(1)
     for cpt in n.nodes:
-        assignment = tuple(w.value(p) for p in cpt.parents)
-        result *= cpt.cell(assignment, w.value(cpt.var))
+        column = cpt.pos if w.value(cpt.var) else cpt.neg
+        result *= column[_column(w.value(p) for p in cpt.parents)]
     return result
 
 

@@ -2,9 +2,9 @@
 
 The central object is the best-out distribution of a base: a world that
 satisfies every entry has possibility 1, any other world is penalized by
-the strongest entry it falsifies. On top of that sit alpha-cuts, the
-inconsistency degree, possibility/necessity measures, entailment degrees
-and the converse construction of a base from a distribution.
+the strongest entry it falsifies. On top of that sit the inconsistency
+degree, possibility/necessity measures, entailment degrees and the converse
+construction of a base from a distribution.
 
 Satisfiability is decided by a complete search with unit propagation; for
 small universes (the common case here) an exhaustive bitset sweep is used
@@ -15,7 +15,6 @@ on the bitset path that is a few integer ANDs per question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -32,7 +31,6 @@ from .model import (
     Not,
     Var,
     WeightedBase,
-    as_weight,
     cnf_clauses,
     interpretations,
     negate,
@@ -42,21 +40,6 @@ from .model import (
 # Above this many variables the exhaustive bitset path would allocate
 # multi-megabyte integers, so the clause solver switches to DPLL.
 _BITSET_MAX_VARS = 16
-
-
-@dataclass(frozen=True)
-class CutSpec:
-    """Threshold selecting entries by weight: >= threshold, or > when strict."""
-
-    threshold: Fraction
-    strict: bool = False
-
-    def __init__(self, threshold, strict: bool = False):
-        object.__setattr__(self, "threshold", as_weight(threshold))
-        object.__setattr__(self, "strict", bool(strict))
-
-    def admits(self, weight: Fraction) -> bool:
-        return weight > self.threshold if self.strict else weight >= self.threshold
 
 
 def world_possibility(b: WeightedBase, w: Interpretation) -> Fraction:
@@ -401,11 +384,6 @@ def _levels(b: WeightedBase, op: str) -> _Levels:
     return levels
 
 
-def is_satisfiable(clauses: Iterable[Clause]) -> bool:
-    """True iff some interpretation satisfies every clause."""
-    return _Levels((ONE,), [clauses]).inconsistency() == 0
-
-
 def entails(premises: Iterable[Clause], conclusion: Clause) -> bool:
     """Classical entailment, decided by refutation: the premises have no
     model once the conclusion's negated literals are hard facts."""
@@ -414,13 +392,7 @@ def entails(premises: Iterable[Clause], conclusion: Clause) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cuts and inconsistency
-
-
-def alpha_cut(b: WeightedBase, cut: CutSpec) -> frozenset[Clause]:
-    """Clauses of the entries whose weight passes the cut."""
-    _require_clausal(b, "alpha_cut")
-    return frozenset(c for c, w in b.entries if cut.admits(w))
+# inconsistency
 
 
 def inconsistency_degree(b: WeightedBase) -> Fraction:

@@ -351,6 +351,15 @@ class TestGen:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    def test_exponent_weight_exits_2(self, tmp_path, capsys):
+        code = main(["gen", "--seed", "1", "--vars", "2", "--clauses", "2",
+                     "-o", str(tmp_path / "g.base"), "--weights", "1e-999999,1/2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "exponent" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "g.base").exists()
+
     def test_weight_pool_flag(self, tmp_path, capsys):
         path = tmp_path / "p.base"
         assert main(["gen", "--seed", "3", "--vars", "3", "--clauses", "5",

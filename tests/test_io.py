@@ -345,6 +345,15 @@ class TestNetworkJson:
         with pytest.raises(NetworkSchemaError):
             parse_network(json.dumps(doc))
 
+    @pytest.mark.parametrize("name", ["true", "false", "vars"])
+    def test_reserved_node_name_rejected(self, name):
+        for doc in (
+            {"nodes": [{"var": name, "parents": [], "cpt": []}]},
+            {"nodes": [{"var": "x", "parents": [name], "cpt": []}]},
+        ):
+            with pytest.raises(NetworkSchemaError, match="invalid variable name"):
+                parse_network(json.dumps(doc))
+
     def test_table_size_checked_before_enumerating(self, monkeypatch):
         # 40 parents would need 2^41 cells; the node gives 2, and the
         # refusal must come from counting them, not from building the table.

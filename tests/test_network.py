@@ -1,4 +1,7 @@
+import pickle
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -38,6 +41,10 @@ class TestCPT:
     def test_requires_all_cells(self):
         with pytest.raises(DomainError):
             CPT(X, (Y,), {((True,), True): F(1)})
+        # Enough pairs, but one cell given twice and another not at all.
+        pairs = [(((a,), p), F(1)) for a in (False, True) for p in (False, True)]
+        with pytest.raises(DomainError):
+            CPT(X, (Y,), pairs[:-1] + pairs[:1])
 
     def test_requires_one_value_per_parent(self):
         # The right number of distinct cells, but two of them assign no
@@ -62,8 +69,9 @@ class TestCPT:
     def test_cell_lookup(self):
         cpt = all_ones_cpt(X, (Y,))
         assert cpt.cell((True,), False) == 1
-        with pytest.raises(DomainError):
-            cpt.cell((True, False), True)
+        for assignment in ((True, False), ()):
+            with pytest.raises(DomainError):
+                cpt.cell(assignment, True)
 
     def test_cells_are_canonically_ordered(self):
         cpt = all_ones_cpt(X, (Y,))
@@ -74,6 +82,47 @@ class TestCPT:
             ((True,), False),
             ((True,), True),
         ]
+
+
+class TestCPTValue:
+    """Tables and networks are values: equal ones compare, hash and pickle
+    alike, however they were built."""
+
+    def test_equality_hash_and_pickle(self, weather_net):
+        for value in (weather_net, *weather_net.nodes):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy is not value
+            assert copy == value and hash(copy) == hash(value)
+        rebuilt = compile_network(weather_base(), (SE, WI, SU))
+        assert rebuilt == weather_net and hash(rebuilt) == hash(weather_net)
+        se, wi, su = weather_net.nodes
+        assert len({se, wi, su, *rebuilt.nodes}) == 3
+        assert Network([su]) != Network([CPT(SU, (), {((), True): 1, ((), False): 1})])
+
+    def test_mapping_built_table_equals_compiled_one(self, weather_net):
+        rng = random.Random(5)
+        for cpt in weather_net.nodes:
+            pairs = [((assignment, p), w) for assignment, p, w in cpt.cells]
+            rng.shuffle(pairs)
+            for table in (dict(pairs), pairs, iter(pairs)):
+                built = CPT(cpt.var, cpt.parents, table)
+                assert built == cpt and hash(built) == hash(cpt)
+            (key, w), *rest = pairs
+            assert CPT(cpt.var, cpt.parents, [(key, w / 2), *rest]) != cpt
+
+    def test_cells_are_the_columns_in_order(self, weather_net):
+        for cpt in weather_net.nodes:
+            assignments = list(product((False, True), repeat=len(cpt.parents)))
+            assert [a for a, _, _ in cpt.columns()] == assignments
+            assert list(cpt.cells) == [
+                (a, polarity, w)
+                for a, neg, pos in cpt.columns()
+                for polarity, w in ((False, neg), (True, pos))
+            ]
+            for a, polarity, w in cpt.cells:
+                assert cpt.cell(a, polarity) == w
+            with pytest.raises(AttributeError):
+                cpt.cells = ()
 
 
 class TestNetworkStructure:

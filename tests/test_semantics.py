@@ -6,7 +6,6 @@ import pytest
 from posslog import (
     And,
     Clause,
-    CutSpec,
     DomainError,
     InconsistentBaseError,
     Interpretation,
@@ -15,13 +14,11 @@ from posslog import (
     Or,
     Var,
     WeightedBase,
-    alpha_cut,
     base_of_distribution,
     certainty_degree,
     distribution_of_base,
     enumerate_distribution,
     inconsistency_degree,
-    is_satisfiable,
     negate,
     necessity,
     possibility,
@@ -68,6 +65,12 @@ class TestDistributionOfBase:
         d = distribution_of_base(b)
         w = Interpretation((A1, A2, A3), (False, False, False))
         assert d[w] == F(3, 10)
+
+
+def is_satisfiable(clauses):
+    """Whether some interpretation satisfies every clause: the clauses as
+    hard entries have inconsistency degree 0."""
+    return inconsistency_degree(WeightedBase((c, 1) for c in clauses)) == 0
 
 
 class TestSatisfiability:
@@ -131,19 +134,6 @@ class TestSatisfiability:
         for b, by_bitset, by_dpll in zip(bases, bitset, dpll):
             inc = 1 - max(enumerate_distribution(b).values)
             assert by_bitset == by_dpll == (inc == 0, inc)
-
-
-class TestAlphaCut:
-    def test_high_cut(self, weather):
-        cut = alpha_cut(weather, CutSpec(F(2, 3)))
-        assert cut == frozenset({clause(pos(SU), neg(WI))})
-
-    def test_zero_cut_keeps_all(self, weather):
-        assert len(alpha_cut(weather, CutSpec(0))) == 4
-
-    def test_strict_cut(self, weather):
-        cut = alpha_cut(weather, CutSpec(F(1, 3), strict=True))
-        assert cut == frozenset({clause(pos(SU), neg(WI))})
 
 
 class TestInconsistencyDegree:
