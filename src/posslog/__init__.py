@@ -63,7 +63,6 @@ from .network import (
     network_distribution,
 )
 from .normalize import (
-    is_subsumed,
     merge_duplicates,
     remove_subsumed,
     remove_tautologies,
@@ -131,7 +130,6 @@ __all__ = [
     "inconsistency_degree",
     "instantiate",
     "interpretations",
-    "is_subsumed",
     "marginal_base",
     "merge_duplicates",
     "necessity",

@@ -318,6 +318,20 @@ def _schema_fail(message: str):
     raise NetworkSchemaError(message)
 
 
+def _cell_weight(weight_text, name: str) -> Fraction:
+    """A CPT cell's weight, checked: no exponent, a rational, in [0, 1]."""
+    if isinstance(weight_text, str) and "e" in weight_text.lower():
+        # Fraction("1e-999999999") would build a billion-digit integer.
+        _schema_fail(f"weight {weight_text!r} in cpt of {name} has an exponent")
+    try:
+        weight = Fraction(str(weight_text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise NetworkSchemaError(f"bad weight {weight_text!r} in cpt of {name}") from exc
+    if not 0 <= weight <= 1:
+        _schema_fail(f"weight {weight_text} of {name} outside [0, 1]")
+    return weight
+
+
 def parse_network(text: str) -> Network:
     """Parse and validate the network JSON schema. Structural violations
     (missing cells, cyclic parents, malformed weights, a node with more
@@ -335,6 +349,7 @@ def parse_network(text: str) -> Network:
     if not isinstance(raw_nodes, list):
         _schema_fail("'nodes' must be a list")
     by_name: dict[str, CPT] = {}
+    parsed: dict[str, Fraction] = {}  # each distinct weight string, checked
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             _schema_fail("each node must be an object")
@@ -357,6 +372,7 @@ def parse_network(text: str) -> Network:
                 f" more than the cap of {compiler.MAX_CPT_CELLS}"
             )
         table = {}
+        parent_names = {p.name for p in parent_vars}
         if not isinstance(cells, list):
             _schema_fail(f"cpt of {name} must be a list")
         for cell in cells:
@@ -370,22 +386,18 @@ def parse_network(text: str) -> Network:
                 _schema_fail(f"cpt cell of {name} missing {exc.args[0]!r}")
             if not isinstance(assignment_doc, dict):
                 _schema_fail(f"assignment in cpt of {name} must be an object")
-            if set(assignment_doc) != {p.name for p in parent_vars}:
+            if assignment_doc.keys() != parent_names:
                 _schema_fail(f"cpt cell of {name} does not assign exactly its parents")
             assignment = tuple(assignment_doc[p.name] for p in parent_vars)
             if not all(isinstance(v, bool) for v in (*assignment, polarity)):
                 _schema_fail(f"cpt cell of {name} has a non-boolean polarity or value")
-            if isinstance(weight_text, str) and "e" in weight_text.lower():
-                # Fraction("1e-999999999") would build a billion-digit integer.
-                _schema_fail(f"weight {weight_text!r} in cpt of {name} has an exponent")
-            try:
-                weight = Fraction(str(weight_text))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise NetworkSchemaError(
-                    f"bad weight {weight_text!r} in cpt of {name}"
-                ) from exc
-            if not 0 <= weight <= 1:
-                _schema_fail(f"weight {weight_text} of {name} outside [0, 1]")
+            if isinstance(weight_text, str):
+                # Keyed by the string only: True == 1 must not find "1".
+                weight = parsed.get(weight_text)
+                if weight is None:
+                    weight = parsed[weight_text] = _cell_weight(weight_text, name)
+            else:
+                weight = _cell_weight(weight_text, name)
             key = (assignment, polarity)
             if key in table:
                 _schema_fail(f"duplicate cpt cell in {name}")

@@ -12,13 +12,8 @@ from typing import Hashable, Iterable
 
 from .errors import DomainError
 from .model import ZERO, Clause, Literal, WeightedBase, cnf_clauses
-from .semantics import (
-    _bits_models,
-    _bits_signed,
-    _ClauseBits,
-    _refutes,
-    entails,
-)
+from .semantics import _bits_models, _bits_signed, _ClauseBits, _refutes
+from .semantics import entails  # not called here; bench/tracing.py wraps it here
 
 
 def to_clausal(b: WeightedBase) -> WeightedBase:
@@ -61,19 +56,6 @@ def merge_duplicates(b: WeightedBase) -> WeightedBase:
     if not b.is_clausal:
         raise DomainError("merge_duplicates requires a clausal base")
     return WeightedBase(_merged(b.entries).items(), b.variables)
-
-
-def is_subsumed(b: WeightedBase, entry: tuple[Clause, Fraction]) -> bool:
-    """Whether `entry` is redundant inside `b`: the rest of the base, cut
-    at the entry's weight, already entails the clause."""
-    if not b.is_clausal:
-        raise DomainError("is_subsumed requires a clausal base")
-    if entry not in b.entries:
-        raise DomainError("entry is not part of the base")
-    clause, weight = entry
-    remaining = list(b.entries)
-    remaining.remove(entry)
-    return entails([c for c, w in remaining if w >= weight], clause)
 
 
 def remove_subsumed(b: WeightedBase) -> WeightedBase:

@@ -9,8 +9,9 @@ construction of a base from a distribution.
 Satisfiability is decided by a complete search with unit propagation; for
 small universes (the common case here) an exhaustive bitset sweep is used
 instead. Either way a base is encoded once into its weight levels, which
-then answer the inconsistency degree of the base under any literal context:
-on the bitset path that is a few integer ANDs per question.
+then answer the inconsistency degree of the base under any literal or
+formula context: on the bitset path that is a few integer ANDs per
+question.
 """
 
 from __future__ import annotations
@@ -23,18 +24,22 @@ from .errors import DomainError, InconsistentBaseError
 from .model import (
     ONE,
     ZERO,
+    And,
     Clause,
+    Const,
     Distribution,
     Formula,
     Interpretation,
     Literal,
     Not,
+    Or,
     Var,
     WeightedBase,
     cnf_clauses,
     interpretations,
     negate,
     satisfies,
+    vars_of,
 )
 
 # Above this many variables the exhaustive bitset path would allocate
@@ -177,12 +182,16 @@ class _ClauseBits:
         return out
 
     def decode(self, c: int) -> Clause:
+        # The literals go into the clause's set in sorted order, highest
+        # bit first, as a clause built from sorted literals has them: the
+        # two sets then iterate, and print, in the same order.
         literals = self.literals
         out = []
         while c:
             low = c & -c
             out.append(literals[low])
             c ^= low
+        out.reverse()
         return Clause(out)
 
     def is_tautology(self, c: int) -> bool:
@@ -193,6 +202,35 @@ class _ClauseBits:
         """Sorts clauses by length, then by their literals sorted as
         `(name, positive)` pairs."""
         return c.bit_count(), -c
+
+
+def _formula_models(f: Formula, tables: dict[Var, int], full: int) -> int:
+    """The worlds of `full` that satisfy `f`, given the truth table of each
+    of its variables."""
+    if isinstance(f, Literal):
+        t = tables[f.var]
+        return t if f.positive else full ^ t
+    if isinstance(f, Clause):
+        out = 0
+        for lit in f.literals:
+            t = tables[lit.var]
+            out |= t if lit.positive else full ^ t
+        return out
+    if isinstance(f, And):
+        out = full
+        for p in f.parts:
+            out &= _formula_models(p, tables, full)
+        return out
+    if isinstance(f, Or):
+        out = 0
+        for p in f.parts:
+            out |= _formula_models(p, tables, full)
+        return out
+    if isinstance(f, Not):
+        return full ^ _formula_models(f.operand, tables, full)
+    if isinstance(f, Const):
+        return full if f.value else 0
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _bits_models(clauses: Sequence[int]) -> tuple[int, list[int]] | None:
@@ -248,21 +286,23 @@ def _refutes(premises: list[frozenset[int]], conclusion: frozenset[int]) -> bool
 class _Levels:
     """A clause set split into weight levels (highest first), encoded once
     and then asked for the inconsistency degree of the set together with
-    any literal context taken as hard facts.
+    any literal context, or any formula, taken as hard facts.
 
     Up to `_BITSET_MAX_VARS` variables, level i is the bitset of the worlds
     that satisfy every clause of the first i+1 levels, so the bitsets only
     shrink; encoding stops at the first empty one, since every later level
     is empty too. A context is then the AND of its literals' truth tables,
     and the degree is the first level weight whose models miss it. Above
-    the cap the encoded groups are kept and each question runs the DPLL
-    search on the growing cut plus the context's unit clauses.
+    the cap each question runs the DPLL search on the growing cut plus the
+    context's clauses. The encoded groups are kept on both paths, since a
+    formula's own variables can take a question past the cap.
 
     A context is built once by `condition` (or grown a literal at a time
     by `narrow`) and can then be asked its `level`: on the bitset path it
     is the mask of its worlds, above the cap the tuple of its unit clauses.
-    Its degree is `degrees[level]`, read off the descending ladder of 1,
-    the level weights and 0, so that callers can memoize on the index.
+    `formula_level` asks the same of a formula. A degree is
+    `degrees[level]`, read off the descending ladder of 1, the level
+    weights and 0, so that callers can memoize on the index.
 
     Clauses are mapped onto signed integer literals (tautologies dropped).
     An empty clause encodes to the empty set, which both the bitset sweep
@@ -280,11 +320,11 @@ class _Levels:
         ]
         self.degrees = (ONE, *weights, ZERO)
         self._index = index
+        self._groups = encoded
 
         n = len(index)
         if n > _BITSET_MAX_VARS:
             self._bits = self._models = None
-            self._groups = encoded
             self._unconditioned = ()
             return
         full, bits = _literal_models(n)
@@ -300,7 +340,6 @@ class _Levels:
                 break
         self._bits = bits
         self._models = models
-        self._groups = None
         self._unconditioned = full
 
     def condition(self, context: Iterable[Literal] = ()):
@@ -332,6 +371,39 @@ class _Levels:
             return ctx & self._bits[i]
         return None if ctx is None else (*ctx, i)
 
+    def formula_level(self, f: Formula) -> int:
+        """`level` with a formula, instead of literals, as the hard context.
+
+        On the bitset path the formula is evaluated to the mask of its
+        models. A variable it mentions but no clause does is projected
+        away: with k of them, the formula is evaluated over a table with
+        those k variables most significant, and its 2**k blocks of 2**n
+        worlds are ORed together. That path is taken when the levels are
+        on it and n + k is within the cap. Otherwise the formula's CNF is
+        encoded through a copy of the level index and run through the
+        DPLL level loop, so only that path meets the `MAX_CNF_CLAUSES` cap.
+        A formula context is not a `level` argument, so that `level` keeps
+        its literal contexts free of a type dispatch.
+        """
+        index = self._index
+        free = [v for v in vars_of(f) if v not in index]
+        n, k = len(index), len(free)
+        width = n + k
+        if self._models is not None and width <= _BITSET_MAX_VARS:
+            tables = _truth_tables(width)
+            column = dict(zip(free, tables))
+            for v, i in index.items():
+                column[v] = tables[k + i - 1]
+            models = _formula_models(f, column, (1 << (1 << width)) - 1)
+            size = 1 << width
+            while size > 1 << n:
+                size >>= 1
+                models = (models >> size) | (models & ((1 << size) - 1))
+            return self.level(models)
+        index = dict(index)
+        hard = [_encode(c, index) for c in cnf_clauses(f)]
+        return self._refuted(hard) if _dpll_sat(hard) else 0
+
     def level(self, ctx) -> int:
         """The index into `degrees` of the context's degree: 0 (degree 1)
         for a contradictory context; otherwise i for the first level i whose
@@ -346,7 +418,11 @@ class _Levels:
 
         if ctx is None or any(-u in ctx for u in ctx):
             return 0
-        accumulated = [frozenset((u,)) for u in ctx]
+        return self._refuted([frozenset((u,)) for u in ctx])
+
+    def _refuted(self, accumulated: list[frozenset[int]]) -> int:
+        """`level` by the DPLL search, from satisfiable encoded hard
+        clauses: the cut of each level is added to them in turn."""
         for i, enc in enumerate(self._groups, 1):
             accumulated.extend(enc)
             if not _dpll_sat(accumulated):
@@ -409,22 +485,19 @@ def inconsistency_degree(b: WeightedBase) -> Fraction:
 # measures
 
 
-def _as_hard_entries(f: Formula) -> list[tuple[Clause, Fraction]]:
-    return [(c, ONE) for c in cnf_clauses(f)]
-
-
 def possibility(b: WeightedBase, f: Formula) -> Fraction:
     """Degree to which `f` is consistent with the base.
 
     Requires a consistent clausal base. Equals the maximum best-out degree
     over the models of `f`; an unsatisfiable `f` gets 0 (maximum over an
-    empty set of worlds).
+    empty set of worlds). `f` is asked of the base's weight levels as a
+    hard context: 1 minus the inconsistency degree of the base with `f`.
     """
-    _require_clausal(b, "possibility")
+    levels = _levels(b, "possibility")
     inc = inconsistency_degree(b)
     if inc != 0:
         raise InconsistentBaseError(inc)
-    return ONE - inconsistency_degree(b.extended(_as_hard_entries(f)))
+    return ONE - levels.degrees[levels.formula_level(f)]
 
 
 def necessity(b: WeightedBase, f: Formula) -> Fraction:

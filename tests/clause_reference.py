@@ -2,7 +2,8 @@
 `Clause` objects, one `WeightedBase` per step: the reference that the
 differential tests hold `instantiate`, `marginal_base` and
 `remove_subsumed` (which work on integer clauses) to, entry for entry and
-in order."""
+in order. `is_subsumed` is the one-entry question the reference loops in
+`test_normalize` ask."""
 
 from __future__ import annotations
 
@@ -49,6 +50,15 @@ def merge_duplicates(b):
         elif w > best[c]:
             best[c] = w
     return WeightedBase([(c, best[c]) for c in order], b.variables)
+
+
+def is_subsumed(b, entry):
+    """Whether `entry` of the clausal base `b` is redundant: the rest of
+    the base, cut at the entry's weight, entails the clause."""
+    clause, weight = entry
+    remaining = list(b.entries)
+    remaining.remove(entry)
+    return entails([c for c, w in remaining if w >= weight], clause)
 
 
 def _entry_key(entry):

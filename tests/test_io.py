@@ -405,6 +405,32 @@ class TestNetworkJson:
         with pytest.raises(NetworkSchemaError, match="exponent"):
             parse_network(json.dumps(doc))
 
+    def test_boolean_weight_rejected_after_equal_numbers(self):
+        # Weights are parsed once per distinct string; true == 1, so a
+        # cache keyed by value would let the boolean through.
+        doc = {
+            "nodes": [
+                {
+                    "var": "x",
+                    "parents": [],
+                    "cpt": [
+                        {"assignment": {}, "polarity": True, "weight": 1},
+                        {"assignment": {}, "polarity": False, "weight": "1"},
+                    ],
+                },
+                {
+                    "var": "y",
+                    "parents": [],
+                    "cpt": [
+                        {"assignment": {}, "polarity": True, "weight": "1"},
+                        {"assignment": {}, "polarity": False, "weight": True},
+                    ],
+                },
+            ]
+        }
+        with pytest.raises(NetworkSchemaError, match="bad weight True"):
+            parse_network(json.dumps(doc))
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_mutated_documents_raise_only_schema_errors(self, data):

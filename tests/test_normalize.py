@@ -10,7 +10,6 @@ from posslog import (
     Or,
     WeightedBase,
     distribution_of_base,
-    is_subsumed,
     merge_duplicates,
     remove_subsumed,
     remove_tautologies,
@@ -18,7 +17,7 @@ from posslog import (
     vars_of,
 )
 import clause_reference
-from clause_reference import _entry_key
+from clause_reference import _entry_key, is_subsumed
 
 from helpers import (
     A1,
@@ -96,23 +95,6 @@ class TestRemoveTautologies:
         b = WeightedBase([(And((pos(X), pos(Y))), F(1, 2))])
         with pytest.raises(DomainError):
             remove_tautologies(b)
-
-
-class TestIsSubsumed:
-    def test_weaker_disjunction_subsumed_by_unit(self):
-        e = (clause(pos(A1), pos(X)), F(1, 2))
-        b = WeightedBase([(clause(pos(A1)), F(1)), e], (A1, X))
-        assert is_subsumed(b, e)
-
-    def test_singleton_entry_not_subsumed(self):
-        e = (clause(pos(X)), F(1, 2))
-        b = WeightedBase([e], (X,))
-        assert not is_subsumed(b, e)
-
-    def test_entry_must_belong_to_base(self):
-        b = WeightedBase([(clause(pos(X)), F(1, 2))], (X, Y))
-        with pytest.raises(DomainError):
-            is_subsumed(b, (clause(pos(Y)), F(1, 2)))
 
 
 class TestRemoveSubsumed:

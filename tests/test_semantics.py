@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from posslog import (
+    FALSE,
+    TRUE,
     And,
     Clause,
     DomainError,
@@ -12,10 +15,12 @@ from posslog import (
     Literal,
     Not,
     Or,
+    ResourceCapError,
     Var,
     WeightedBase,
     base_of_distribution,
     certainty_degree,
+    cnf_clauses,
     distribution_of_base,
     enumerate_distribution,
     inconsistency_degree,
@@ -25,7 +30,7 @@ from posslog import (
     satisfies,
     unit,
 )
-from posslog import semantics
+from posslog import model, semantics
 
 from helpers import (
     A1,
@@ -42,9 +47,62 @@ from helpers import (
     neg,
     pos,
     random_clausal_base,
+    random_formula,
 )
 
 F = Fraction
+
+
+def holds(f, world):
+    """The truth of `f` in a world given as a dict of variable values."""
+    if isinstance(f, Literal):
+        return world[f.var] == f.positive
+    if isinstance(f, Clause):
+        return any(world[l.var] == l.positive for l in f.literals)
+    if isinstance(f, Not):
+        return not holds(f.operand, world)
+    if isinstance(f, And):
+        return all(holds(p, world) for p in f.parts)
+    if isinstance(f, Or):
+        return any(holds(p, world) for p in f.parts)
+    return f.value
+
+
+def enumerated_worlds(b, extra):
+    """Each world of the base's universe extended by `extra`, as a dict,
+    with its degree in the enumerated distribution."""
+    d = enumerate_distribution(WeightedBase(b.entries, b.variables + tuple(extra)))
+    return [(w.as_dict(), val) for w, val in d.items()]
+
+
+def brute_measures(worlds, f):
+    """Π(f) and N(f) by maximizing over enumerated worlds; the worlds must
+    cover every variable of `f`."""
+    best = {True: F(0), False: F(0)}
+    for w, val in worlds:
+        t = holds(f, w)
+        if val > best[t]:
+            best[t] = val
+    return best[True], 1 - best[False]
+
+
+def query_formulas(rng, variables):
+    """Random formulas over `variables`, then the fixed shapes: constants,
+    empty `And`/`Or`, a clause, nested negations and a contradiction."""
+    x, y = rng.choice(variables), rng.choice(variables)
+    lits = [Literal(v, rng.random() < 0.5) for v in rng.sample(variables, 2)]
+    out = [random_formula(rng, variables) for _ in range(4)]
+    out += [
+        TRUE,
+        FALSE,
+        And(()),
+        Or(()),
+        Clause(lits),
+        Not(Not(Not(Clause(lits)))),
+        Not(And((Not(pos(x)), Or((neg(y), Not(Clause(lits))))))),
+        And((pos(x), Not(Or((pos(x), pos(y)))))),
+    ]
+    return out
 
 
 class TestDistributionOfBase:
@@ -212,6 +270,80 @@ class TestPossibility:
     def test_one_side_fully_possible(self, weather):
         for f in (pos(SE), pos(WI), And((pos(SU), pos(WI)))):
             assert max(possibility(weather, f), possibility(weather, Not(f))) == 1
+
+
+class TestMeasuresAgainstEnumeration:
+    def test_random_bases_and_formulas(self, solver_path):
+        # Weight-1 clauses are in the pool; the universe has a variable no
+        # clause mentions and the formulas two variables outside it.
+        rng = random.Random(43)
+        outside = (Var("o1"), Var("o2"))
+        pool = [F(1, 4), F(1, 2), F(3, 4), F(1)]
+        checked = 0
+        while checked < 320:
+            n = rng.randint(1, 4)
+            b = random_clausal_base(rng, n, rng.randint(0, 6), pool)
+            b = WeightedBase(b.entries, (*b.variables, Var("spare")))
+            if inconsistency_degree(b) != 0:
+                continue
+            checked += 1
+            worlds = enumerated_worlds(b, outside)
+            for f in query_formulas(rng, b.variables + outside):
+                assert (possibility(b, f), necessity(b, f)) == brute_measures(worlds, f), f
+
+    def test_free_variables_past_the_bitset_cap(self, monkeypatch):
+        # A base on the bitset path whose formula, with its free variables,
+        # needs more variables than the cap: the formula alone goes to the
+        # DPLL search over the base's encoded levels.
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 4)
+        rng = random.Random(47)
+        outside = tuple(Var(f"o{i}") for i in range(3))
+        checked = 0
+        while checked < 60:
+            b = random_clausal_base(rng, rng.randint(2, 4), rng.randint(1, 6))
+            if inconsistency_degree(b) != 0:
+                continue
+            checked += 1
+            worlds = enumerated_worlds(b, outside)
+            for f in query_formulas(rng, b.variables + outside):
+                assert (possibility(b, f), necessity(b, f)) == brute_measures(worlds, f), f
+
+    def test_formula_past_the_cnf_cap(self, monkeypatch):
+        # A 13-term DNF expands to 8,192 clauses. The base's 8 variables and
+        # the formula's 2 outside it fill a bitset cap of 10 exactly: the
+        # bitset path answers without a CNF. With a cap of 9 the query goes
+        # to the DPLL path, which needs the CNF and hits its cap.
+        xs = tuple(Var(f"x{i}") for i in range(8))
+        o1, o2 = Var("o1"), Var("o2")
+        pairs = list(combinations(xs, 2))[::2][:11]
+        terms = [And((pos(x), Literal(y, k % 2 == 0))) for k, (x, y) in enumerate(pairs)]
+        f = Or((*terms, And((pos(o1), neg(xs[0]))), And((neg(o2), pos(xs[3])))))
+        with pytest.raises(ResourceCapError):
+            cnf_clauses(f)
+        b = WeightedBase(
+            [(clause(pos(xs[i]), neg(xs[(i + 1) % 8])), F(1 + i % 2, 3)) for i in range(8)],
+            xs,
+        )
+        worlds = enumerated_worlds(b, (o1, o2))
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 10)
+        assert (possibility(b, f), necessity(b, f)) == brute_measures(worlds, f)
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 9)
+        with pytest.raises(ResourceCapError):
+            possibility(WeightedBase(b.entries, b.variables), f)
+
+    def test_builds_no_weighted_base(self, solver_path, weather, monkeypatch):
+        built = []
+        init = model.WeightedBase.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        f = And((pos(SE), neg(WI), Or((pos(SU), pos(Var("zz"))))))
+        monkeypatch.setattr(model.WeightedBase, "__init__", counting_init)
+        assert possibility(weather, f) == F(2, 3)
+        assert necessity(weather, f) == 0
+        assert built == []
 
 
 class TestNecessity:
