@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import io as formats
 from .compiler import Ordering, compile_stages, conditional_possibility
@@ -49,13 +50,15 @@ def _read(path: str) -> str:
         ) from exc
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, pieces: Iterable[str]) -> None:
+    """Writes the pieces in turn to `path`, or to stdout for "-", so that
+    a generator's text is never held whole."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -136,9 +139,9 @@ def cmd_compile(args) -> int:
         )
         nodes.append(stage.cpt)
     net = Network(nodes)
-    _write(args.out, formats.serialize_network(net))
+    _write(args.out, formats.network_pieces(net))
     if args.dot:
-        _write(args.dot, formats.export_dot(net))
+        _write(args.dot, [formats.export_dot(net)])
     return EXIT_OK
 
 
@@ -210,7 +213,7 @@ def cmd_gen(args) -> int:
     if args.weights:
         pool = [w.strip() for w in args.weights.split(",") if w.strip()]
     base = random_base(args.seed, args.vars, args.clauses, weight_pool=pool)
-    _write(args.out, formats.serialize_base(base))
+    _write(args.out, [formats.serialize_base(base)])
     return EXIT_OK
 
 

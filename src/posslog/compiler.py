@@ -35,7 +35,8 @@ from .marginalize import marginal_base
 from .model import ONE, Literal, Var, WeightedBase
 from .network import CPT, Network
 from .normalize import remove_subsumed, remove_tautologies, to_clausal
-from .semantics import _levels, certainty_degree, inconsistency_degree
+from .semantics import _levels, inconsistency_degree
+from .semantics import certainty_degree  # not called here; bench/tracing.py wraps it here
 
 # Most cells a node's table may have: 2 per parent instantiation, so at most
 # 19 parents. `parse_network` holds every node it reads to the same cap.
@@ -83,57 +84,76 @@ def immediate_parents(b: WeightedBase, var: Var) -> frozenset[Var]:
     return frozenset(out)
 
 
+def _walk(levels, var: Var, steps, standing: int = -1):
+    """Yields the context of each instantiation of `var`'s parents, depth
+    first, False first and first parent most significant: the i-th is
+    column i. Per parent, `steps` holds its False literal, the mask of the
+    candidate clauses holding it, then the same for its True literal. Each
+    context comes with the candidates of `standing` holding no chosen
+    literal; a branch where none stands is cut. One `narrow` per step, so
+    at most one context per parent is alive besides the one yielded. A
+    table over `MAX_CPT_CELLS` cells raises `ResourceCapError` at once.
+    """
+    cells = 2 << len(steps)
+    if cells > MAX_CPT_CELLS:
+        raise ResourceCapError(
+            f"the table of {var} would have {cells} cells,"
+            f" more than the cap of {MAX_CPT_CELLS}"
+        )
+    narrow = levels.narrow
+    stack = [(levels.condition(), standing, 0)] if standing else []
+    while stack:
+        ctx, standing, j = stack.pop()
+        # Follow False down to a leaf, leaving each True branch on the stack.
+        while j < len(steps):
+            neg, neg_holding, pos, pos_holding = steps[j]
+            j += 1
+            left = standing & ~pos_holding
+            if left:
+                stack.append((narrow(ctx, pos), left, j))
+            standing &= ~neg_holding
+            if not standing:
+                break
+            ctx = narrow(ctx, neg)
+        else:
+            yield ctx, standing
+
+
 def hidden_parent_closure(
     b: WeightedBase, var: Var, seed: Iterable[Var]
 ) -> frozenset[Var]:
     """Grow `seed` until no parent instantiation exposes an influencing
     clause (see the module docstring for the rule and its rationale).
     Instantiations are swept in variable-name order, so runs are
-    reproducible.
-
-    A clause survives an instantiation unless it holds one of the chosen
-    literals, so each clause that could bring a fresh parent is kept as two
-    masks over the swept parents: the bits an instantiation must set and
-    the bits it must clear for the clause to survive.
+    reproducible. A candidate clause, one that could bring a fresh parent,
+    falls once it holds a chosen literal. The node is derivable in a
+    context when either node literal moves its degree: its column is not
+    (1, 1).
     """
-    if not b.is_clausal:
-        raise DomainError("hidden_parent_closure requires a clausal base")
-    node = (Literal(var, True), Literal(var, False))
-    parents = set(seed)
-    parents.discard(var)
+    levels = _levels(b, "hidden_parent_closure")
+    degrees, level, narrow = levels.degrees, levels.level, levels.narrow
+    node = (Literal(var, False), Literal(var, True))
+    parents = set(seed) - {var}
     while True:
-        swept = sorted(parents)
-        bit = {v: 1 << (len(swept) - 1 - j) for j, v in enumerate(swept)}
         candidates = []
+        holding: dict[Literal, int] = {}
         for c, _ in b.entries:
             variables = c.variables
             if var in variables or variables <= parents:
                 continue
-            must = clear = 0
             for lit in c.literals:
-                if lit.var in bit:
-                    if lit.positive:
-                        clear |= bit[lit.var]
-                    else:
-                        must |= bit[lit.var]
-            candidates.append((must, clear, variables))
-        grew = False
-        # Instantiation i gives swept[j] the value of bit len(swept)-1-j of
-        # i: the order of product((False, True), repeat=len(swept)).
-        for i in range(1 << len(swept)):
-            fresh: set[Var] = set()
-            for must, clear, variables in candidates:
-                if i & must == must and not i & clear:
-                    fresh |= variables
-            if not fresh:
-                continue
-            context = [Literal(v, bool(i & bit[v])) for v in swept]
-            if all(certainty_degree(b, x, context) == 0 for x in node):
-                continue
-            parents |= fresh
-            grew = True
-            break
-        if not grew:
+                holding[lit] = holding.get(lit, 0) | 1 << len(candidates)
+            candidates.append(variables)
+        pairs = [(Literal(p, False), Literal(p, True)) for p in sorted(parents)]
+        steps = [(n, holding.get(n, 0), p, holding.get(p, 0)) for n, p in pairs]
+        for ctx, standing in _walk(levels, var, steps, (1 << len(candidates)) - 1):
+            h = degrees[level(ctx)]
+            if any(degrees[level(narrow(ctx, x))] != h for x in node):
+                for i, candidate in enumerate(candidates):
+                    if standing >> i & 1:
+                        parents |= candidate
+                break
+        else:
             return frozenset(parents)
 
 
@@ -164,28 +184,22 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     """The full conditional table of `var` given `parents`, one column per
     parent instantiation, both polarities per column.
 
-    Each column's context is grown from the previous parents' contexts one
-    parent at a time (on the bitset path: one AND with the parent's truth
-    table), so h is asked once per column and h' once per polarity. The
-    answers are level indices, and the few distinct pairs of them share
-    one exact division each.
+    Column i is the i-th context of `_walk` (on the bitset path each step
+    is one AND with the parent's truth table), so h is asked once per
+    column and h' once per polarity. The answers are level indices, and
+    the few distinct pairs of them share one exact division each.
     """
     parents = tuple(parents)
     levels = _levels(b, "cpt_for")
-    # Context i is column i: parent assignment i read in binary, first
-    # parent most significant.
-    contexts = [levels.condition()]
-    for p in parents:
-        values = (Literal(p, False), Literal(p, True))
-        contexts = [levels.narrow(c, lit) for c in contexts for lit in values]
+    steps = [(Literal(p, False), 0, Literal(p, True), 0) for p in parents]
     node = (Literal(var, False), Literal(var, True))
     columns: tuple[list[Fraction], list[Fraction]] = ([], [])
-    degrees = levels.degrees
+    degrees, level, narrow = levels.degrees, levels.level, levels.narrow
     ratios: dict[tuple[int, int], Fraction] = {}
-    for ctx in contexts:
-        h = levels.level(ctx)
+    for ctx, _ in _walk(levels, var, steps):
+        h = level(ctx)
         for x, column in zip(node, columns):
-            key = (h, levels.level(levels.narrow(ctx, x)))
+            key = (h, level(narrow(ctx, x)))
             ratio = ratios.get(key)
             if ratio is None:
                 ratio = ratios[key] = _conditional(degrees[key[0]], degrees[key[1]])
@@ -214,7 +228,7 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     iteration starts. Each stage computes the node's parents and table
     from the current base, then forgets the variable. A node whose table
     would have more than `MAX_CPT_CELLS` cells raises `ResourceCapError`
-    before the table is built.
+    before its parent instantiations are swept.
     """
     ordering = Ordering.of(ordering)
     ordering.validate_for(b.variables)
@@ -224,12 +238,6 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
         raise InconsistentBaseError(inc)
     for i, var in enumerate(ordering.sequence):
         parents = hidden_parent_closure(stage, var, immediate_parents(stage, var))
-        cells = 2 << len(parents)
-        if cells > MAX_CPT_CELLS:
-            raise ResourceCapError(
-                f"the table of {var} would have {cells} cells,"
-                f" more than the cap of {MAX_CPT_CELLS}"
-            )
         cpt = cpt_for(stage, var, sorted(parents, key=ordering.position))
         stage_entries = len(stage)
         stage = marginal_base(stage, var)

@@ -16,6 +16,7 @@ import json
 import re
 import warnings
 from fractions import Fraction
+from typing import Iterator
 
 from . import compiler
 from .errors import DomainError, NetworkSchemaError, ParseError
@@ -279,39 +280,53 @@ def _json_list(items: list[str], indent: str) -> str:
 
 def serialize_network(n: Network) -> str:
     """Canonical JSON for a network; parse_network inverts it exactly and
-    re-serialization is byte-identical.
+    re-serialization is byte-identical. The text is the concatenation of
+    `network_pieces`."""
+    return "".join(network_pieces(n))
+
+
+def network_pieces(n: Network) -> Iterator[str]:
+    """The text of `serialize_network`, a piece at a time: one piece per
+    CPT column and a few per node, so that a writer never holds the whole
+    text.
 
     The text is what `json.dumps(doc, indent=2, sort_keys=True)` gives for
     the document {"nodes": [{"cpt": [{"assignment": {parent: value},
     "polarity": ..., "weight": "p/q"}], "parents": [...], "var": ...}],
     "ordering": [...]}, written directly: with an indent, json falls back
     to its pure-Python encoder. Names match `[A-Za-z][A-Za-z0-9_]*` and
-    weights are `p/q`, so no string needs escaping.
+    weights are `p/q`, so no string needs escaping. A table always has a
+    column, so no cell list is empty.
     """
-    nodes = []
+    yield '{\n  "nodes": [' if n.nodes else '{\n  "nodes": []'
+    node_sep = "\n    "
     for cpt in n.nodes:
         names = [p.name for p in cpt.parents]
         by_name = sorted(range(len(names)), key=names.__getitem__)
-        cells = []
+        yield f'{node_sep}{{\n      "cpt": [\n        '
+        node_sep = ",\n    "
+        cell_sep = ""
         for assignment, neg, pos in cpt.columns():
             fields = ",\n".join(
                 f'            "{names[j]}": {_JSON_BOOL[assignment[j]]}' for j in by_name
             )
             text = f"{{\n{fields}\n          }}" if names else "{}"
-            for polarity, weight in ((False, neg), (True, pos)):
-                cells.append(
-                    f'{{\n          "assignment": {text},'
-                    f'\n          "polarity": {_JSON_BOOL[polarity]},'
-                    f'\n          "weight": "{_weight_text(weight)}"\n        }}'
-                )
+            yield (
+                f'{cell_sep}{{\n          "assignment": {text},'
+                f'\n          "polarity": false,'
+                f'\n          "weight": "{_weight_text(neg)}"\n        }},'
+                f'\n        {{\n          "assignment": {text},'
+                f'\n          "polarity": true,'
+                f'\n          "weight": "{_weight_text(pos)}"\n        }}'
+            )
+            cell_sep = ",\n        "
         parents = _json_list([f'"{name}"' for name in names], "      ")
-        nodes.append(
-            f'{{\n      "cpt": {_json_list(cells, "      ")},'
-            f'\n      "parents": {parents},'
+        yield (
+            f'\n      ],\n      "parents": {parents},'
             f'\n      "var": "{cpt.var.name}"\n    }}'
         )
     ordering = _json_list([f'"{v.name}"' for v in n.variables], "  ")
-    return f'{{\n  "nodes": {_json_list(nodes, "  ")},\n  "ordering": {ordering}\n}}\n'
+    yield ("\n  ]," if n.nodes else ",") + f'\n  "ordering": {ordering}\n}}\n'
 
 
 def _schema_fail(message: str):

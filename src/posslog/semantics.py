@@ -435,11 +435,6 @@ class _Levels:
         return self.degrees[self.level(self.condition(context))]
 
 
-def _require_clausal(b: WeightedBase, op: str) -> None:
-    if not b.is_clausal:
-        raise DomainError(f"{op} requires a clausal base; run to_clausal first")
-
-
 def _levels(b: WeightedBase, op: str) -> _Levels:
     """The weight levels of a clausal base, highest first.
 
@@ -450,7 +445,8 @@ def _levels(b: WeightedBase, op: str) -> _Levels:
     """
     levels = b._levels
     if levels is None:
-        _require_clausal(b, op)
+        if not b.is_clausal:
+            raise DomainError(f"{op} requires a clausal base; run to_clausal first")
         by_weight: dict[Fraction, list[Clause]] = {}
         for c, w in b.entries:
             by_weight.setdefault(w, []).append(c)
@@ -505,18 +501,13 @@ def necessity(b: WeightedBase, f: Formula) -> Fraction:
     return ONE - possibility(b, Not(f))
 
 
-def certainty_degree(
-    b: WeightedBase, lit: Literal, context: Iterable[Literal] = ()
-) -> Fraction:
-    """Entailment degree of a literal, with the literals of `context` taken
-    as hard facts; defined for inconsistent bases too: the refutation level
-    counts only when it exceeds the inconsistency of the base under the
-    context, otherwise nothing genuinely supports the literal."""
+def certainty_degree(b: WeightedBase, lit: Literal) -> Fraction:
+    """Entailment degree of a literal; defined for inconsistent bases too:
+    the refutation level counts only when it exceeds the inconsistency of
+    the base, otherwise nothing genuinely supports the literal."""
     levels = _levels(b, "certainty_degree")
-    context = tuple(context)
-    base_inc = levels.inconsistency(context)
-    refute_inc = levels.inconsistency((*context, negate(lit)))
-    return refute_inc if refute_inc > base_inc else ZERO
+    refute_inc = levels.inconsistency((negate(lit),))
+    return refute_inc if refute_inc > levels.inconsistency() else ZERO
 
 
 # ---------------------------------------------------------------------------

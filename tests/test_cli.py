@@ -112,6 +112,22 @@ class TestCompile:
         assert "8 cells, more than the cap of 4" in captured.err
         assert not out.exists()
 
+    def test_over_cap_node_exits_2_before_sweeping(self, tmp_path, capsys):
+        # x has 40 parents; the closure used to sweep their 2^40
+        # instantiations before the table cap was checked.
+        path = tmp_path / "wide.base"
+        ys = " | ".join(f"y{i}" for i in range(40))
+        path.write_text(f"1/2: x | {ys}\n1/3: !y0 | z\n")
+        code = main(["compile", str(path), "-o", str(tmp_path / "n.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "more than the cap of" in captured.err
+
+    def test_stdout_is_the_serialized_network(self, weather_file, capsys):
+        assert main(["compile", weather_file]) == 0
+        expected = compile_network(parse_base(WEATHER_TEXT), (SE, WI, SU))
+        assert capsys.readouterr().out == serialize_network(expected)
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin.base"
         path.write_bytes(b"\xff\xfe1/2: a\n")

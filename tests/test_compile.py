@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -35,9 +36,9 @@ from posslog import (
     unit,
     verify_compilation,
 )
-from posslog import compiler
+from posslog import compiler, oracle, parse_base, semantics
 from posslog.compiler import StageSummary
-from posslog.model import ONE
+from posslog.model import ONE, negate
 
 from helpers import (
     A1,
@@ -138,6 +139,35 @@ class TestHiddenParentClosure:
                     b, var, seed
                 )
 
+    def test_equals_mask_closure(self, solver_path):
+        # Bases of up to 10 variables, some with an empty clause; seeds may
+        # hold variables off the universe.
+        rng = random.Random(53)
+        outside = Var("o1")
+        for _ in range(300):
+            b = remove_tautologies(
+                random_clausal_base(rng, rng.randint(1, 10), rng.randint(1, 14))
+            )
+            if rng.random() < 0.1:
+                b = b.extended([(Clause(), rng.choice((F(1, 5), F(1, 2))))])
+            for var in rng.sample(b.variables, min(3, len(b.variables))):
+                seed = immediate_parents(b, var)
+                if rng.random() < 0.3:
+                    seed |= {rng.choice(b.variables), outside}
+                assert hidden_parent_closure(b, var, seed) == mask_closure(
+                    b, var, seed
+                ), (b, var, seed)
+
+    def test_over_cap_seed_raises_before_sweeping(self):
+        # x's clause gives it 40 parents; !y0 | z would make the closure
+        # sweep all 2^40 instantiations before it found no hidden parent.
+        ys = " | ".join(f"y{i}" for i in range(40))
+        b = parse_base(f"1/2: x | {ys}\n1/3: !y0 | z\n")
+        with pytest.raises(ResourceCapError, match="x would have 2199023255552 cells"):
+            compile_network(b, b.variables)
+        with pytest.raises(ResourceCapError):
+            hidden_parent_closure(b, Var("x"), immediate_parents(b, Var("x")))
+
 
 class TestConditionalPossibility:
     def test_weather_golden(self, weather):
@@ -180,6 +210,26 @@ class TestCptFor:
         for assignment, negative, positive in cpt.columns():
             assert positive == expected_pos.get(assignment, F(1))
             assert negative == expected_neg.get(assignment, F(1))
+
+    def test_checks_the_cap_first(self, weather, monkeypatch):
+        monkeypatch.setattr(compiler, "MAX_CPT_CELLS", 4)
+        with pytest.raises(ResourceCapError, match="se would have 8 cells"):
+            cpt_for(weather, SE, (WI, SU))
+
+    def test_holds_one_context_per_parent(self):
+        # 2^13 columns over 2^14 worlds: the breadth-first sweep held every
+        # column's 2 KB world mask at once, about 16 MB.
+        b = oracle.random_base(3, 14, 28, require_consistent=False)
+        var, *parents = b.variables
+        inconsistency_degree(b)  # encodes the weight levels
+        tracemalloc.start()
+        try:
+            cpt = cpt_for(b, var, parents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cpt.neg) == 1 << 13
+        assert peak < 4 << 20
 
 
 class TestCompileNetwork:
@@ -298,6 +348,54 @@ def instantiated_closure(b, var, seed):
                 parents |= fresh
                 grew = True
                 break
+        if not grew:
+            return frozenset(parents)
+
+
+def mask_closure(b, var, seed):
+    """The closure as it swept before the depth-first walk: every
+    instantiation by its index, with per-candidate masks of the bits it
+    must set and clear, and the node's certainty under each context."""
+
+    def certainty(lit, context):
+        levels = semantics._levels(b, "mask_closure")
+        base_inc = levels.inconsistency(context)
+        refute_inc = levels.inconsistency((*context, negate(lit)))
+        return refute_inc if refute_inc > base_inc else 0
+
+    node = (Literal(var, True), Literal(var, False))
+    parents = set(seed)
+    parents.discard(var)
+    while True:
+        swept = sorted(parents)
+        bit = {v: 1 << (len(swept) - 1 - j) for j, v in enumerate(swept)}
+        candidates = []
+        for c, _ in b.entries:
+            variables = c.variables
+            if var in variables or variables <= parents:
+                continue
+            must = clear = 0
+            for lit in c.literals:
+                if lit.var in bit:
+                    if lit.positive:
+                        clear |= bit[lit.var]
+                    else:
+                        must |= bit[lit.var]
+            candidates.append((must, clear, variables))
+        grew = False
+        for i in range(1 << len(swept)):
+            fresh = set()
+            for must, clear, variables in candidates:
+                if i & must == must and not i & clear:
+                    fresh |= variables
+            if not fresh:
+                continue
+            context = [Literal(v, bool(i & bit[v])) for v in swept]
+            if all(certainty(x, context) == 0 for x in node):
+                continue
+            parents |= fresh
+            grew = True
+            break
         if not grew:
             return frozenset(parents)
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -32,7 +33,7 @@ from posslog import (
     serialize_network,
 )
 from posslog import compiler
-from posslog.io import MAX_NESTING, NormalizationWarning, render_formula
+from posslog.io import MAX_NESTING, NormalizationWarning, network_pieces, render_formula
 
 import helpers
 from helpers import (
@@ -591,6 +592,21 @@ class TestNetworkWriter:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NormalizationWarning)
             assert parse_network(text) == net
+
+    def test_pieces_hold_one_column_at_a_time(self):
+        parents = tuple(Var(f"p{i:02d}") for i in range(12))
+        degrees = [F(1), F(1, 3)] * (1 << 11)
+        roots = [CPT._from_columns(p, (), [F(1)], [F(1)]) for p in parents]
+        net = Network([CPT._from_columns(X, parents, degrees, degrees[::-1]), *roots])
+        text = serialize_network(net)
+        tracemalloc.start()
+        try:
+            length = sum(len(piece) for piece in network_pieces(net))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert length == len(text)
+        assert peak < len(text) // 4
 
 
 def _tokenize_dot(text: str):

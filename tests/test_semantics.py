@@ -405,37 +405,6 @@ class TestCertaintyDegree:
         )
         assert certainty_degree(b, pos(A1)) == 0
 
-    @pytest.mark.parametrize("path", ["bitset", "dpll"])
-    def test_context_equals_hard_units(self, path, monkeypatch):
-        # Contexts may contradict themselves (y, !y) and may hold literals
-        # outside the base's universe.
-        def hard_unit_certainty(b, lit, context):
-            with_context = b.extended([(unit(x), F(1)) for x in context])
-            base_inc = inconsistency_degree(with_context)
-            refute_inc = inconsistency_degree(
-                with_context.extended([(unit(negate(lit)), F(1))])
-            )
-            return refute_inc if refute_inc > base_inc else 0
-
-        if path == "dpll":
-            monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
-        rng = random.Random(47)
-        outside = (Var("o1"), Var("o2"))
-        for _ in range(300):
-            b = random_clausal_base(rng, rng.randint(1, 5), rng.randint(1, 9))
-            pool = b.variables + outside
-            for _ in range(4):
-                context = [
-                    Literal(rng.choice(pool), rng.random() < 0.5)
-                    for _ in range(rng.randint(0, 3))
-                ]
-                if rng.random() < 0.2:
-                    v = rng.choice(pool)
-                    context += [pos(v), neg(v)]
-                lit = Literal(rng.choice(pool), rng.random() < 0.5)
-                assert certainty_degree(b, lit, context) == hard_unit_certainty(
-                    b, lit, context
-                ), (b, lit, context)
 
 class TestBaseOfDistribution:
     def test_all_ones_gives_empty_base(self):
