@@ -1,14 +1,15 @@
 """Command line surface.
 
 Exit codes: 0 success (or verification pass), 1 verification mismatch,
-2 usage, syntax, schema or resource error, 3 inconsistent base. Standard
-output carries only the result payload; progress and summaries go to
-standard error.
+2 usage, syntax, schema or resource error or a failed write to standard
+output, 3 inconsistent base. Standard output carries only the result
+payload; progress and summaries go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -277,12 +278,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InconsistentBaseError as exc:
         print(f"error: Inc = {exc.degree}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except PosslogError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # Every file a command opens reports its own errors, so this is
+        # standard output failing: a closed pipe or a full device. Its
+        # descriptor goes to devnull, so that the flush at exit is quiet.
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

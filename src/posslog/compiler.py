@@ -204,7 +204,7 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
             if ratio is None:
                 ratio = ratios[key] = _conditional(degrees[key[0]], degrees[key[1]])
             column.append(ratio)
-    return CPT._from_columns(var, parents, *columns)
+    return CPT(var, parents, *columns)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .model import (
     negate,
     vars_of,
 )
-from .network import CPT, Network, check_normalization
+from .network import CPT, Network, _column, check_normalization
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+/\d+|\d*\.\d+|\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
@@ -381,15 +381,19 @@ def parse_network(text: str) -> Network:
             parent_vars = tuple(Var(p) for p in parents)
         except (DomainError, TypeError) as exc:
             raise NetworkSchemaError(f"bad node naming: {exc}") from exc
-        if 2 << len(parent_vars) > compiler.MAX_CPT_CELLS:
+        size = 2 << len(parent_vars)
+        if size > compiler.MAX_CPT_CELLS:
             _schema_fail(
-                f"the table of {name} would have {2 << len(parent_vars)} cells,"
+                f"the table of {name} would have {size} cells,"
                 f" more than the cap of {compiler.MAX_CPT_CELLS}"
             )
-        table = {}
         parent_names = {p.name for p in parent_vars}
         if not isinstance(cells, list):
             _schema_fail(f"cpt of {name} must be a list")
+        if len(cells) != size:
+            _schema_fail(f"table for {name} must define exactly {size} cells")
+        # With the count right, a table with no cell given twice is complete.
+        columns = ([None] * (size >> 1), [None] * (size >> 1))
         for cell in cells:
             if not isinstance(cell, dict):
                 _schema_fail(f"cpt cell of {name} must be an object")
@@ -413,12 +417,12 @@ def parse_network(text: str) -> Network:
                     weight = parsed[weight_text] = _cell_weight(weight_text, name)
             else:
                 weight = _cell_weight(weight_text, name)
-            key = (assignment, polarity)
-            if key in table:
+            column, i = columns[polarity], _column(assignment)
+            if column[i] is not None:
                 _schema_fail(f"duplicate cpt cell in {name}")
-            table[key] = weight
+            column[i] = weight
         try:
-            cpt = CPT(var, parent_vars, table)
+            cpt = CPT(var, parent_vars, *columns)
         except DomainError as exc:
             raise NetworkSchemaError(str(exc)) from exc
         if var.name in by_name:

@@ -58,8 +58,9 @@ def instantiate(b: WeightedBase, *literals: Literal) -> WeightedBase:
     codec, encoded, weights = _encoded(b)
     chosen = dropped = 0
     for lit in by_var.values():
-        chosen |= codec.bits[lit]
-        dropped |= codec.bits[negate(lit)]
+        # A variable no clause mentions has no bits and changes no clause.
+        chosen |= codec.bits.get(lit, 0)
+        dropped |= codec.bits.get(negate(lit), 0)
     conditioned = _condition(encoded, chosen, dropped)
     return WeightedBase(
         [(codec.decode(c), weights[r]) for c, r in conditioned],
@@ -83,8 +84,8 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
     if var not in b.variables:
         raise DomainError(f"variable {var} not in the base universe")
     codec, encoded, weights = _encoded(b)
-    x = codec.bits[Literal(var, True)]
-    not_x = codec.bits[Literal(var, False)]
+    x = codec.bits.get(Literal(var, True), 0)
+    not_x = codec.bits.get(Literal(var, False), 0)
     neg = _condition(encoded, not_x, x)
     cross = []
     for c1, r1 in _condition(encoded, x, not_x):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import DomainError, NetworkSchemaError
 from .model import Distribution, Interpretation, Var, as_weight, interpretations
@@ -36,11 +36,11 @@ class CPT:
     The table is two columns of degrees, `neg[i]` = Π(¬x | u) and
     `pos[i]` = Π(x | u), where column i is the parent assignment u that
     reads i in binary, first parent most significant: the order of
-    product((False, True), repeat=len(parents)). `table` maps each
-    (assignment, polarity) to its degree, as a mapping or as an iterable of
-    pairs. Completeness (all 2^|parents| x 2 cells) is enforced; the
-    normalization condition is audited separately by `check_normalization`
-    so that imperfect tables can still be loaded and inspected.
+    product((False, True), repeat=len(parents)). Each column must hold
+    2^|parents| degrees; a degree that is not a `Fraction` is read by
+    `as_weight`. The normalization condition is audited separately by
+    `check_normalization` so that imperfect tables can still be loaded and
+    inspected.
     """
 
     var: Var
@@ -48,47 +48,21 @@ class CPT:
     neg: tuple[Fraction, ...]
     pos: tuple[Fraction, ...]
 
-    def __init__(self, var: Var, parents: Iterable[Var], table):
-        parents = tuple(parents)
-        size = 2 << len(parents)
-        items = table.items() if isinstance(table, Mapping) else list(table)
-        # Fewer items than cells cannot fill the table, so a long parent
-        # list with a few cells is refused before its columns are allocated.
-        if len(items) < size:
-            raise DomainError(f"table for {var} must define exactly {size} cells")
-        columns = ([None] * (size >> 1), [None] * (size >> 1))
-        filled = 0
-        for (assignment, polarity), weight in items:
-            assignment = tuple(assignment)
-            if len(assignment) != len(parents):
-                raise DomainError(f"assignment {assignment} of {var} has the wrong length")
-            if not isinstance(weight, Fraction):
-                weight = as_weight(weight)
-            column, i = columns[bool(polarity)], _column(assignment)
-            filled += column[i] is None
-            column[i] = weight
-        if filled != size:
-            raise DomainError(f"table for {var} must define exactly {size} cells")
-        self._store(var, parents, *columns)
-
-    @classmethod
-    def _from_columns(cls, var: Var, parents: tuple[Var, ...], neg, pos) -> "CPT":
-        """A table given as its two columns in column-number order."""
-        cpt = cls.__new__(cls)
-        cpt._store(var, parents, neg, pos)
-        return cpt
-
-    def _store(self, var, parents, neg, pos) -> None:
+    def __post_init__(self) -> None:
+        var, parents = self.var, tuple(self.parents)
         if var in parents:
             raise DomainError(f"{var} cannot be its own parent")
         if len(set(parents)) != len(parents):
             raise DomainError("duplicate parent")
+        neg, pos = (
+            tuple(w if isinstance(w, Fraction) else as_weight(w) for w in column)
+            for column in (self.neg, self.pos)
+        )
         if not len(neg) == len(pos) == 1 << len(parents):
             raise DomainError(f"columns of {var} must hold {1 << len(parents)} degrees")
-        object.__setattr__(self, "var", var)
         object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "neg", tuple(neg))
-        object.__setattr__(self, "pos", tuple(pos))
+        object.__setattr__(self, "neg", neg)
+        object.__setattr__(self, "pos", pos)
 
     @property
     def cells(self) -> tuple[Cell, ...]:

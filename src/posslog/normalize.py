@@ -73,12 +73,13 @@ def remove_subsumed(b: WeightedBase) -> WeightedBase:
 
 
 def _encoded(b: WeightedBase) -> tuple[_ClauseBits, list[tuple[int, int]], list]:
-    """The entries of a clausal base as integer clauses over its universe,
-    each with the rank of its weight: rank r stands for `weights[r]`, and
-    ranks order as the weights do. Rank 0 is unused, so that every rank is
-    positive, as `_merged` needs. Ranks compare as plain ints, where
-    weights would compare as `Fraction`s."""
-    codec = _ClauseBits(b.variables)
+    """The entries of a clausal base as integer clauses over the variables
+    they mention, each with the rank of its weight: rank r stands for
+    `weights[r]`, and ranks order as the weights do. Rank 0 is unused, so
+    that every rank is positive, as `_merged` needs. Ranks compare as plain
+    ints, where weights would compare as `Fraction`s. A universe variable
+    no entry mentions costs nothing, since it gets no bits."""
+    codec = _ClauseBits({lit.var for c, _ in b.entries for lit in c.literals})
     weights = [ZERO, *sorted({w for _, w in b.entries})]
     rank = {w: r for r, w in enumerate(weights)}
     return codec, [(codec.encode(c), rank[w]) for c, w in b.entries], weights

@@ -148,9 +148,13 @@ def random_base(
     """Deterministic pseudorandom clausal base: clause length 1 to 3 over
     distinct variables (so no tautologies), weights drawn from the pool.
     With `require_consistent`, regenerates until the distribution is
-    normalized, within a bounded retry budget."""
+    normalized, within a bounded retry budget, and refuses a universe that
+    check cannot enumerate before building it."""
     if n_vars < 1:
         raise DomainError("need at least one variable")
+    if require_consistent and n_vars > DEFAULT_ENUMERATION_CAP:
+        cap = DEFAULT_ENUMERATION_CAP
+        raise ResourceCapError(f"{n_vars} variables exceed the enumeration cap of {cap}")
     rng = random.Random(seed)
     variables = tuple(Var(f"v{i + 1}") for i in range(n_vars))
     pool = [as_weight(w) for w in weight_pool]

@@ -1,8 +1,15 @@
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import posslog
 from posslog import (
     CPT,
     compiler,
@@ -290,7 +297,7 @@ class TestVerify:
     def test_all_ones_network_fails(self, weather_file, tmp_path, capsys):
         flat = Network(
             [
-                CPT(v, (), {((), True): F(1), ((), False): F(1)})
+                CPT(v, (), [F(1)], [F(1)])
                 for v in (SE, WI, SU)
             ]
         )
@@ -324,12 +331,59 @@ class TestVerify:
         assert "more than the cap of 4" in captured.err
 
     def test_universe_mismatch_exits_2(self, weather_file, tmp_path, capsys):
-        other = Network([CPT(SU, (), {((), True): F(1), ((), False): F(1)})])
+        other = Network([CPT(SU, (), [F(1)], [F(1)])])
         net_path = tmp_path / "other.json"
         net_path.write_text(serialize_network(other))
         code = main(["verify", weather_file, str(net_path)])
         capsys.readouterr()
         assert code == 2
+
+
+class TestStandardOutput:
+    COMMANDS = (["compile"], ["query", "pi", "se"], ["marginalize", "se"])
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            BrokenPipeError(errno.EPIPE, "Broken pipe"),
+            OSError(errno.ENOSPC, "No space left on device"),
+        ],
+        ids=["broken-pipe", "full-device"],
+    )
+    def test_failed_write_exits_2(self, weather_file, capsys, monkeypatch, error):
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise error
+
+        monkeypatch.setattr(sys, "stdout", Failing())
+        for command, *rest in self.COMMANDS:
+            assert main([command, weather_file, *rest]) == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: cannot write standard output: {error}\n")
+            assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device_exits_2(self, weather_file):
+        # Buffered, as stdout to a file is by default, the output fails
+        # only when flushed.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(posslog.__file__).parents[1])
+        for command, *rest in self.COMMANDS:
+            with open("/dev/full", "w") as full:
+                run = subprocess.run(
+                    [sys.executable, "-m", "posslog.cli", command, weather_file, *rest],
+                    stdout=full,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    env=env,
+                    timeout=60,
+                )
+            assert run.returncode == 2, run.stderr
+            assert run.stderr.endswith(
+                "error: cannot write standard output:"
+                " [Errno 28] No space left on device\n"
+            )
+            assert "Traceback" not in run.stderr
 
 
 class TestGen:
@@ -358,6 +412,7 @@ class TestGen:
         [
             ["--vars", "1", "--clauses", "50"],  # GenerationError
             ["--vars", "22", "--clauses", "5"],  # ResourceCapError
+            ["--vars", "1000000000", "--clauses", "5"],  # refused before building
         ],
     )
     def test_unsatisfiable_request_exits_2(self, tmp_path, capsys, size):

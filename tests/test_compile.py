@@ -36,7 +36,7 @@ from posslog import (
     unit,
     verify_compilation,
 )
-from posslog import compiler, oracle, parse_base
+from posslog import compiler, normalize, oracle, parse_base
 from posslog.compiler import StageSummary
 from posslog.model import ONE
 
@@ -266,6 +266,25 @@ class TestCompileNetwork:
         with pytest.raises(ResourceCapError, match="se would have 8 cells"):
             compile_network(weather, (SE, WI, SU))
 
+    def test_codecs_span_only_mentioned_variables(self, monkeypatch):
+        # 198 of the 200 universe variables occur in no clause; a codec
+        # over all of them would make every stage cost time linear in the
+        # universe.
+        spans = []
+
+        class Recording(normalize._ClauseBits):
+            def __init__(self, universe):
+                universe = tuple(universe)
+                spans.append(len(universe))
+                super().__init__(universe)
+
+        monkeypatch.setattr(normalize, "_ClauseBits", Recording)
+        universe = tuple(Var(f"a{i}") for i in range(200))
+        b = WeightedBase([(clause(pos(universe[0]), pos(universe[1])), F(1, 2))], universe)
+        net = compile_network(b, universe)
+        assert net.nodes[0].parents == (universe[1],)
+        assert spans and max(spans) == 2
+
     def test_formula_entries_are_clausalized_first(self):
         from posslog import And
 
@@ -339,16 +358,18 @@ def hard_unit_network(b, ordering):
     for var in ordering:
         parents = instantiated_closure(stage, var, immediate_parents(stage, var))
         parents = sorted(parents, key=list(ordering).index)
-        table = {
-            (assignment, polarity): hard_unit_conditional(
-                stage,
-                Literal(var, polarity),
-                [Literal(p, v) for p, v in zip(parents, assignment)],
-            )
-            for assignment in product((False, True), repeat=len(parents))
+        columns = [
+            [
+                hard_unit_conditional(
+                    stage,
+                    Literal(var, polarity),
+                    [Literal(p, v) for p, v in zip(parents, assignment)],
+                )
+                for assignment in product((False, True), repeat=len(parents))
+            ]
             for polarity in (False, True)
-        }
-        nodes.append(CPT(var, parents, table))
+        ]
+        nodes.append(CPT(var, parents, *columns))
         stage = marginal_base(stage, var)
     return Network(nodes)
 
@@ -407,16 +428,18 @@ class TestLevelKernel:
             var = rng.choice(b.variables + (Var("o1"),))
             pool = [v for v in b.variables + (Var("o2"),) if v != var]
             parents = rng.sample(pool, rng.randint(0, min(4, len(pool))))
-            table = {
-                (assignment, polarity): conditional_possibility(
-                    b,
-                    Literal(var, polarity),
-                    [Literal(p, v) for p, v in zip(parents, assignment)],
-                )
-                for assignment in product((False, True), repeat=len(parents))
+            columns = [
+                [
+                    conditional_possibility(
+                        b,
+                        Literal(var, polarity),
+                        [Literal(p, v) for p, v in zip(parents, assignment)],
+                    )
+                    for assignment in product((False, True), repeat=len(parents))
+                ]
                 for polarity in (False, True)
-            }
-            assert cpt_for(b, var, parents) == CPT(var, parents, table), (
+            ]
+            assert cpt_for(b, var, parents) == CPT(var, parents, *columns), (
                 b, var, parents,
             )
 

@@ -4,7 +4,6 @@ import re
 import tracemalloc
 import warnings
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -244,7 +243,7 @@ class TestNetworkJson:
         assert serialize_network(parse_network(text)) == text
 
     def test_single_root_document(self):
-        cpt = CPT(X, (), {((), True): F(1), ((), False): F(2, 3)})
+        cpt = CPT(X, (), [F(2, 3)], [F(1)])
         doc = json.loads(serialize_network(Network([cpt])))
         (node,) = doc["nodes"]
         assert node["parents"] == []
@@ -255,6 +254,16 @@ class TestNetworkJson:
         doc = json.loads(serialize_network(net))
         doc["nodes"][0]["cpt"].pop()
         with pytest.raises(NetworkSchemaError):
+            parse_network(json.dumps(doc))
+
+    def test_duplicate_cell_rejected(self, weather):
+        # The count is right, but the first cell is given twice and the
+        # last one not at all.
+        net = compile_network(weather, (SE, WI, SU))
+        doc = json.loads(serialize_network(net))
+        cells = doc["nodes"][0]["cpt"]
+        cells[-1] = cells[0]
+        with pytest.raises(NetworkSchemaError, match="duplicate cpt cell"):
             parse_network(json.dumps(doc))
 
     def test_cycle_rejected(self):
@@ -556,35 +565,29 @@ def networks(draw):
             if earlier
             else []
         )
-        table = {
-            (assignment, polarity): draw(weights)
-            for assignment in product((False, True), repeat=len(parents))
-            for polarity in (False, True)
-        }
-        nodes.append(CPT(Var(name), [Var(p) for p in parents], table))
+        neg, pos = [], []
+        for _ in range(1 << len(parents)):
+            neg.append(draw(weights))
+            pos.append(draw(weights))
+        nodes.append(CPT(Var(name), [Var(p) for p in parents], neg, pos))
     return Network(nodes)
 
 
 def _unsorted_parents_network():
     # z's parents are listed [y, b]: neither in name order nor in node order.
-    def table(k):
-        return {
-            (a, p): F(1, 3) if p else F(1)
-            for a in product((False, True), repeat=k)
-            for p in (False, True)
-        }
+    def node(var, parents):
+        columns = 1 << len(parents)
+        return CPT(var, parents, [F(1)] * columns, [F(1, 3)] * columns)
 
     b, y, z = Var("b"), Var("y"), Var("z")
-    return Network(
-        [CPT(z, (y, b), table(2)), CPT(b, (), table(0)), CPT(y, (b,), table(1))]
-    )
+    return Network([node(z, (y, b)), node(b, ()), node(y, (b,))])
 
 
 class TestNetworkWriter:
     @settings(max_examples=300, deadline=None)
     @given(networks())
     @example(Network([]))
-    @example(Network([CPT(X, (), {((), False): F(1), ((), True): F(0)})]))
+    @example(Network([CPT(X, (), [F(1)], [F(0)])]))
     @example(_unsorted_parents_network())
     def test_equals_json_reference_and_round_trips(self, net):
         text = serialize_network(net)
@@ -596,8 +599,8 @@ class TestNetworkWriter:
     def test_pieces_hold_one_column_at_a_time(self):
         parents = tuple(Var(f"p{i:02d}") for i in range(12))
         degrees = [F(1), F(1, 3)] * (1 << 11)
-        roots = [CPT._from_columns(p, (), [F(1)], [F(1)]) for p in parents]
-        net = Network([CPT._from_columns(X, parents, degrees, degrees[::-1]), *roots])
+        roots = [CPT(p, (), [F(1)], [F(1)]) for p in parents]
+        net = Network([CPT(X, parents, degrees, degrees[::-1]), *roots])
         text = serialize_network(net)
         tracemalloc.start()
         try:
@@ -634,7 +637,7 @@ class TestExportDot:
         assert '"su" -> "wi";' in dot
 
     def test_edgeless_network(self):
-        cpt = CPT(X, (), {((), True): F(1), ((), False): F(1)})
+        cpt = CPT(X, (), [F(1)], [F(1)])
         dot = export_dot(Network([cpt]))
         assert "->" not in dot
         assert '"x"' in dot

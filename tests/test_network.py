@@ -1,5 +1,4 @@
 import pickle
-import random
 from fractions import Fraction
 from itertools import product
 
@@ -23,13 +22,8 @@ F = Fraction
 
 
 def all_ones_cpt(var, parents=()):
-    table = {}
-    n = len(parents)
-    for i in range(1 << n):
-        assignment = tuple(bool((i >> (n - 1 - j)) & 1) for j in range(n))
-        table[(assignment, True)] = F(1)
-        table[(assignment, False)] = F(1)
-    return CPT(var, parents, table)
+    ones = [F(1)] * (1 << len(parents))
+    return CPT(var, parents, ones, ones)
 
 
 @pytest.fixture(scope="module")
@@ -39,32 +33,37 @@ def weather_net():
 
 class TestCPT:
     def test_requires_all_cells(self):
-        with pytest.raises(DomainError):
-            CPT(X, (Y,), {((True,), True): F(1)})
-        # Enough pairs, but one cell given twice and another not at all.
-        pairs = [(((a,), p), F(1)) for a in (False, True) for p in (False, True)]
-        with pytest.raises(DomainError):
-            CPT(X, (Y,), pairs[:-1] + pairs[:1])
-
-    def test_requires_one_value_per_parent(self):
-        # The right number of distinct cells, but two of them assign no
-        # parent and two assign two values to the single parent.
-        table = {
-            ((), False): F(1),
-            ((), True): F(1),
-            ((True, True), False): F(1),
-            ((True, True), True): F(1),
-        }
-        with pytest.raises(DomainError):
-            CPT(X, (Y,), table)
+        # Each column holds one degree per parent assignment: 2 for one parent.
+        for neg, pos in (([F(1)], [F(1), F(1)]), ([F(1)] * 3, [F(1)] * 3), ([], [])):
+            with pytest.raises(DomainError):
+                CPT(X, (Y,), neg, pos)
 
     def test_rejects_self_parent(self):
         with pytest.raises(DomainError):
-            CPT(X, (X,), {})
+            CPT(X, (X,), [F(1)] * 2, [F(1)] * 2)
 
     def test_rejects_duplicate_parent(self):
         with pytest.raises(DomainError):
-            CPT(X, (Y, Y), {})
+            CPT(X, (Y, Y), [F(1)] * 4, [F(1)] * 4)
+
+    def test_reads_degrees_as_weights(self):
+        cpt = CPT(X, (), ["2/3"], [1])
+        assert cpt.neg == (F(2, 3),) and cpt.pos == (F(1),)
+        assert all(type(w) is Fraction for w in (*cpt.neg, *cpt.pos))
+        for bad in (0.5, "3/2"):
+            with pytest.raises(DomainError):
+                CPT(X, (), [bad], [F(1)])
+
+    def test_stores_tuples(self):
+        listed = CPT(X, [Y], [F(1), F(1, 2)], [F(1, 3), F(1)])
+        tupled = CPT(X, (Y,), (F(1), F(1, 2)), (F(1, 3), F(1)))
+        assert (listed.parents, listed.neg, listed.pos) == (
+            (Y,),
+            (F(1), F(1, 2)),
+            (F(1, 3), F(1)),
+        )
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert CPT(X, (Y,), (F(1), F(1, 2)), (F(1, 3), F(1, 2))) != tupled
 
     def test_cell_lookup(self):
         cpt = all_ones_cpt(X, (Y,))
@@ -97,18 +96,7 @@ class TestCPTValue:
         assert rebuilt == weather_net and hash(rebuilt) == hash(weather_net)
         se, wi, su = weather_net.nodes
         assert len({se, wi, su, *rebuilt.nodes}) == 3
-        assert Network([su]) != Network([CPT(SU, (), {((), True): 1, ((), False): 1})])
-
-    def test_mapping_built_table_equals_compiled_one(self, weather_net):
-        rng = random.Random(5)
-        for cpt in weather_net.nodes:
-            pairs = [((assignment, p), w) for assignment, p, w in cpt.cells]
-            rng.shuffle(pairs)
-            for table in (dict(pairs), pairs, iter(pairs)):
-                built = CPT(cpt.var, cpt.parents, table)
-                assert built == cpt and hash(built) == hash(cpt)
-            (key, w), *rest = pairs
-            assert CPT(cpt.var, cpt.parents, [(key, w / 2), *rest]) != cpt
+        assert Network([su]) != Network([CPT(SU, (), [1], [1])])
 
     def test_cells_are_the_columns_in_order(self, weather_net):
         for cpt in weather_net.nodes:
@@ -172,7 +160,7 @@ class TestChainRule:
 
 class TestNetworkDistribution:
     def test_single_root_two_point(self):
-        cpt = CPT(X, (), {((), True): F(1), ((), False): F(2, 3)})
+        cpt = CPT(X, (), [F(2, 3)], [F(1)])
         d = network_distribution(Network([cpt]))
         assert d[Interpretation((X,), (True,))] == 1
         assert d[Interpretation((X,), (False,))] == F(2, 3)
@@ -186,7 +174,7 @@ class TestCheckNormalization:
         assert check_normalization(weather_net) == ()
 
     def test_violation_reported(self):
-        cpt = CPT(X, (), {((), True): F(1, 2), ((), False): F(2, 3)})
+        cpt = CPT(X, (), [F(2, 3)], [F(1, 2)])
         violations = check_normalization(Network([cpt]))
         assert len(violations) == 1
         assert violations[0].var == X

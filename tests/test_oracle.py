@@ -36,9 +36,7 @@ F = Fraction
 
 
 def all_ones_network(variables):
-    return Network(
-        [CPT(v, (), {((), True): F(1), ((), False): F(1)}) for v in variables]
-    )
+    return Network([CPT(v, (), [F(1)], [F(1)]) for v in variables])
 
 
 class TestEnumerateDistribution:
@@ -135,6 +133,13 @@ class TestRandomBase:
     def test_requires_positive_variable_count(self):
         with pytest.raises(DomainError):
             random_base(1, 0, 3)
+
+    def test_universe_over_cap_refused_before_building(self):
+        # Building a billion variables would exhaust memory; the refusal
+        # reads as the consistency check's own.
+        with pytest.raises(ResourceCapError) as caught:
+            random_base(1, 10**9, 1)
+        assert str(caught.value) == "1000000000 variables exceed the enumeration cap of 20"
 
     def test_retries_exhausted(self):
         # one variable, many unit clauses and only hard weights: every
