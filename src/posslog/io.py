@@ -98,6 +98,8 @@ class _FormulaParser:
         while (tok := self._peek()) and tok[1] == "|":
             self.pos += 1
             parts.append(self._and())
+        # `a | (b | c)` reads as `a | b | c`, as it is written back.
+        parts = [q for p in parts for q in (p.parts if isinstance(p, Or) else (p,))]
         return parts[0] if len(parts) == 1 else Or(parts)
 
     def _and(self) -> Formula:

@@ -22,8 +22,8 @@ from .model import (
     ZERO,
     negate,
 )
-from .normalize import _encoded, _reduce, remove_subsumed, remove_tautologies
-from .semantics import distribution_of_base
+from .normalize import _reduce, remove_subsumed, remove_tautologies
+from .semantics import _decoded, _encoded, distribution_of_base
 
 # `remove_subsumed` and `remove_tautologies` are not called here: a
 # marginal base runs their cores on integer clauses. They stay importable
@@ -58,13 +58,12 @@ def instantiate(b: WeightedBase, *literals: Literal) -> WeightedBase:
     codec, encoded, weights = _encoded(b)
     chosen = dropped = 0
     for lit in by_var.values():
-        # A variable no clause mentions has no bits and changes no clause.
-        chosen |= codec.bits.get(lit, 0)
-        dropped |= codec.bits.get(negate(lit), 0)
+        # A variable that no clause mentions changes no clause.
+        chosen |= codec.bit(lit)
+        dropped |= codec.bit(negate(lit))
     conditioned = _condition(encoded, chosen, dropped)
-    return WeightedBase(
-        [(codec.decode(c), weights[r]) for c, r in conditioned],
-        tuple(v for v in b.variables if v not in by_var),
+    return _decoded(
+        (codec, conditioned, weights), tuple(v for v in b.variables if v not in by_var)
     )
 
 
@@ -77,15 +76,15 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
     `remove_subsumed`'s duplicate merge and subsumption removal. The
     cross-product blowup is accepted; the cleanup runs immediately after.
     Every step works on integer clauses (`semantics._ClauseBits`), and
-    only the result is decoded into a base.
+    only the result is decoded into a base, which keeps them.
     """
     if not b.is_clausal:
         raise DomainError("marginal_base requires a clausal base")
     if var not in b.variables:
         raise DomainError(f"variable {var} not in the base universe")
     codec, encoded, weights = _encoded(b)
-    x = codec.bits.get(Literal(var, True), 0)
-    not_x = codec.bits.get(Literal(var, False), 0)
+    x = codec.bit(Literal(var, True))
+    not_x = codec.bit(Literal(var, False))
     neg = _condition(encoded, not_x, x)
     cross = []
     for c1, r1 in _condition(encoded, x, not_x):
@@ -93,9 +92,8 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
             c = c1 | c2
             if not codec.is_tautology(c):
                 cross.append((c, r1 if r1 < r2 else r2))
-    return WeightedBase(
-        [(codec.decode(c), weights[r]) for c, r in _reduce(cross)],
-        tuple(v for v in b.variables if v != var),
+    return _decoded(
+        (codec, _reduce(cross), weights), tuple(v for v in b.variables if v != var)
     )
 
 

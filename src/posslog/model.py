@@ -414,8 +414,9 @@ class WeightedBase:
                     raise DomainError(f"entry mentions undeclared variables: {names}")
         object.__setattr__(self, "entries", tuple(cooked))
         object.__setattr__(self, "variables", universe)
-        # The weight-level encoding `semantics` builds on the first degree
-        # question asked of this base and keeps for the next ones.
+        # The encoding and weight levels `semantics` builds on first use and
+        # keeps; they are no fields, so they take no part in equality.
+        object.__setattr__(self, "_encoding", None)
         object.__setattr__(self, "_levels", None)
 
     def __reduce__(self):

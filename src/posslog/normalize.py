@@ -11,8 +11,9 @@ from fractions import Fraction
 from typing import Hashable, Iterable
 
 from .errors import DomainError
-from .model import ZERO, Clause, Literal, WeightedBase, cnf_clauses
-from .semantics import _bits_models, _bits_signed, _ClauseBits, _refutes
+from .model import Clause, Literal, WeightedBase, cnf_clauses
+from .semantics import _clause_models, _ClauseBits, _decoded, _dpll_sat, _encoded
+from .semantics import _literal_bits, _literal_tables, _negation
 from .semantics import entails  # not called here; bench/tracing.py wraps it here
 
 
@@ -62,33 +63,21 @@ def remove_subsumed(b: WeightedBase) -> WeightedBase:
     """Merge duplicates, then test each entry once, lower weights first
     (ties broken by a deterministic clause order), dropping it if the
     entries still present subsume it. The clauses are worked on as
-    integers (see `_reduce`) and decoded once into the result."""
+    integers (see `_reduce`) and decoded once into the result, which keeps
+    them."""
     if not b.is_clausal:
         raise DomainError("remove_subsumed requires a clausal base")
     codec, entries, weights = _encoded(b)
     kept = _reduce(entries)
     if len(kept) == len(b.entries):
         return b
-    return WeightedBase([(codec.decode(c), weights[r]) for c, r in kept], b.variables)
-
-
-def _encoded(b: WeightedBase) -> tuple[_ClauseBits, list[tuple[int, int]], list]:
-    """The entries of a clausal base as integer clauses over the variables
-    they mention, each with the rank of its weight: rank r stands for
-    `weights[r]`, and ranks order as the weights do. Rank 0 is unused, so
-    that every rank is positive, as `_merged` needs. Ranks compare as plain
-    ints, where weights would compare as `Fraction`s. A universe variable
-    no entry mentions costs nothing, since it gets no bits."""
-    codec = _ClauseBits({lit.var for c, _ in b.entries for lit in c.literals})
-    weights = [ZERO, *sorted({w for _, w in b.entries})]
-    rank = {w: r for r, w in enumerate(weights)}
-    return codec, [(codec.encode(c), rank[w]) for c, w in b.entries], weights
+    return _decoded((codec, kept, weights), b.variables)
 
 
 def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """`remove_subsumed` on integer clauses (`semantics._ClauseBits`) with
-    weight ranks (see `_encoded`): the merged entries that survive, in
-    first-occurrence order.
+    weight ranks (see `semantics._encoded`): the merged entries that
+    survive, in first-occurrence order.
 
     Entries are tested by weight, then clause length, then sorted literals.
     One pass reaches the fixpoint: dropping a premise only weakens
@@ -110,19 +99,24 @@ def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         key=lambda k: (entries[k][1], *_ClauseBits.order(entries[k][0])),
     )
     alive = [True] * len(entries)
-    encoded = _bits_models([c for c, _ in entries])
-    if encoded is None:
-        signed = [_bits_signed(c) for c, _ in entries]
+    used = 0
+    for c, _ in entries:
+        used |= c
+    found = _literal_tables(used)
+    if found is None:
         for k in order:
-            weight = entries[k][1]
+            clause, weight = entries[k]
             premises = [
-                signed[j]
-                for j, (_, w) in enumerate(entries)
+                c
+                for j, (c, w) in enumerate(entries)
                 if alive[j] and j != k and w >= weight
             ]
-            alive[k] = not _refutes(premises, signed[k])
+            # Kept unless the premises refute the entry's negated literals.
+            refutation = [_negation(bit) for bit in _literal_bits(clause)]
+            alive[k] = _dpll_sat(premises + refutation)
     else:
-        full, models = encoded
+        full, tables = found
+        models = [_clause_models(c, tables) for c, _ in entries]
         by_weight: dict[int, list[int]] = {}
         for k in order:
             by_weight.setdefault(entries[k][1], []).append(k)

@@ -6,19 +6,21 @@ the strongest entry it falsifies. On top of that sit the inconsistency
 degree, possibility/necessity measures, entailment degrees and the converse
 construction of a base from a distribution.
 
-Satisfiability is decided by a complete search with unit propagation; for
-small universes (the common case here) an exhaustive bitset sweep is used
-instead. Either way a base is encoded once into its weight levels, which
-then answer the inconsistency degree of the base under any literal or
-formula context: on the bitset path that is a few integer ANDs per
-question.
+A clause has one encoding, `_ClauseBits`' two bits per variable in one
+int. A clausal base is encoded once and keeps its encoding, and a base
+derived from it by the syntactic layer is handed the same codec, so a
+compile builds one. The encoding is split into weight levels, which then
+answer the inconsistency degree of the base under any literal or formula
+context. Satisfiability is decided by an exhaustive bitset sweep for
+small universes (the common case here), where a question is a few
+integer ANDs, and above that by a complete search with unit propagation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError, InconsistentBaseError
 from .model import (
@@ -86,62 +88,49 @@ def _truth_tables(n: int) -> tuple[int, ...]:
     return tuple(tables)
 
 
-def _dpll_sat(clauses: list[frozenset[int]]) -> bool:
-    """Complete backtracking search with unit propagation."""
+def _dpll_sat(clauses: list[int]) -> bool:
+    """Complete backtracking search with unit propagation on integer
+    clauses (`_ClauseBits`): a clause of one bit is a unit, and branching
+    tries the lowest literal of the first clause, then its negation."""
     while True:
         if not clauses:
             return True
-        unit_lit = None
+        unit = 0
         for c in clauses:
             if not c:
                 return False
-            if len(c) == 1:
-                unit_lit = next(iter(c))
+            if not c & (c - 1):
+                unit = c
                 break
-        if unit_lit is None:
+        if not unit:
             break
-        new: list[frozenset[int]] = []
+        negation = _negation(unit)
+        new: list[int] = []
         for c in clauses:
-            if unit_lit in c:
+            if c & unit:
                 continue
-            if -unit_lit in c:
-                c = c - {-unit_lit}
+            if c & negation:
+                c ^= negation
                 if not c:
                     return False
             new.append(c)
         clauses = new
-    lit = min(next(iter(clauses)), key=abs)
-    return _dpll_sat(clauses + [frozenset((lit,))]) or _dpll_sat(
-        clauses + [frozenset((-lit,))]
-    )
+    lit = clauses[0] & -clauses[0]
+    return _dpll_sat(clauses + [lit]) or _dpll_sat(clauses + [_negation(lit)])
 
 
-def _encode(c: Clause, index: dict[Var, int]) -> frozenset[int]:
-    """A clause as signed variable numbers (negative for a negated
-    literal); a variable not yet in `index` gets the next number."""
-    lits = []
-    for lit in c.literals:
-        i = index.setdefault(lit.var, len(index) + 1)
-        lits.append(i if lit.positive else -i)
-    return frozenset(lits)
+def _negation(bit: int) -> int:
+    """The negation of a literal bit: the other bit of its pair."""
+    return bit >> 1 if bit.bit_length() % 2 == 0 else bit << 1
 
 
-def _literal_models(n: int) -> tuple[int, dict[int, int]]:
-    """The set of all 2**n worlds, and the worlds where each signed
-    literal holds."""
-    full = (1 << (1 << n)) - 1
-    bits: dict[int, int] = {}
-    for i, table in enumerate(_truth_tables(n), 1):
-        bits[i] = table
-        bits[-i] = full ^ table
-    return full, bits
-
-
-def _models_of(c: frozenset[int], bits: dict[int, int]) -> int:
-    """The worlds that satisfy an encoded clause."""
-    out = 0
-    for lit in c:
-        out |= bits[lit]
+def _literal_bits(c: int) -> list[int]:
+    """The literal bits of an integer clause, lowest first."""
+    out = []
+    while c:
+        bit = c & -c
+        out.append(bit)
+        c ^= bit
     return out
 
 
@@ -150,49 +139,48 @@ def _models_of(c: frozenset[int], bits: dict[int, int]) -> int:
 
 
 class _ClauseBits:
-    """Clauses over an ordered universe as integers, for the syntactic
-    layer (conditioning, the cross product, duplicate merging and
-    subsumption).
+    """Clauses over an ordered universe as integers: the one clause
+    encoding, read by the syntactic layer (conditioning, the cross product,
+    duplicate merging and subsumption) and by the weight levels.
 
     The variable of name rank i owns the two bits at 2(n-1-i): the upper
     one for its negative literal, the lower one for its positive literal.
     So a clause is a tautology when some pair has both bits set, and two
     clauses of the same length compare by their literals sorted as
     `(name, positive)` pairs exactly as their integers compare, reversed.
+    Bit order is monotone in name rank, so a codec over more variables
+    orders, decodes and masks the same clauses as one over fewer.
     """
 
-    __slots__ = ("bits", "literals", "_positive")
+    __slots__ = ("pairs", "literals", "_positive")
 
     def __init__(self, universe: Iterable[Var]):
-        ranked = sorted(universe)
+        ranked = sorted(universe, key=lambda v: v.name)
         n = len(ranked)
-        self.bits: dict[Literal, int] = {}
-        for i, v in enumerate(ranked):
-            shift = 2 * (n - 1 - i)
-            self.bits[Literal(v, True)] = 1 << shift
-            self.bits[Literal(v, False)] = 2 << shift
-        self.literals = {bit: lit for lit, bit in self.bits.items()}
+        # The bit of each variable's positive literal, the lower of its pair.
+        self.pairs = {v: 1 << 2 * (n - 1 - i) for i, v in enumerate(ranked)}
+        # Built on the first decode: a base only asked degrees never decodes.
+        self.literals: dict[int, Literal] | None = None
         self._positive = ((1 << 2 * n) - 1) // 3  # every lower bit of a pair
 
+    def bit(self, lit: Literal) -> int:
+        """The bit of `lit`; 0 for a variable outside the codec."""
+        return self.pairs.get(lit.var, 0) << (not lit.positive)
+
     def encode(self, c: Clause) -> int:
-        bits = self.bits
-        out = 0
-        for lit in c.literals:
-            out |= bits[lit]
-        return out
+        pairs = self.pairs
+        return sum(pairs[lit.var] << (not lit.positive) for lit in c.literals)
 
     def decode(self, c: int) -> Clause:
         # The literals go into the clause's set in sorted order, highest
         # bit first, as a clause built from sorted literals has them: the
         # two sets then iterate, and print, in the same order.
         literals = self.literals
-        out = []
-        while c:
-            low = c & -c
-            out.append(literals[low])
-            c ^= low
-        out.reverse()
-        return Clause(out)
+        if literals is None:
+            literals = self.literals = {}
+            for v, bit in self.pairs.items():
+                literals[bit], literals[bit << 1] = Literal(v, True), Literal(v, False)
+        return Clause([literals[bit] for bit in reversed(_literal_bits(c))])
 
     def is_tautology(self, c: int) -> bool:
         return bool(c & (c >> 1) & self._positive)
@@ -233,123 +221,110 @@ def _formula_models(f: Formula, tables: dict[Var, int], full: int) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _bits_models(clauses: Sequence[int]) -> tuple[int, list[int]] | None:
-    """The models of each integer clause over the variables the clauses
-    mention, with the set of all those worlds; None above
-    `_BITSET_MAX_VARS`, where satisfiability is left to the DPLL search.
-    An empty clause has no model and a tautology has every world."""
-    used = 0
-    for c in clauses:
-        used |= c
-    pairs = []  # the lower bit of each mentioned variable's pair
+def _literal_tables(used: int) -> tuple[int, dict[int, int]] | None:
+    """The set of all worlds over the variables whose pairs `used`
+    touches, highest pair most significant, and the worlds where each
+    literal bit of those pairs holds, keyed by the bit; None above
+    `_BITSET_MAX_VARS`, where satisfiability is left to the DPLL search."""
+    pairs = []  # the lower bit of each used variable's pair, highest first
     while used:
-        low = ((used & -used).bit_length() - 1) & ~1
+        low = (used.bit_length() - 1) & ~1
         pairs.append(low)
         used &= ~(3 << low)
     if len(pairs) > _BITSET_MAX_VARS:
         return None
-    full, bits = _literal_models(len(pairs))
-    models_of: dict[int, int] = {}
-    for i, low in enumerate(pairs, 1):
-        models_of[1 << low] = bits[i]
-        models_of[2 << low] = bits[-i]
-    models = []
-    for c in clauses:
-        m = 0
-        while c:
-            bit = c & -c
-            m |= models_of[bit]
-            c ^= bit
-        models.append(m)
-    return full, models
+    full = (1 << (1 << len(pairs))) - 1
+    tables: dict[int, int] = {}
+    for low, table in zip(pairs, _truth_tables(len(pairs))):
+        tables[1 << low] = table
+        tables[2 << low] = full ^ table
+    return full, tables
 
 
-def _bits_signed(c: int) -> frozenset[int]:
-    """An integer clause as the signed variable numbers `_dpll_sat`
-    reads: the pair at bit 2k is variable k+1."""
-    out = []
-    while c:
-        low = c & -c
-        bit = low.bit_length() - 1
-        var = (bit >> 1) + 1
-        out.append(-var if bit & 1 else var)
-        c ^= low
-    return frozenset(out)
-
-
-def _refutes(premises: list[frozenset[int]], conclusion: frozenset[int]) -> bool:
-    """Whether signed-int premises entail a signed-int clause: they have
-    no model once the clause's negated literals are hard facts."""
-    return not _dpll_sat(premises + [frozenset((-lit,)) for lit in conclusion])
+def _clause_models(c: int, tables: dict[int, int]) -> int:
+    """The worlds that satisfy an integer clause, given the tables of
+    `_literal_tables`: none for the empty clause, all for a tautology."""
+    out = 0
+    for bit in _literal_bits(c):
+        out |= tables[bit]
+    return out
 
 
 class _Levels:
-    """A clause set split into weight levels (highest first), encoded once
-    and then asked for the inconsistency degree of the set together with
-    any literal context, or any formula, taken as hard facts.
+    """A clausal base's integer clauses (`_encoded`) split into weight
+    levels, highest first, and then asked for the inconsistency degree of
+    the base together with any literal context, or any formula, taken as
+    hard facts. Tautologies are dropped.
 
-    Up to `_BITSET_MAX_VARS` variables, level i is the bitset of the worlds
-    that satisfy every clause of the first i+1 levels, so the bitsets only
-    shrink; encoding stops at the first empty one, since every later level
-    is empty too. A context is then the AND of its literals' truth tables,
-    and the degree is the first level weight whose models miss it. Above
-    the cap each question runs the DPLL search on the growing cut plus the
-    context's clauses. The encoded groups are kept on both paths, since a
-    formula's own variables can take a question past the cap.
+    Up to `_BITSET_MAX_VARS` variables that the clauses use, level i is
+    the bitset of the worlds that satisfy every clause of the first i+1
+    levels, so the bitsets only shrink; building stops at the first empty
+    one, since every later level is empty too. A context is then the AND
+    of its literals' truth tables, and the degree is the first level
+    weight whose models miss it. Above the cap each question runs the DPLL
+    search on the growing cut plus the context's unit clauses. The groups
+    are kept on both paths, since a formula's own variables can take a
+    question past the cap.
 
     A context is built once by `condition` (or grown a literal at a time
     by `narrow`) and can then be asked its `level`: on the bitset path it
-    is the mask of its worlds, above the cap the tuple of its unit clauses.
+    is the mask of its worlds, above the cap the OR of its literals' bits.
     `formula_level` asks the same of a formula. A degree is
     `degrees[level]`, read off the descending ladder of 1, the level
     weights and 0, so that callers can memoize on the index.
 
-    Clauses are mapped onto signed integer literals (tautologies dropped).
-    An empty clause encodes to the empty set, which both the bitset sweep
-    and the DPLL search read as false. A context literal on a variable no
-    clause mentions constrains nothing, unless the context also holds its
+    The codec may span variables that no clause uses, such as one a
+    marginal base forgot. A context literal on such a variable, or on one
+    the codec lacks, constrains nothing, unless the context also holds its
     negation.
     """
 
-    __slots__ = ("degrees", "_index", "_bits", "_models", "_groups", "_unconditioned")
+    __slots__ = ("degrees", "_pairs", "_tables", "_models", "_groups", "_unconditioned")
 
-    def __init__(self, weights: Sequence[Fraction], groups: Iterable[Iterable[Clause]]):
-        index: dict[Var, int] = {}
-        encoded = [
-            [_encode(c, index) for c in group if not c.is_tautology] for group in groups
-        ]
-        self.degrees = (ONE, *weights, ZERO)
-        self._index = index
-        self._groups = encoded
+    def __init__(
+        self, codec: _ClauseBits, entries: list[tuple[int, int]], weights: list[Fraction]
+    ):
+        by_rank: dict[int, list[int]] = {}
+        used = 0
+        for c, r in entries:
+            if not codec.is_tautology(c):
+                by_rank.setdefault(r, []).append(c)
+                used |= c
+        ranks = sorted(by_rank, reverse=True)
+        self.degrees = (ONE, *(weights[r] for r in ranks), ZERO)
+        # The positive literal's bit of each variable that some clause uses.
+        self._pairs = {v: bit for v, bit in codec.pairs.items() if bit * 3 & used}
+        self._groups = groups = [by_rank[r] for r in ranks]
 
-        n = len(index)
-        if n > _BITSET_MAX_VARS:
-            self._bits = self._models = None
-            self._unconditioned = ()
+        found = _literal_tables(used)
+        if found is None:
+            self._tables = self._models = None
+            self._unconditioned = 0
             return
-        full, bits = _literal_models(n)
+        full, tables = found
         models = []
         acc = full
-        for enc in encoded:
-            for c in enc:
-                acc &= _models_of(c, bits)
+        for group in groups:
+            for c in group:
+                acc &= _clause_models(c, tables)
                 if not acc:
                     break
             models.append(acc)
             if not acc:
                 break
-        self._bits = bits
+        self._tables = tables
         self._models = models
         self._unconditioned = full
 
     def condition(self, context: Iterable[Literal] = ()):
         """The worlds of a literal context: a bitset, 0 when the context
-        contradicts itself; above the cap its unit clauses, None when a
-        contradiction lies on variables no clause mentions."""
+        contradicts itself; above the cap the OR of its literals' bits,
+        None when it contradicts itself."""
+        pairs = self._pairs
         free: set[Literal] = set()
         ctx = self._unconditioned
         for lit in context:
-            if lit.var in self._index:
+            if lit.var in pairs:
                 ctx = self.narrow(ctx, lit)
             elif negate(lit) in free:
                 return 0 if self._models is not None else None
@@ -359,49 +334,55 @@ class _Levels:
 
     def narrow(self, ctx, lit: Literal):
         """`ctx` with `lit` added. A context does not record literals on
-        variables no clause mentions, so a clash with one goes unseen here:
+        variables no clause uses, so a clash with one goes unseen here:
         add only literals on variables the context does not mention yet,
         and let `condition` take any other context."""
-        i = self._index.get(lit.var)
-        if i is None:
+        bit = self._pairs.get(lit.var)
+        if bit is None:
             return ctx
         if not lit.positive:
-            i = -i
+            bit <<= 1
         if self._models is not None:
-            return ctx & self._bits[i]
-        return None if ctx is None else (*ctx, i)
+            return ctx & self._tables[bit]
+        return None if ctx is None or ctx & _negation(bit) else ctx | bit
 
     def formula_level(self, f: Formula) -> int:
         """`level` with a formula, instead of literals, as the hard context.
 
-        On the bitset path the formula is evaluated to the mask of its
-        models. A variable it mentions but no clause does is projected
-        away: with k of them, the formula is evaluated over a table with
-        those k variables most significant, and its 2**k blocks of 2**n
-        worlds are ORed together. That path is taken when the levels are
-        on it and n + k is within the cap. Otherwise the formula's CNF is
-        encoded through a copy of the level index and run through the
+        A variable the formula mentions but no clause uses takes a pair of
+        bits above those the clauses use, in name order. On the bitset
+        path the formula is evaluated to the mask of its models: with k
+        such variables, over n + k variables, those k most significant,
+        and its 2**k blocks of 2**n worlds are ORed together, projecting
+        them away. That path is taken when the levels are on it and n + k
+        is within the cap. Otherwise the formula's CNF is run through the
         DPLL level loop, so only that path meets the `MAX_CNF_CLAUSES` cap.
         A formula context is not a `level` argument, so that `level` keeps
         its literal contexts free of a type dispatch.
         """
-        index = self._index
-        free = [v for v in vars_of(f) if v not in index]
-        n, k = len(index), len(free)
-        width = n + k
-        if self._models is not None and width <= _BITSET_MAX_VARS:
-            tables = _truth_tables(width)
-            column = dict(zip(free, tables))
-            for v, i in index.items():
-                column[v] = tables[k + i - 1]
-            models = _formula_models(f, column, (1 << (1 << width)) - 1)
-            size = 1 << width
-            while size > 1 << n:
+        place = {v: self._pairs.get(v) for v in vars_of(f)}  # positive bits
+        free = sorted(v for v, bit in place.items() if bit is None)
+        used = sum(self._pairs.values()) * 3  # both bits of each pair
+        for i, v in enumerate(free):
+            place[v] = 1 << (used.bit_length() + 2 * i)
+        found = None
+        if self._models is not None:
+            found = (self._unconditioned, self._tables)
+            if free:
+                found = _literal_tables(used | sum(place[v] for v in free))
+        if found is not None:
+            full, tables = found
+            column = {v: tables[bit] for v, bit in place.items()}
+            models = _formula_models(f, column, full)
+            size = full.bit_length()
+            while size > self._unconditioned.bit_length():
                 size >>= 1
                 models = (models >> size) | (models & ((1 << size) - 1))
             return self.level(models)
-        index = dict(index)
-        hard = [_encode(c, index) for c in cnf_clauses(f)]
+        hard = [
+            sum(place[lit.var] << (not lit.positive) for lit in c.literals)
+            for c in cnf_clauses(f)
+        ]
         return self._refuted(hard) if _dpll_sat(hard) else 0
 
     def level(self, ctx) -> int:
@@ -416,15 +397,15 @@ class _Levels:
                     return i
             return len(self.degrees) - 1
 
-        if ctx is None or any(-u in ctx for u in ctx):
+        if ctx is None:
             return 0
-        return self._refuted([frozenset((u,)) for u in ctx])
+        return self._refuted(_literal_bits(ctx))
 
-    def _refuted(self, accumulated: list[frozenset[int]]) -> int:
-        """`level` by the DPLL search, from satisfiable encoded hard
+    def _refuted(self, accumulated: list[int]) -> int:
+        """`level` by the DPLL search, from satisfiable integer hard
         clauses: the cut of each level is added to them in turn."""
-        for i, enc in enumerate(self._groups, 1):
-            accumulated.extend(enc)
+        for i, group in enumerate(self._groups, 1):
+            accumulated.extend(group)
             if not _dpll_sat(accumulated):
                 return i
         return len(self.degrees) - 1
@@ -435,23 +416,44 @@ class _Levels:
         return self.degrees[self.level(self.condition(context))]
 
 
-def _levels(b: WeightedBase, op: str) -> _Levels:
-    """The weight levels of a clausal base, highest first.
+def _encoded(b: WeightedBase) -> tuple[_ClauseBits, list[tuple[int, int]], list]:
+    """The entries of a clausal base as integer clauses, each with the rank
+    of its weight: rank r stands for `weights[r]`, and ranks order as the
+    weights do. Rank 0 is unused, so that every rank is positive, as
+    `normalize._merged` needs; ranks compare as plain ints, not `Fraction`s.
+    Kept on the base. A base `_decoded` built has it from the start; any
+    other gets a codec over the variables its entries mention, so a
+    universe variable no entry mentions costs nothing."""
+    encoding = b._encoding
+    if encoding is None:
+        codec = _ClauseBits({lit.var for c, _ in b.entries for lit in c.literals})
+        weights = [ZERO, *sorted({w for _, w in b.entries})]
+        rank = {w: r for r, w in enumerate(weights)}
+        encoding = (codec, [(codec.encode(c), rank[w]) for c, w in b.entries], weights)
+        object.__setattr__(b, "_encoding", encoding)
+    return encoding
 
-    They are encoded on the first degree question asked of `b` and kept on
-    the base, which is immutable, so a stage's closure and CPT sweep ask
-    all their questions of one encoding. `op` names the caller in the
-    error for a base that is not clausal.
-    """
+
+def _decoded(encoding: tuple, variables: Iterable[Var]) -> WeightedBase:
+    """The base of the integer clauses of `encoding`, laid out as
+    `_encoded`'s, that keeps it: a base derived from another hands the
+    codec and weight list on instead of being encoded afresh."""
+    codec, entries, weights = encoding
+    b = WeightedBase([(codec.decode(c), weights[r]) for c, r in entries], variables)
+    object.__setattr__(b, "_encoding", encoding)
+    return b
+
+
+def _levels(b: WeightedBase, op: str) -> _Levels:
+    """The weight levels of a clausal base, built from its encoding on the
+    first degree question asked of `b` and kept on the base, so a stage's
+    closure and CPT sweep ask all their questions of one encoding. `op`
+    names the caller in the error for a base that is not clausal."""
     levels = b._levels
     if levels is None:
         if not b.is_clausal:
             raise DomainError(f"{op} requires a clausal base; run to_clausal first")
-        by_weight: dict[Fraction, list[Clause]] = {}
-        for c, w in b.entries:
-            by_weight.setdefault(w, []).append(c)
-        weights = sorted(by_weight, reverse=True)
-        levels = _Levels(weights, [by_weight[w] for w in weights])
+        levels = _Levels(*_encoded(b))
         object.__setattr__(b, "_levels", levels)
     return levels
 
@@ -459,8 +461,10 @@ def _levels(b: WeightedBase, op: str) -> _Levels:
 def entails(premises: Iterable[Clause], conclusion: Clause) -> bool:
     """Classical entailment, decided by refutation: the premises have no
     model once the conclusion's negated literals are hard facts."""
-    refutation = (negate(l) for l in conclusion.literals)
-    return _Levels((ONE,), [premises]).inconsistency(refutation) != 0
+    premises = list(premises)
+    codec = _ClauseBits({lit.var for c in premises for lit in c.literals})
+    levels = _Levels(codec, [(codec.encode(c), 1) for c in premises], [ZERO, ONE])
+    return levels.inconsistency(negate(l) for l in conclusion.literals) != 0
 
 
 # ---------------------------------------------------------------------------

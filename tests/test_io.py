@@ -196,6 +196,9 @@ class TestSerializeBase:
     @given(bases())
     @example(WeightedBase([(And((clause(pos(X), pos(Y)), pos(X))), F(1))]))
     @example(WeightedBase([(Or(()), F(1, 2)), (And(()), F(1))], (X,)))
+    @example(
+        WeightedBase([(Or((neg(X), And((clause(neg(X), pos(X)),)))), F(1, 60))], (X,))
+    )
     def test_round_trip_hypothesis(self, b):
         text = serialize_base(b)
         again = parse_base(text)

@@ -10,10 +10,14 @@ from posslog import (
     Literal,
     Var,
     WeightedBase,
+    certainty_degree,
+    conditional_possibility,
     decompose_check,
     distribution_of_base,
+    inconsistency_degree,
     instantiate,
     marginal_base,
+    negate,
     unit,
 )
 
@@ -174,6 +178,20 @@ class TestMatchesClauseReference:
     """Integer clauses give the same entries, in the same order, over the
     same universe as the `Clause`-level reference."""
 
+    @staticmethod
+    def assert_answers_as_rebuilt(got, var):
+        # `got` keeps the encoding it was handed, whose codec still spans
+        # `var`; a base rebuilt from its entries is encoded afresh.
+        fresh = WeightedBase(got.entries, got.variables)
+        assert inconsistency_degree(got) == inconsistency_degree(fresh)
+        x = Literal(var, True)
+        both = (x, negate(x))
+        for lit in both:
+            assert certainty_degree(got, lit) == certainty_degree(fresh, lit)
+            assert conditional_possibility(got, lit, both) == conditional_possibility(
+                fresh, lit, both
+            )
+
     def test_instantiate(self, solver_path):
         rng = random.Random(61)
         for _ in range(300):
@@ -186,6 +204,7 @@ class TestMatchesClauseReference:
             got = instantiate(b, *literals)
             want = clause_reference.instantiate(b, *literals)
             assert (got.entries, got.variables) == (want.entries, want.variables), b
+            self.assert_answers_as_rebuilt(got, literals[0].var)
 
     def test_marginal_base(self, solver_path):
         rng = random.Random(67)
@@ -195,6 +214,7 @@ class TestMatchesClauseReference:
             got = marginal_base(b, var)
             want = clause_reference.marginal_base(b, var)
             assert (got.entries, got.variables) == (want.entries, want.variables), b
+            self.assert_answers_as_rebuilt(got, var)
 
 
 class TestDecomposeCheck:

@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -18,8 +19,11 @@ from posslog import (
     Var,
     WeightedBase,
     as_weight,
+    certainty_degree,
     cnf_clauses,
+    inconsistency_degree,
     interpretations,
+    marginal_base,
     negate,
     satisfies,
     vars_of,
@@ -309,3 +313,20 @@ class TestWeightedBase:
         bigger = b.extended([(clause(pos(Y)), F(1))])
         assert bigger.variables == (X, Y)
         assert len(bigger.entries) == 2
+
+    def test_pickle_carries_no_encoding(self):
+        b = WeightedBase(
+            [(clause(pos(X), neg(Y)), F(1, 2)), (clause(pos(Y), pos(SU)), F(1, 3))],
+            (X, Y, SU),
+        )
+        assert inconsistency_degree(b) == 0
+        assert certainty_degree(b, pos(X)) == 0
+        marginal = marginal_base(b, Y)
+        assert certainty_degree(marginal, pos(X)) == 0
+        for base in (b, marginal):
+            assert base._encoding is not None and base._levels is not None
+            data = pickle.dumps(base)
+            again = pickle.loads(data)
+            assert again == base
+            assert again._encoding is None and again._levels is None
+            assert data == pickle.dumps(WeightedBase(base.entries, base.variables))
