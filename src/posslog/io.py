@@ -152,12 +152,12 @@ def _as_clause_if_flat(f: Formula) -> Formula:
     return f
 
 
-def parse_formula(text: str, lineno: int = 1) -> Formula:
+def parse_formula(text: str) -> Formula:
     """Parse a single formula (used for CLI query/context arguments)."""
-    tokens = _tokenize(text, lineno)
+    tokens = _tokenize(text, 1)
     if not tokens:
-        raise ParseError("empty formula", lineno, 1)
-    return _FormulaParser(tokens, lineno, len(text)).parse()
+        raise ParseError("empty formula", 1, 1)
+    return _FormulaParser(tokens, 1, len(text)).parse()
 
 
 def parse_base(text: str) -> WeightedBase:

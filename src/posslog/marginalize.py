@@ -47,15 +47,13 @@ def instantiate(b: WeightedBase, *literals: Literal) -> WeightedBase:
     so the result equals instantiating one literal at a time. An empty
     clause may result; it carries the conflict weight of contexts
     incompatible with the chosen literals."""
-    if not b.is_clausal:
-        raise DomainError("instantiate requires a clausal base")
+    codec, encoded, weights = _encoded(b, "instantiate")
     by_var: dict[Var, Literal] = {}
     for lit in literals:
         if lit.var in b.variables:
             by_var.setdefault(lit.var, lit)
     if not by_var:
         return b
-    codec, encoded, weights = _encoded(b)
     chosen = dropped = 0
     for lit in by_var.values():
         # A variable that no clause mentions changes no clause.
@@ -78,11 +76,9 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
     Every step works on integer clauses (`semantics._ClauseBits`), and
     only the result is decoded into a base, which keeps them.
     """
-    if not b.is_clausal:
-        raise DomainError("marginal_base requires a clausal base")
+    codec, encoded, weights = _encoded(b, "marginal_base")
     if var not in b.variables:
         raise DomainError(f"variable {var} not in the base universe")
-    codec, encoded, weights = _encoded(b)
     x = codec.bit(Literal(var, True))
     not_x = codec.bit(Literal(var, False))
     neg = _condition(encoded, not_x, x)

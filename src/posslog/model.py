@@ -100,15 +100,8 @@ class Clause:
         # when it has fewer distinct variables than literals.
         return len({l.var for l in self.literals}) < len(self.literals)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.literals
-
     def union(self, other: "Clause") -> "Clause":
         return Clause(self.literals | other.literals)
-
-    def without(self, lit: Literal) -> "Clause":
-        return Clause(self.literals - {lit})
 
     def __contains__(self, lit: Literal) -> bool:
         return lit in self.literals
@@ -162,20 +155,9 @@ Formula = Union[Const, Literal, Clause, Not, And, Or]
 
 def vars_of(f: Formula) -> frozenset[Var]:
     """The exact set of variables occurring in a formula."""
-    if isinstance(f, Const):
-        return frozenset()
-    if isinstance(f, Literal):
-        return frozenset((f.var,))
     if isinstance(f, Clause):
         return f.variables
-    if isinstance(f, Not):
-        return vars_of(f.operand)
-    if isinstance(f, (And, Or)):
-        out: frozenset[Var] = frozenset()
-        for p in f.parts:
-            out |= vars_of(p)
-        return out
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(vars_in_appearance(f))
 
 
 def vars_in_appearance(f: Formula) -> list[Var]:
@@ -436,9 +418,6 @@ class WeightedBase:
             for v in vars_in_appearance(f):
                 seen.setdefault(v)
         return WeightedBase(self.entries + extra, tuple(seen))
-
-    def __iter__(self) -> Iterator[Entry]:
-        return iter(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -112,12 +112,6 @@ class Network:
     def variables(self) -> tuple[Var, ...]:
         return tuple(n.var for n in self.nodes)
 
-    def node_for(self, var: Var) -> CPT:
-        for n in self.nodes:
-            if n.var == var:
-                return n
-        raise DomainError(f"no node for variable {var}")
-
 
 def _check_acyclic(nodes: tuple[CPT, ...]) -> None:
     children: dict[Var, list[Var]] = {n.var: [] for n in nodes}

@@ -65,9 +65,7 @@ def remove_subsumed(b: WeightedBase) -> WeightedBase:
     entries still present subsume it. The clauses are worked on as
     integers (see `_reduce`) and decoded once into the result, which keeps
     them."""
-    if not b.is_clausal:
-        raise DomainError("remove_subsumed requires a clausal base")
-    codec, entries, weights = _encoded(b)
+    codec, entries, weights = _encoded(b, "remove_subsumed")
     kept = _reduce(entries)
     if len(kept) == len(b.entries):
         return b

@@ -1,9 +1,9 @@
 """Brute-force reference semantics for differential testing.
 
 Deliberately redundant: the evaluation here shares no code with the
-semantics module. Worlds are enumerated exhaustively, formulas are
-evaluated by direct recursion over plain dicts, and distributions are
-compared pointwise with exact rationals.
+semantics module, which only `random_base` asks whether a draw is
+consistent. Worlds are enumerated exhaustively, formulas are evaluated by
+direct recursion over plain dicts, and distributions are compared exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import semantics
 from .errors import DomainError, GenerationError, ResourceCapError
 from .model import (
     And,
@@ -30,6 +31,10 @@ from .model import (
 from .network import Network, network_distribution
 
 DEFAULT_ENUMERATION_CAP = 20
+
+# Most clauses `random_base` draws for one base: at about 18 µs a clause
+# over its 500 tries, a request it cannot satisfy fails in about 10 s.
+MAX_RANDOM_CLAUSES = 1000
 
 DEFAULT_WEIGHT_POOL = tuple(
     Fraction(t) for t in ("1/5", "1/3", "2/5", "1/2", "2/3", "7/10", "1")
@@ -61,16 +66,12 @@ def _holds(f: Formula, world: dict[Var, bool]) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def enumerate_distribution(
-    b: WeightedBase, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Distribution:
+def enumerate_distribution(b: WeightedBase) -> Distribution:
     """Exact distribution of a base by exhaustive evaluation, one world at
-    a time. Refuses universes above `cap` variables."""
-    n = len(b.variables)
+    a time. Refuses universes above `DEFAULT_ENUMERATION_CAP` variables."""
+    n, cap = len(b.variables), DEFAULT_ENUMERATION_CAP
     if n > cap:
-        raise ResourceCapError(
-            f"{n} variables exceed the enumeration cap of {cap}"
-        )
+        raise ResourceCapError(f"{n} variables exceed the enumeration cap of {cap}")
     one = Fraction(1)
     values = []
     for bits in range(1 << n):
@@ -143,15 +144,20 @@ def random_base(
     n_clauses: int,
     weight_pool=DEFAULT_WEIGHT_POOL,
     require_consistent: bool = True,
-    max_tries: int = 500,
 ) -> WeightedBase:
     """Deterministic pseudorandom clausal base: clause length 1 to 3 over
     distinct variables (so no tautologies), weights drawn from the pool.
-    With `require_consistent`, regenerates until the distribution is
-    normalized, within a bounded retry budget, and refuses a universe that
-    check cannot enumerate before building it."""
+    With `require_consistent`, redraws until the inconsistency degree is 0,
+    up to 500 times, and refuses a universe the oracle cannot enumerate. A
+    negative clause count or one over `MAX_RANDOM_CLAUSES` is refused too."""
     if n_vars < 1:
         raise DomainError("need at least one variable")
+    if n_clauses < 0:
+        raise DomainError(f"negative clause count {n_clauses}")
+    if n_clauses > MAX_RANDOM_CLAUSES:
+        raise ResourceCapError(
+            f"{n_clauses} clauses exceed the cap of {MAX_RANDOM_CLAUSES}"
+        )
     if require_consistent and n_vars > DEFAULT_ENUMERATION_CAP:
         cap = DEFAULT_ENUMERATION_CAP
         raise ResourceCapError(f"{n_vars} variables exceed the enumeration cap of {cap}")
@@ -160,7 +166,7 @@ def random_base(
     pool = [as_weight(w) for w in weight_pool]
     if not pool:
         raise DomainError("empty weight pool")
-    for _ in range(max_tries):
+    for _ in range(500):
         entries = []
         for _ in range(n_clauses):
             k = rng.randint(1, min(3, n_vars))
@@ -170,8 +176,6 @@ def random_base(
         candidate = WeightedBase(entries, variables)
         if not require_consistent:
             return candidate
-        if enumerate_distribution(candidate).is_normalized:
+        if semantics.inconsistency_degree(candidate) == 0:
             return candidate
-    raise GenerationError(
-        f"no consistent base found in {max_tries} tries (seed={seed})"
-    )
+    raise GenerationError(f"no consistent base found in 500 tries (seed={seed})")

@@ -416,16 +416,20 @@ class _Levels:
         return self.degrees[self.level(self.condition(context))]
 
 
-def _encoded(b: WeightedBase) -> tuple[_ClauseBits, list[tuple[int, int]], list]:
+def _encoded(b: WeightedBase, op: str) -> tuple[_ClauseBits, list[tuple[int, int]], list]:
     """The entries of a clausal base as integer clauses, each with the rank
     of its weight: rank r stands for `weights[r]`, and ranks order as the
     weights do. Rank 0 is unused, so that every rank is positive, as
     `normalize._merged` needs; ranks compare as plain ints, not `Fraction`s.
     Kept on the base. A base `_decoded` built has it from the start; any
     other gets a codec over the variables its entries mention, so a
-    universe variable no entry mentions costs nothing."""
+    universe variable no entry mentions costs nothing. `op` names the
+    caller in the error for a base that is not clausal; a base with an
+    encoding is clausal, so it is not scanned again."""
     encoding = b._encoding
     if encoding is None:
+        if not b.is_clausal:
+            raise DomainError(f"{op} requires a clausal base; run to_clausal first")
         codec = _ClauseBits({lit.var for c, _ in b.entries for lit in c.literals})
         weights = [ZERO, *sorted({w for _, w in b.entries})]
         rank = {w: r for r, w in enumerate(weights)}
@@ -448,12 +452,10 @@ def _levels(b: WeightedBase, op: str) -> _Levels:
     """The weight levels of a clausal base, built from its encoding on the
     first degree question asked of `b` and kept on the base, so a stage's
     closure and CPT sweep ask all their questions of one encoding. `op`
-    names the caller in the error for a base that is not clausal."""
+    names the caller in `_encoded`'s error for a base that is not clausal."""
     levels = b._levels
     if levels is None:
-        if not b.is_clausal:
-            raise DomainError(f"{op} requires a clausal base; run to_clausal first")
-        levels = _Levels(*_encoded(b))
+        levels = _Levels(*_encoded(b, op))
         object.__setattr__(b, "_levels", levels)
     return levels
 

@@ -386,6 +386,35 @@ class TestStandardOutput:
             assert "Traceback" not in run.stderr
 
 
+class TestRejectedArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compile", "{base}", "--order", "se,zz"], "unknown variable(s) in --order"),
+            (["compile", "{base}", "-o", "{tmp}/absent/x.json"], "cannot write"),
+            (["eval", "{base}", "se,se,wi"], "assigned twice"),
+            (["query", "{base}", "cond", "se | wi", "--context", "su"], "single literal"),
+            (["parents", "{base}", "zz"], "unknown variable 'zz'"),
+            (["gen", "--weights", "abc"], "cannot interpret 'abc'"),
+            (["gen", "--weights", " , "], "empty weight pool"),
+        ],
+        ids=[
+            "order", "output", "world", "cond-formula", "parents", "weight", "no-weight",
+        ],
+    )
+    def test_exits_2_with_message(self, weather_file, tmp_path, capsys, argv, message):
+        argv = [a.format(base=weather_file, tmp=tmp_path) for a in argv]
+        if argv[0] == "gen":
+            argv += ["--seed", "1", "--vars", "2", "--clauses", "2", "-o", str(tmp_path / "g")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        # `compile` reports its stages before the write fails.
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("error: ") and message in last
+        assert "Traceback" not in captured.err
+
+
 class TestGen:
     def test_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a.base"
@@ -413,6 +442,9 @@ class TestGen:
             ["--vars", "1", "--clauses", "50"],  # GenerationError
             ["--vars", "22", "--clauses", "5"],  # ResourceCapError
             ["--vars", "1000000000", "--clauses", "5"],  # refused before building
+            ["--vars", "5", "--clauses", "100000"],  # over the clause cap
+            ["--vars", "5", "--clauses", "-3"],  # negative count
+            ["--vars", "20", "--clauses", "400"],  # GenerationError, in seconds
         ],
     )
     def test_unsatisfiable_request_exits_2(self, tmp_path, capsys, size):

@@ -7,6 +7,7 @@ import pytest
 
 from posslog import (
     CPT,
+    And,
     Clause,
     DomainError,
     InconsistentBaseError,
@@ -22,12 +23,14 @@ from posslog import (
     compile_stages,
     conditional_possibility,
     cpt_for,
+    decompose_check,
     distribution_of_base,
     hidden_parent_closure,
     immediate_parents,
     inconsistency_degree,
     instantiate,
     marginal_base,
+    merge_duplicates,
     network_distribution,
     remove_subsumed,
     remove_tautologies,
@@ -457,3 +460,35 @@ class TestLevelKernel:
             assert serialize_network(compile_network(b, order)) == serialize_network(
                 hard_unit_network(b, order)
             )
+
+
+class TestClausalCheck:
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda b: instantiate(b, pos(X)),
+            lambda b: marginal_base(b, X),
+            remove_subsumed,
+            lambda b: immediate_parents(b, X),
+            merge_duplicates,
+            remove_tautologies,
+            lambda b: decompose_check(b, X),
+            inconsistency_degree,
+            lambda b: cpt_for(b, X, (Y,)),
+        ],
+        ids=[
+            "instantiate",
+            "marginal_base",
+            "remove_subsumed",
+            "immediate_parents",
+            "merge_duplicates",
+            "remove_tautologies",
+            "decompose_check",
+            "inconsistency_degree",
+            "cpt_for",
+        ],
+    )
+    def test_formula_entry_refused(self, op):
+        b = WeightedBase([(clause(pos(X)), F(1, 3)), (And((pos(X), pos(Y))), F(1, 2))])
+        with pytest.raises(DomainError, match="requires a clausal base"):
+            op(b)

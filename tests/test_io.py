@@ -108,6 +108,12 @@ class TestParseBase:
             ("vars su\nvars su\n", 2),
             ("vars su\n1/3: wi\n", 2),
             ("1/3: su ? wi\n", 1),
+            ("1/0: a\n", 1),
+            ("vars\n", 1),
+            ("vars a a\n", 1),
+            ("vars a true\n", 1),
+            ("1/2:\n", 1),
+            ("1/2: a | vars\n", 1),
         ],
     )
     def test_syntax_errors_carry_position(self, text, line):
@@ -133,6 +139,12 @@ class TestParseBase:
         assert "nested deeper" in str(err.value)
         with pytest.raises(ParseError):
             parse_base(f"1/2: {nest(MAX_NESTING + 2)}\n")
+
+    @pytest.mark.parametrize("text", ["", ")", "a b"])
+    def test_formula_syntax_errors(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert err.value.line == 1
 
     def test_negations_fold_into_literals(self):
         assert parse_formula("!!!x") == neg(X)
@@ -324,6 +336,9 @@ class TestNetworkJson:
             ("ordering", [1]),
             ("parents", "y"),
             ("parents", {"y": True}),
+            ("cell", ["y"]),
+            ("assignment", {"z": True}),
+            ("assignment", {"y": True, "z": True}),
         ],
     )
     def test_non_boolean_or_malformed_cell_rejected(self, field, value):
@@ -336,6 +351,8 @@ class TestNetworkJson:
         ]
         if field == "value":
             cells[-1]["assignment"]["y"] = value
+        elif field == "cell":
+            cells[-1] = value
         elif field != "ordering":
             cells[-1][field] = value
         doc = {
@@ -356,6 +373,32 @@ class TestNetworkJson:
         if field == "parents":
             doc["nodes"][0]["parents"] = value
         with pytest.raises(NetworkSchemaError):
+            parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([("y", []), ("y", [])], "duplicate node 'y'"),
+            ([("x", ["x"])], "x cannot be its own parent"),
+        ],
+        ids=["duplicate-node", "own-parent"],
+    )
+    def test_node_set_rejected(self, nodes, message):
+        doc = {
+            "nodes": [
+                {
+                    "var": name,
+                    "parents": parents,
+                    "cpt": [
+                        {"assignment": dict.fromkeys(parents, a), "polarity": p, "weight": "1"}
+                        for a in ((False, True) if parents else (False,))
+                        for p in (False, True)
+                    ],
+                }
+                for name, parents in nodes
+            ]
+        }
+        with pytest.raises(NetworkSchemaError, match=message):
             parse_network(json.dumps(doc))
 
     @pytest.mark.parametrize("name", ["true", "false", "vars"])

@@ -126,11 +126,6 @@ class TestNetworkStructure:
         with pytest.raises(NetworkSchemaError):
             Network([all_ones_cpt(X, (Y,)), all_ones_cpt(Y, (X,))])
 
-    def test_node_lookup(self, weather_net):
-        assert weather_net.node_for(WI).parents == (SU,)
-        with pytest.raises(DomainError):
-            weather_net.node_for(X)
-
 
 class TestChainRule:
     def test_windy_dark_world(self, weather_net):
