@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack, contextmanager, suppress
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from . import io as formats
 from .compiler import Ordering, compile_stages, conditional_possibility
@@ -51,15 +52,40 @@ def _read(path: str) -> str:
         ) from exc
 
 
-def _write(path: str, pieces: Iterable[str]) -> None:
-    """Writes the pieces in turn to `path`, or to stdout for "-", so that
-    a generator's text is never held whole."""
+@contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """`path` opened for writing, or stdout for "-". A command opens its
+    outputs before the work that fills them, so an unwritable path fails
+    it at once; if the command then fails, the partial file is removed
+    (unless `path` is not a regular file, such as a device or a pipe)."""
     if path == "-":
-        sys.stdout.writelines(pieces)
+        yield sys.stdout
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
+    try:
+        yield fh
+    except BaseException:
+        with suppress(OSError):  # the text a failed write left would fail again
+            fh.close()
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
+    fh.close()
+
+
+def _write(fh: TextIO, path: str, pieces: Iterable[str]) -> None:
+    """Writes the pieces in turn to `fh`, `path` as `_output` opened it, so
+    that a generator's text is never held whole. A file is flushed here, so
+    that its write errors name it; stdout's are left to `main`."""
+    if path == "-":
+        fh.writelines(pieces)
+        return
+    try:
+        fh.writelines(pieces)
+        fh.flush()
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -129,20 +155,23 @@ def _print_value(value: Fraction, decimal: bool) -> None:
 def cmd_compile(args) -> int:
     base = formats.parse_base(_read(args.base))
     order = _parse_order(args.order, base)
-    nodes = []
-    for stage in compile_stages(base, order):
-        parents = " ".join(p.name for p in stage.cpt.parents)
-        print(
-            f"[{stage.index + 1}/{len(order.sequence)}] {stage.cpt.var}:"
-            f" parents=[{parents}] cpt={2 * len(stage.cpt.neg)} cells,"
-            f" stage={stage.stage_entries} -> marginal={stage.marginal_entries} entries",
-            file=sys.stderr,
-        )
-        nodes.append(stage.cpt)
-    net = Network(nodes)
-    _write(args.out, formats.network_pieces(net))
-    if args.dot:
-        _write(args.dot, [formats.export_dot(net)])
+    with ExitStack() as outputs:
+        out = outputs.enter_context(_output(args.out))
+        dot = outputs.enter_context(_output(args.dot)) if args.dot else None
+        nodes = []
+        for stage in compile_stages(base, order):
+            parents = " ".join(p.name for p in stage.cpt.parents)
+            print(
+                f"[{stage.index + 1}/{len(order.sequence)}] {stage.cpt.var}:"
+                f" parents=[{parents}] cpt={2 * len(stage.cpt.neg)} cells,"
+                f" stage={stage.stage_entries} -> marginal={stage.marginal_entries} entries",
+                file=sys.stderr,
+            )
+            nodes.append(stage.cpt)
+        net = Network(nodes)
+        _write(out, args.out, formats.network_pieces(net))
+        if dot is not None:
+            _write(dot, args.dot, [formats.export_dot(net)])
     return EXIT_OK
 
 
@@ -213,8 +242,9 @@ def cmd_gen(args) -> int:
     pool = DEFAULT_WEIGHT_POOL
     if args.weights:
         pool = [w.strip() for w in args.weights.split(",") if w.strip()]
-    base = random_base(args.seed, args.vars, args.clauses, weight_pool=pool)
-    _write(args.out, [formats.serialize_base(base)])
+    with _output(args.out) as out:
+        base = random_base(args.seed, args.vars, args.clauses, weight_pool=pool)
+        _write(out, args.out, [formats.serialize_base(base)])
     return EXIT_OK
 
 

@@ -111,7 +111,7 @@ def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
             ]
             # Kept unless the premises refute the entry's negated literals.
             refutation = [_negation(bit) for bit in _literal_bits(clause)]
-            alive[k] = _dpll_sat(premises + refutation)
+            alive[k] = _dpll_sat(premises + refutation) is not None
     else:
         full, tables = found
         models = [_clause_models(c, tables) for c, _ in entries]

@@ -88,22 +88,29 @@ def _truth_tables(n: int) -> tuple[int, ...]:
     return tuple(tables)
 
 
-def _dpll_sat(clauses: list[int]) -> bool:
+def _dpll_sat(clauses: list[int]) -> int | None:
     """Complete backtracking search with unit propagation on integer
     clauses (`_ClauseBits`): a clause of one bit is a unit, and branching
-    tries the lowest literal of the first clause, then its negation."""
+    tries the lowest literal of the first clause, then its negation.
+
+    The result is None when the clauses have no model, and otherwise a
+    model: the OR of the literal bits the search set, units and branch
+    literals alike. Every clause has a bit in it and no pair has both, but
+    it may be 0, the model of no clauses, so test it against None."""
+    model = 0
     while True:
         if not clauses:
-            return True
+            return model
         unit = 0
         for c in clauses:
             if not c:
-                return False
+                return None
             if not c & (c - 1):
                 unit = c
                 break
         if not unit:
             break
+        model |= unit
         negation = _negation(unit)
         new: list[int] = []
         for c in clauses:
@@ -112,11 +119,14 @@ def _dpll_sat(clauses: list[int]) -> bool:
             if c & negation:
                 c ^= negation
                 if not c:
-                    return False
+                    return None
             new.append(c)
         clauses = new
     lit = clauses[0] & -clauses[0]
-    return _dpll_sat(clauses + [lit]) or _dpll_sat(clauses + [_negation(lit)])
+    found = _dpll_sat(clauses + [lit])
+    if found is None:
+        found = _dpll_sat(clauses + [_negation(lit)])
+    return None if found is None else found | model
 
 
 def _negation(bit: int) -> int:
@@ -261,10 +271,15 @@ class _Levels:
     levels, so the bitsets only shrink; building stops at the first empty
     one, since every later level is empty too. A context is then the AND
     of its literals' truth tables, and the degree is the first level
-    weight whose models miss it. Above the cap each question runs the DPLL
-    search on the growing cut plus the context's unit clauses. The groups
-    are kept on both paths, since a formula's own variables can take a
-    question past the cap.
+    weight whose models miss it. Above the cap a question walks up the
+    growing cut plus the context's hard clauses with one model in hand: a
+    level whose clauses the model satisfies is satisfiable as it stands,
+    and the DPLL search runs only at a level the model misses, to find the
+    next model or to refute the cut. The groups are kept on both paths,
+    since a formula's own variables can take a question past the cap.
+
+    The level of the empty context, the base's own inconsistency, is
+    asked by every query and so is computed once, by `own_level`.
 
     A context is built once by `condition` (or grown a literal at a time
     by `narrow`) and can then be asked its `level`: on the bitset path it
@@ -279,7 +294,9 @@ class _Levels:
     negation.
     """
 
-    __slots__ = ("degrees", "_pairs", "_tables", "_models", "_groups", "_unconditioned")
+    __slots__ = (
+        "degrees", "_pairs", "_tables", "_models", "_groups", "_unconditioned", "_own"
+    )
 
     def __init__(
         self, codec: _ClauseBits, entries: list[tuple[int, int]], weights: list[Fraction]
@@ -295,6 +312,7 @@ class _Levels:
         # The positive literal's bit of each variable that some clause uses.
         self._pairs = {v: bit for v, bit in codec.pairs.items() if bit * 3 & used}
         self._groups = groups = [by_rank[r] for r in ranks]
+        self._own: int | None = None
 
         found = _literal_tables(used)
         if found is None:
@@ -383,7 +401,8 @@ class _Levels:
             sum(place[lit.var] << (not lit.positive) for lit in c.literals)
             for c in cnf_clauses(f)
         ]
-        return self._refuted(hard) if _dpll_sat(hard) else 0
+        model = _dpll_sat(hard)
+        return 0 if model is None else self._refuted(hard, model)
 
     def level(self, ctx) -> int:
         """The index into `degrees` of the context's degree: 0 (degree 1)
@@ -399,18 +418,30 @@ class _Levels:
 
         if ctx is None:
             return 0
-        return self._refuted(_literal_bits(ctx))
+        # The context's literals are their own unit clauses' model.
+        return self._refuted(_literal_bits(ctx), ctx)
 
-    def _refuted(self, accumulated: list[int]) -> int:
-        """`level` by the DPLL search, from satisfiable integer hard
-        clauses: the cut of each level is added to them in turn."""
+    def own_level(self) -> int:
+        """`level` of the empty context, computed on the first call."""
+        own = self._own
+        if own is None:
+            own = self._own = self.level(self._unconditioned)
+        return own
+
+    def _refuted(self, accumulated: list[int], model: int) -> int:
+        """`level` by the DPLL search, from integer hard clauses and a
+        model of them: the cut of each level is added to them in turn, and
+        searched only when the last model found misses one of its clauses."""
         for i, group in enumerate(self._groups, 1):
             accumulated.extend(group)
-            if not _dpll_sat(accumulated):
+            if all(c & model for c in group):
+                continue
+            model = _dpll_sat(accumulated)
+            if model is None:
                 return i
         return len(self.degrees) - 1
 
-    def inconsistency(self, context: Iterable[Literal] = ()) -> Fraction:
+    def inconsistency(self, context: Iterable[Literal]) -> Fraction:
         """1 when the context contradicts itself; otherwise the weight of
         the first level whose cut has no model of the context, or 0."""
         return self.degrees[self.level(self.condition(context))]
@@ -431,9 +462,18 @@ def _encoded(b: WeightedBase, op: str) -> tuple[_ClauseBits, list[tuple[int, int
         if not b.is_clausal:
             raise DomainError(f"{op} requires a clausal base; run to_clausal first")
         codec = _ClauseBits({lit.var for c, _ in b.entries for lit in c.literals})
-        weights = [ZERO, *sorted({w for _, w in b.entries})]
-        rank = {w: r for r, w in enumerate(weights)}
-        encoding = (codec, [(codec.encode(c), rank[w]) for c, w in b.entries], weights)
+        # Each weight is hashed once, for its index of first appearance; a
+        # `Fraction` hash is not cached and costs about a microsecond.
+        first: dict[Fraction, int] = {}
+        indices = [first.setdefault(w, len(first)) for _, w in b.entries]
+        distinct = list(first)
+        order = sorted(range(len(distinct)), key=distinct.__getitem__)
+        weights = [ZERO, *(distinct[i] for i in order)]
+        rank = [0] * len(distinct)
+        for r, i in enumerate(order, 1):
+            rank[i] = r
+        entries = [(codec.encode(c), rank[i]) for (c, _), i in zip(b.entries, indices)]
+        encoding = (codec, entries, weights)
         object.__setattr__(b, "_encoding", encoding)
     return encoding
 
@@ -478,9 +518,11 @@ def inconsistency_degree(b: WeightedBase) -> Fraction:
     the whole base is satisfiable.
 
     Computed as one descending sweep over the distinct weights: cuts only
-    grow as the threshold drops, so the first unsatisfiable one wins.
+    grow as the threshold drops, so the first unsatisfiable one wins. The
+    base's weight levels keep the answer, so the sweep runs once per base.
     """
-    return _levels(b, "inconsistency_degree").inconsistency()
+    levels = _levels(b, "inconsistency_degree")
+    return levels.degrees[levels.own_level()]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +555,7 @@ def certainty_degree(b: WeightedBase, lit: Literal) -> Fraction:
     the base, otherwise nothing genuinely supports the literal."""
     levels = _levels(b, "certainty_degree")
     refute_inc = levels.inconsistency((negate(lit),))
-    return refute_inc if refute_inc > levels.inconsistency() else ZERO
+    return refute_inc if refute_inc > levels.degrees[levels.own_level()] else ZERO
 
 
 # ---------------------------------------------------------------------------

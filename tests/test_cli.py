@@ -82,6 +82,16 @@ class TestCompile:
         assert code == 3
         assert "Inc = 1" in captured.err
 
+    def test_failed_compile_leaves_no_output(self, tmp_path, capsys):
+        path = tmp_path / "bad.base"
+        path.write_text("1: x\n1: !x\n")
+        out, dot = tmp_path / "n.json", tmp_path / "n.dot"
+        code = main(["compile", str(path), "-o", str(out), "--dot", str(dot)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: Inc = 1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.base"]
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.base"
         path.write_text("nonsense here\n")
@@ -409,10 +419,10 @@ class TestRejectedArguments:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
-        # `compile` reports its stages before the write fails.
-        last = captured.err.splitlines()[-1]
-        assert last.startswith("error: ") and message in last
-        assert "Traceback" not in captured.err
+        # Only the error reaches stderr: `compile` opens its output before
+        # the first stage, so an unwritable path reports no stage line.
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
 
 
 class TestGen:

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posslog import (
     FALSE,
@@ -20,6 +22,7 @@ from posslog import (
     WeightedBase,
     base_of_distribution,
     certainty_degree,
+    conditional_possibility,
     cnf_clauses,
     distribution_of_base,
     enumerate_distribution,
@@ -192,6 +195,123 @@ class TestSatisfiability:
         for b, by_bitset, by_dpll in zip(bases, bitset, dpll):
             inc = 1 - max(enumerate_distribution(b).values)
             assert by_bitset == by_dpll == (inc == 0, inc)
+
+
+def brute_sat(clauses, n):
+    """Whether some assignment of n variables gives every integer clause
+    (`semantics._ClauseBits`) a true literal, by enumeration."""
+    for world in range(1 << n):
+        true = 0
+        for j in range(n):
+            true |= (1 if world >> j & 1 else 2) << 2 * j
+        if all(c & true for c in clauses):
+            return True
+    return False
+
+
+class TestDpllKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=12))
+    ))
+    @example((0, []))
+    @example((0, [0]))
+    @example((3, [0b010000, 0b100000]))  # a variable and its negation
+    @example((2, [0b1100, 0b0001]))  # a tautology
+    def test_model_or_none_against_enumeration(self, drawn):
+        # Clauses over at most 6 variables, tautologies and the empty
+        # clause among them.
+        n, clauses = drawn
+        model = semantics._dpll_sat(clauses)
+        assert (model is not None) == brute_sat(clauses, n)
+        if model is not None:
+            assert all(c & model for c in clauses)
+            assert not model & (model >> 1) & 0x555  # no pair with both bits
+
+    def test_no_clauses_have_the_empty_model(self):
+        assert semantics._dpll_sat([]) == 0
+
+
+class TestDpllSearchCounts:
+    """The searches a level question runs on 20-variable bases, which stay
+    above the bitset cap."""
+
+    @pytest.fixture
+    def questions(self, monkeypatch):
+        """Each `_Levels._refuted` call as (the model it was handed, its
+        number of levels, and the top-level searches it ran, each as its
+        clauses and its result), and the total count of top-level searches."""
+        log = {"questions": [], "searches": []}
+        dpll, refuted = semantics._dpll_sat, semantics._Levels._refuted
+        depth = 0
+
+        def counted(clauses):
+            nonlocal depth
+            depth += 1
+            try:
+                model = dpll(clauses)
+            finally:
+                depth -= 1
+            if not depth:
+                log["searches"].append((list(clauses), model))
+            return model
+
+        def logged(levels, accumulated, model):
+            start = len(log["searches"])
+            level = refuted(levels, accumulated, model)
+            log["questions"].append((model, len(levels._groups), log["searches"][start:]))
+            return level
+
+        monkeypatch.setattr(semantics, "_dpll_sat", counted)
+        monkeypatch.setattr(semantics._Levels, "_refuted", logged)
+        return log
+
+    @staticmethod
+    def bases():
+        rng = random.Random(29)
+        for _ in range(6):
+            b = random_clausal_base(rng, 20, rng.randint(24, 40))
+            assert semantics._levels(b, "test")._models is None  # the DPLL path
+            yield rng, WeightedBase(b.entries, b.variables)
+
+    def test_own_level_is_searched_once(self, questions):
+        searches = questions["searches"]
+        for rng, b in self.bases():
+            levels = len(semantics._levels(b, "test")._groups)
+            inc = inconsistency_degree(b)
+            assert 0 < len(searches) and len(questions["questions"]) == 1
+            before = len(searches)
+            assert inconsistency_degree(b) == inc
+            assert len(searches) == before
+            # Each query below searches for its own context only.
+            before = len(searches)
+            certainty_degree(b, Literal(rng.choice(b.variables), True))
+            assert len(searches) - before <= levels
+            if inc == 0:
+                before = len(searches)
+                possibility(b, random_formula(rng, b.variables))
+                assert len(searches) - before <= 1 + levels
+            searches.clear()
+            questions["questions"].clear()
+
+    def test_searches_only_where_the_last_model_misses(self, questions):
+        for rng, b in self.bases():
+            inconsistency_degree(b)
+            for v in b.variables:
+                certainty_degree(b, Literal(v, rng.random() < 0.5))
+            context = [Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)]
+            conditional_possibility(b, Literal(b.variables[0], True), context)
+            if inconsistency_degree(b) == 0:
+                for _ in range(5):
+                    possibility(b, random_formula(rng, b.variables))
+        assert questions["questions"]
+        for model, levels, searches in questions["questions"]:
+            assert len(searches) <= levels
+            for clauses, found in searches:
+                assert any(not c & model for c in clauses)
+                model = found
+            if searches:
+                assert all(found is not None for _, found in searches[:-1])
 
 
 class TestInconsistencyDegree:
