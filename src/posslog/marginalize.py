@@ -77,8 +77,12 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
     only the result is decoded into a base, which keeps them.
     """
     codec, encoded, weights = _encoded(b, "marginal_base")
-    if var not in b.variables:
-        raise DomainError(f"variable {var} not in the base universe")
+    try:
+        # Found once: `Var` equality is Python-level, and the universe can
+        # be thousands of variables long.
+        at = b.variables.index(var)
+    except ValueError:
+        raise DomainError(f"variable {var} not in the base universe") from None
     x = codec.bit(Literal(var, True))
     not_x = codec.bit(Literal(var, False))
     neg = _condition(encoded, not_x, x)
@@ -89,7 +93,7 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
             if not codec.is_tautology(c):
                 cross.append((c, r1 if r1 < r2 else r2))
     return _decoded(
-        (codec, _reduce(cross), weights), tuple(v for v in b.variables if v != var)
+        (codec, _reduce(cross), weights), b.variables[:at] + b.variables[at + 1 :]
     )
 
 

@@ -88,50 +88,78 @@ def _truth_tables(n: int) -> tuple[int, ...]:
     return tuple(tables)
 
 
-def _dpll_sat(clauses: list[int]) -> int | None:
-    """Complete backtracking search with unit propagation on integer
-    clauses (`_ClauseBits`): a clause of one bit is a unit, and branching
-    tries the lowest literal of the first clause, then its negation.
+def _search(
+    clauses: list[int], true: int, false: int, pending: list[tuple[int, int]]
+) -> int | None:
+    """Depth-first search with unit propagation on integer clauses
+    (`_ClauseBits`), from the partial assignment `true` and the alternatives
+    left on `pending`. `true` holds the literal bits that are set and
+    `false` their negations, so a clause is satisfied when it has a bit in
+    `true`, and its free bits are those not in `false`: none is a conflict,
+    one is a unit, which is set. When no clause is a unit, the search sets
+    the lowest free bit of the first clause not yet satisfied and pushes the
+    assignment with its negation instead onto `pending`; on a conflict it
+    resumes from the last one pushed.
 
-    The result is None when the clauses have no model, and otherwise a
-    model: the OR of the literal bits the search set, units and branch
-    literals alike. Every clause has a bit in it and no pair has both, but
-    it may be 0, the model of no clauses, so test it against None."""
-    model = 0
+    The result is a model, the `true` it reached with every clause
+    satisfied, or None once `pending` is empty. A model leaves the
+    alternatives not yet tried on `pending`, so a caller that appends
+    clauses can resume the search from the model (as `_Levels._refuted`
+    does): an assignment that conflicted with fewer clauses conflicts with
+    more, so a resumed search still covers every assignment not refuted."""
     while True:
-        if not clauses:
-            return model
-        unit = 0
+        first = 0  # the free bits of the first clause not yet satisfied
+        units = False
         for c in clauses:
-            if not c:
-                return None
-            if not c & (c - 1):
-                unit = c
-                break
-        if not unit:
-            break
-        model |= unit
-        negation = _negation(unit)
-        new: list[int] = []
-        for c in clauses:
-            if c & unit:
+            if c & true:
                 continue
-            if c & negation:
-                c ^= negation
-                if not c:
-                    return None
-            new.append(c)
-        clauses = new
-    lit = clauses[0] & -clauses[0]
-    found = _dpll_sat(clauses + [lit])
-    if found is None:
-        found = _dpll_sat(clauses + [_negation(lit)])
-    return None if found is None else found | model
+            free = c & ~false
+            if free & (free - 1):
+                if not first:
+                    first = free
+            elif free:
+                true |= free
+                # `_negation(free)`, inlined: units are the search's hot path.
+                false |= free >> 1 if free.bit_length() & 1 == 0 else free << 1
+                units = True
+            else:
+                break
+        else:
+            if units:
+                continue  # a late unit can make an earlier clause a unit or a conflict
+            if not first:
+                return true
+            lit = first & -first
+            negation = _negation(lit)
+            pending.append((true | negation, false | lit))
+            true |= lit
+            false |= negation
+            continue
+        if not pending:
+            return None
+        true, false = pending.pop()
+
+
+def _dpll_sat(clauses: list[int]) -> int | None:
+    """`_search` from the empty assignment: None when the clauses have no
+    model, and otherwise a model, the OR of the literal bits the search
+    set, units and branch literals alike. Every clause has a bit in it and
+    no pair has both, but it may be 0, the model of no clauses, so test it
+    against None."""
+    return _search(clauses, 0, 0, [])
 
 
 def _negation(bit: int) -> int:
     """The negation of a literal bit: the other bit of its pair."""
     return bit >> 1 if bit.bit_length() % 2 == 0 else bit << 1
+
+
+def _negations(bits: int) -> int:
+    """The negations of a set of literal bits, each swapped within its
+    pair. The mask of lower bits must reach the highest pair, so its width
+    is rounded up to a whole pair."""
+    lower = ((1 << 2 * ((bits.bit_length() + 1) // 2)) - 1) // 3
+    return (bits & lower) << 1 | (bits >> 1) & lower
 
 
 def _literal_bits(c: int) -> list[int]:
@@ -271,12 +299,16 @@ class _Levels:
     levels, so the bitsets only shrink; building stops at the first empty
     one, since every later level is empty too. A context is then the AND
     of its literals' truth tables, and the degree is the first level
-    weight whose models miss it. Above the cap a question walks up the
-    growing cut plus the context's hard clauses with one model in hand: a
-    level whose clauses the model satisfies is satisfiable as it stands,
-    and the DPLL search runs only at a level the model misses, to find the
-    next model or to refute the cut. The groups are kept on both paths,
-    since a formula's own variables can take a question past the cap.
+    weight whose models miss it. Above the cap a question is one
+    depth-first search (`_search`) over the context's hard clauses plus the
+    growing cut, resumed level by level: a level whose clauses the model in
+    hand satisfies is satisfiable as it stands, and at a level the model
+    misses the search goes on from that model with the branches it left
+    pending, to find the next model or to refute the cut. A cut only adds
+    clauses, so a branch refuted under an earlier cut is refuted under
+    every later one, and no level searches again what an earlier one
+    refuted. The groups are kept on both paths, since a formula's own
+    variables can take a question past the cap.
 
     The level of the empty context, the base's own inconsistency, is
     asked by every query and so is computed once, by `own_level`.
@@ -373,8 +405,9 @@ class _Levels:
         such variables, over n + k variables, those k most significant,
         and its 2**k blocks of 2**n worlds are ORed together, projecting
         them away. That path is taken when the levels are on it and n + k
-        is within the cap. Otherwise the formula's CNF is run through the
-        DPLL level loop, so only that path meets the `MAX_CNF_CLAUSES` cap.
+        is within the cap. Otherwise the formula's CNF is the hard clauses
+        of the DPLL level walk, so only that path meets the
+        `MAX_CNF_CLAUSES` cap.
         A formula context is not a `level` argument, so that `level` keeps
         its literal contexts free of a type dispatch.
         """
@@ -397,12 +430,10 @@ class _Levels:
                 size >>= 1
                 models = (models >> size) | (models & ((1 << size) - 1))
             return self.level(models)
-        hard = [
+        return self._refuted([
             sum(place[lit.var] << (not lit.positive) for lit in c.literals)
             for c in cnf_clauses(f)
-        ]
-        model = _dpll_sat(hard)
-        return 0 if model is None else self._refuted(hard, model)
+        ])
 
     def level(self, ctx) -> int:
         """The index into `degrees` of the context's degree: 0 (degree 1)
@@ -418,8 +449,7 @@ class _Levels:
 
         if ctx is None:
             return 0
-        # The context's literals are their own unit clauses' model.
-        return self._refuted(_literal_bits(ctx), ctx)
+        return self._refuted(_literal_bits(ctx))
 
     def own_level(self) -> int:
         """`level` of the empty context, computed on the first call."""
@@ -428,16 +458,25 @@ class _Levels:
             own = self._own = self.level(self._unconditioned)
         return own
 
-    def _refuted(self, accumulated: list[int], model: int) -> int:
-        """`level` by the DPLL search, from integer hard clauses and a
-        model of them: the cut of each level is added to them in turn, and
-        searched only when the last model found misses one of its clauses."""
+    def _refuted(self, hard: list[int]) -> int:
+        """`level` by one resumed `_search`, from integer hard clauses: 0
+        when they have no model. Otherwise the cut of each level is
+        appended to them in turn; where the model in hand misses one of its
+        clauses, the search resumes from that model with the alternatives
+        it left pending, and the first level where it finds none is the
+        answer. Cuts only grow, and added clauses only remove models, so an
+        assignment refuted under one cut stays refuted under every later
+        one and is never searched again."""
+        pending: list[tuple[int, int]] = []
+        true = _search(hard, 0, 0, pending)
+        if true is None:
+            return 0
         for i, group in enumerate(self._groups, 1):
-            accumulated.extend(group)
-            if all(c & model for c in group):
+            hard.extend(group)
+            if all(c & true for c in group):
                 continue
-            model = _dpll_sat(accumulated)
-            if model is None:
+            true = _search(hard, true, _negations(true), pending)
+            if true is None:
                 return i
         return len(self.degrees) - 1
 

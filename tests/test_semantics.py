@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+import itertools
 from itertools import combinations
 
 import pytest
@@ -238,33 +239,34 @@ class TestDpllSearchCounts:
 
     @pytest.fixture
     def questions(self, monkeypatch):
-        """Each `_Levels._refuted` call as (the model it was handed, its
-        number of levels, and the top-level searches it ran, each as its
-        clauses and its result), and the total count of top-level searches."""
+        """Every `_search` call as (its pending stack, its clauses, the
+        assignment it starts from, its result), and each `_Levels._refuted`
+        call as its number of levels and the searches it made. A search
+        from the root is one with a pending stack of its own; a resumed
+        search is handed the stack of an earlier one."""
         log = {"questions": [], "searches": []}
-        dpll, refuted = semantics._dpll_sat, semantics._Levels._refuted
-        depth = 0
+        search, refuted = semantics._search, semantics._Levels._refuted
 
-        def counted(clauses):
-            nonlocal depth
-            depth += 1
-            try:
-                model = dpll(clauses)
-            finally:
-                depth -= 1
-            if not depth:
-                log["searches"].append((list(clauses), model))
-            return model
+        def counted(clauses, true, false, pending):
+            entry = [pending, list(clauses), true, None]
+            log["searches"].append(entry)
+            entry[3] = search(clauses, true, false, pending)
+            return entry[3]
 
-        def logged(levels, accumulated, model):
+        def logged(levels, hard):
             start = len(log["searches"])
-            level = refuted(levels, accumulated, model)
-            log["questions"].append((model, len(levels._groups), log["searches"][start:]))
+            level = refuted(levels, hard)
+            log["questions"].append((len(levels._groups), log["searches"][start:]))
             return level
 
-        monkeypatch.setattr(semantics, "_dpll_sat", counted)
+        monkeypatch.setattr(semantics, "_search", counted)
         monkeypatch.setattr(semantics._Levels, "_refuted", logged)
         return log
+
+    @staticmethod
+    def roots(searches):
+        """The number of searches started from the root."""
+        return len({id(pending) for pending, *_ in searches})
 
     @staticmethod
     def bases():
@@ -277,20 +279,24 @@ class TestDpllSearchCounts:
     def test_own_level_is_searched_once(self, questions):
         searches = questions["searches"]
         for rng, b in self.bases():
-            levels = len(semantics._levels(b, "test")._groups)
             inc = inconsistency_degree(b)
-            assert 0 < len(searches) and len(questions["questions"]) == 1
+            assert len(questions["questions"]) == 1 and self.roots(searches) == 1
             before = len(searches)
             assert inconsistency_degree(b) == inc
             assert len(searches) == before
-            # Each query below searches for its own context only.
-            before = len(searches)
+            # Each question below starts at most one search from the root:
+            # one question for a certainty degree or a possibility, two for
+            # a conditional possibility (the context with and without the
+            # literal).
             certainty_degree(b, Literal(rng.choice(b.variables), True))
-            assert len(searches) - before <= levels
+            context = [Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)]
+            conditional_possibility(b, Literal(b.variables[0], True), context)
             if inc == 0:
-                before = len(searches)
                 possibility(b, random_formula(rng, b.variables))
-                assert len(searches) - before <= 1 + levels
+            asked = questions["questions"][1:]
+            assert len(asked) <= 4
+            assert all(self.roots(s) <= 1 for _, s in asked)
+            assert len(searches) - before == sum(len(s) for _, s in asked)
             searches.clear()
             questions["questions"].clear()
 
@@ -304,14 +310,83 @@ class TestDpllSearchCounts:
             if inconsistency_degree(b) == 0:
                 for _ in range(5):
                     possibility(b, random_formula(rng, b.variables))
-        assert questions["questions"]
-        for model, levels, searches in questions["questions"]:
-            assert len(searches) <= levels
-            for clauses, found in searches:
-                assert any(not c & model for c in clauses)
+        asked = questions["questions"]
+        assert asked
+        assert len(questions["searches"]) == sum(len(s) for _, s in asked)
+        for levels, searches in asked:
+            # One search from the root, then one resumed search at most
+            # per level, each from the last model and only where it
+            # misses a clause.
+            assert 1 <= len(searches) <= 1 + levels and self.roots(searches) == 1
+            (_, _, true, model), *resumed = searches
+            assert true == 0
+            for _, clauses, true, found in resumed:
+                assert model is not None and true == model
+                assert any(not c & true for c in clauses)
                 model = found
-            if searches:
-                assert all(found is not None for _, found in searches[:-1])
+
+
+class TestDpllLevelWalk:
+    """The resumed level walk against brute-force enumeration of the cuts."""
+
+    @staticmethod
+    def first_refuted(entries, context, worlds):
+        """The degree of the first cut, by descending weight, that no world
+        satisfying `context` satisfies: 1 when none satisfies it, 0 when
+        every cut has one."""
+        worlds = [w for w in worlds if context(w)]
+        if not worlds:
+            return F(1)
+        for weight in sorted({a for _, a in entries}, reverse=True):
+            cut = [c for c, a in entries if a >= weight]
+            if not any(all(holds(c, w) for c in cut) for w in worlds):
+                return weight
+        return F(0)
+
+    # Literals are (variable index, positive); index n is a variable
+    # outside the universe. The seed draws the query formula.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=4),
+                st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(1)]),
+            ),
+            max_size=12,
+        ),
+        st.lists(st.tuples(st.integers(0, n), st.booleans()), max_size=4),
+        st.integers(0, 2**32),
+    )))
+    # {x0 | x1} at 1, then {!x1} at 1/2: the model x1 of the first cut is
+    # refuted by the second, and the pending branch !x1 then sets x0.
+    @example((2, [([(0, True), (1, True)], F(1)), ([(1, False)], F(1, 2))], [], 0))
+    @example((2, [([(0, True), (1, True)], F(1)), ([(1, False)], F(1, 2))], [(1, True)], 0))
+    @example((1, [([(0, True)], F(1, 2))], [(0, True), (0, False)], 0))  # a clash
+    @example((1, [([], F(1, 2))], [(1, True), (1, False)], 0))  # outside the universe
+    def test_levels_are_the_first_refuted_cut(self, drawn):
+        n, raw, raw_context, seed = drawn
+        variables = tuple(Var(f"x{i}") for i in range(n + 1))
+        entries = [
+            (Clause(Literal(variables[i], p) for i, p in lits), a) for lits, a in raw
+        ]
+        context = [Literal(variables[i], p) for i, p in raw_context]
+        f = random_formula(random.Random(seed), variables)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semantics, "_BITSET_MAX_VARS", 0)
+            levels = semantics._levels(WeightedBase(entries, variables[:n]), "test")
+            # The DPLL path, unless no clause uses a variable.
+            assert levels._models is None or not levels._pairs
+            by_context = levels.degrees[levels.level(levels.condition(context))]
+            by_formula = levels.degrees[levels.formula_level(f)]
+        worlds = [
+            dict(zip(variables, bits))
+            for bits in itertools.product((False, True), repeat=n + 1)
+        ]
+        assert by_context == self.first_refuted(
+            entries, lambda w: all(holds(lit, w) for lit in context), worlds
+        )
+        assert by_formula == self.first_refuted(entries, lambda w: holds(f, w), worlds)
 
 
 class TestInconsistencyDegree:
