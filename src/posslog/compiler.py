@@ -127,12 +127,13 @@ def hidden_parent_closure(
     Instantiations are swept in variable-name order, so runs are
     reproducible. A candidate clause, one that could bring a fresh parent,
     falls once it holds a chosen literal. The node is derivable in a
-    context when either node literal moves its degree: its column is not
-    (1, 1).
+    context when its column is not (1, 1): when its halves with ¬var and
+    with var differ in level (a walk context never contradicts itself, so
+    both levels are 1 or more, and those have distinct degrees).
     """
     levels = _levels(b, "hidden_parent_closure")
-    degrees, level, narrow = levels.degrees, levels.level, levels.narrow
-    node = (Literal(var, False), Literal(var, True))
+    level, narrow = levels.level, levels.narrow
+    neg, pos = Literal(var, False), Literal(var, True)
     parents = set(seed) - {var}
     while True:
         candidates = []
@@ -147,8 +148,7 @@ def hidden_parent_closure(
         pairs = [(Literal(p, False), Literal(p, True)) for p in sorted(parents)]
         steps = [(n, holding.get(n, 0), p, holding.get(p, 0)) for n, p in pairs]
         for ctx, standing in _walk(levels, var, steps, (1 << len(candidates)) - 1):
-            h = degrees[level(ctx)]
-            if any(degrees[level(narrow(ctx, x))] != h for x in node):
+            if level(narrow(ctx, neg)) != level(narrow(ctx, pos)):
                 for i, candidate in enumerate(candidates):
                     if standing >> i & 1:
                         parents |= candidate
@@ -184,27 +184,27 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     """The full conditional table of `var` given `parents`, one column per
     parent instantiation, both polarities per column.
 
-    Column i is the i-th context of `_walk` (on the bitset path each step
-    is one AND with the parent's truth table), so h is asked once per
-    column and h' once per polarity. The answers are level indices, and
-    the few distinct pairs of them share one exact division each.
+    Column i is the i-th context u of `_walk` (on the bitset path each step
+    is one AND with the parent's truth table). h' is asked once per
+    polarity and h not at all: Π(u) = max(Π(u ∧ ¬x), Π(u ∧ x)), so u's
+    level is the larger of the two. The answers are level indices, and
+    the few distinct pairs of them share one column of divisions each.
     """
     parents = tuple(parents)
     levels = _levels(b, "cpt_for")
     steps = [(Literal(p, False), 0, Literal(p, True), 0) for p in parents]
-    node = (Literal(var, False), Literal(var, True))
-    columns: tuple[list[Fraction], list[Fraction]] = ([], [])
+    neg, pos = Literal(var, False), Literal(var, True)
     degrees, level, narrow = levels.degrees, levels.level, levels.narrow
-    ratios: dict[tuple[int, int], Fraction] = {}
+    cells: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    columns = []
     for ctx, _ in _walk(levels, var, steps):
-        h = level(ctx)
-        for x, column in zip(node, columns):
-            key = (h, level(narrow(ctx, x)))
-            ratio = ratios.get(key)
-            if ratio is None:
-                ratio = ratios[key] = _conditional(degrees[key[0]], degrees[key[1]])
-            column.append(ratio)
-    return CPT(var, parents, *columns)
+        key = (level(narrow(ctx, neg)), level(narrow(ctx, pos)))
+        cell = cells.get(key)
+        if cell is None:
+            h = degrees[max(key)]
+            cell = cells[key] = tuple(_conditional(h, degrees[i]) for i in key)
+        columns.append(cell)
+    return CPT(var, parents, *zip(*columns))
 
 
 @dataclass(frozen=True)

@@ -385,14 +385,14 @@ class WeightedBase:
             universe = tuple(seen)
         else:
             universe = tuple(variables)
-            names = [v.name for v in universe]
-            if len(set(names)) != len(names):
+            # By name: a `str` caches its hash, a `Var` hashes in Python code.
+            declared = {v.name for v in universe}
+            if len(declared) != len(universe):
                 raise DomainError("duplicate variable in universe")
-            declared = set(universe)
             for f, _ in cooked:
-                extra = vars_of(f) - declared
+                extra = {v.name for v in vars_of(f)} - declared
                 if extra:
-                    names = ", ".join(sorted(v.name for v in extra))
+                    names = ", ".join(sorted(extra))
                     raise DomainError(f"entry mentions undeclared variables: {names}")
         object.__setattr__(self, "entries", tuple(cooked))
         object.__setattr__(self, "variables", universe)

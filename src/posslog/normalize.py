@@ -12,8 +12,8 @@ from typing import Hashable, Iterable
 
 from .errors import DomainError
 from .model import Clause, Literal, WeightedBase, cnf_clauses
-from .semantics import _clause_models, _ClauseBits, _decoded, _dpll_sat, _encoded
-from .semantics import _literal_bits, _literal_tables, _negation
+from .semantics import _clause_models, _ClauseBits, _decoded, _encoded
+from .semantics import _literal_tables, _negations, _search
 from .semantics import entails  # not called here; bench/tracing.py wraps it here
 
 
@@ -88,8 +88,8 @@ def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     of those of equal weight still to come. The entry is redundant when
     they have no model outside its own. A lighter entry is never a premise,
     so the weight groups can be worked through heaviest first. Above the
-    bitset cap each test is a DPLL refutation from the entries still
-    present.
+    bitset cap each test is a DPLL search over the entries still present
+    that starts from the entry's negated literals.
     """
     entries = list(_merged(entries).items())
     order = sorted(
@@ -109,9 +109,10 @@ def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
                 for j, (c, w) in enumerate(entries)
                 if alive[j] and j != k and w >= weight
             ]
-            # Kept unless the premises refute the entry's negated literals.
-            refutation = [_negation(bit) for bit in _literal_bits(clause)]
-            alive[k] = _dpll_sat(premises + refutation) is not None
+            # Kept unless the premises have no model from the entry's
+            # negated literals; a tautology has none to start from.
+            n = _negations(clause)
+            alive[k] = not (n & clause) and _search(premises, n, []) is not None
     else:
         full, tables = found
         models = [_clause_models(c, tables) for c, _ in entries]

@@ -88,25 +88,25 @@ def _truth_tables(n: int) -> tuple[int, ...]:
     return tuple(tables)
 
 
-def _search(
-    clauses: list[int], true: int, false: int, pending: list[tuple[int, int]]
-) -> int | None:
+def _search(clauses: list[int], true: int, pending: list[tuple[int, int]]) -> int | None:
     """Depth-first search with unit propagation on integer clauses
-    (`_ClauseBits`), from the partial assignment `true` and the alternatives
-    left on `pending`. `true` holds the literal bits that are set and
-    `false` their negations, so a clause is satisfied when it has a bit in
-    `true`, and its free bits are those not in `false`: none is a conflict,
-    one is a unit, which is set. When no clause is a unit, the search sets
-    the lowest free bit of the first clause not yet satisfied and pushes the
+    (`_ClauseBits`), from the partial assignment `true` (literal bits, no
+    pair with both) and the alternatives left on `pending`. A clause is
+    satisfied when it has a bit in `true`, and its free bits are those
+    whose negation is not in `true`: none is a conflict, one is a unit,
+    which is set. When no clause is a unit, the search sets the lowest
+    free bit of the first clause not yet satisfied and pushes the
     assignment with its negation instead onto `pending`; on a conflict it
     resumes from the last one pushed.
 
     The result is a model, the `true` it reached with every clause
-    satisfied, or None once `pending` is empty. A model leaves the
-    alternatives not yet tried on `pending`, so a caller that appends
+    satisfied and every start bit kept (0 for no clauses from no start, so
+    test it against None), or None once `pending` is empty. A model leaves
+    the alternatives not yet tried on `pending`, so a caller that appends
     clauses can resume the search from the model (as `_Levels._refuted`
     does): an assignment that conflicted with fewer clauses conflicts with
     more, so a resumed search still covers every assignment not refuted."""
+    false = _negations(true)
     while True:
         first = 0  # the free bits of the first clause not yet satisfied
         units = False
@@ -138,15 +138,6 @@ def _search(
         if not pending:
             return None
         true, false = pending.pop()
-
-
-def _dpll_sat(clauses: list[int]) -> int | None:
-    """`_search` from the empty assignment: None when the clauses have no
-    model, and otherwise a model, the OR of the literal bits the search
-    set, units and branch literals alike. Every clause has a bit in it and
-    no pair has both, but it may be 0, the model of no clauses, so test it
-    against None."""
-    return _search(clauses, 0, 0, [])
 
 
 def _negation(bit: int) -> int:
@@ -300,8 +291,9 @@ class _Levels:
     one, since every later level is empty too. A context is then the AND
     of its literals' truth tables, and the degree is the first level
     weight whose models miss it. Above the cap a question is one
-    depth-first search (`_search`) over the context's hard clauses plus the
-    growing cut, resumed level by level: a level whose clauses the model in
+    depth-first search (`_search`) over the growing cut, resumed level by
+    level, that starts from a literal context's bits (a formula context is
+    its CNF as hard clauses instead): a level whose clauses the model in
     hand satisfies is satisfiable as it stands, and at a level the model
     misses the search goes on from that model with the branches it left
     pending, to find the next model or to refute the cut. A cut only adds
@@ -433,7 +425,7 @@ class _Levels:
         return self._refuted([
             sum(place[lit.var] << (not lit.positive) for lit in c.literals)
             for c in cnf_clauses(f)
-        ])
+        ], 0)
 
     def level(self, ctx) -> int:
         """The index into `degrees` of the context's degree: 0 (degree 1)
@@ -449,7 +441,7 @@ class _Levels:
 
         if ctx is None:
             return 0
-        return self._refuted(_literal_bits(ctx))
+        return self._refuted([], ctx)
 
     def own_level(self) -> int:
         """`level` of the empty context, computed on the first call."""
@@ -458,24 +450,25 @@ class _Levels:
             own = self._own = self.level(self._unconditioned)
         return own
 
-    def _refuted(self, hard: list[int]) -> int:
-        """`level` by one resumed `_search`, from integer hard clauses: 0
-        when they have no model. Otherwise the cut of each level is
-        appended to them in turn; where the model in hand misses one of its
-        clauses, the search resumes from that model with the alternatives
-        it left pending, and the first level where it finds none is the
-        answer. Cuts only grow, and added clauses only remove models, so an
-        assignment refuted under one cut stays refuted under every later
-        one and is never searched again."""
+    def _refuted(self, hard: list[int], true: int) -> int:
+        """`level` by one resumed `_search` over integer hard clauses (a
+        formula's CNF) from the literal bits `true` (a literal context's):
+        0 when no model keeps them. Otherwise the cut of each level is
+        appended to the hard clauses in turn; where the model in hand misses
+        one of its clauses, the search resumes from that model with the
+        alternatives it left pending, and the first level where it finds
+        none is the answer. Cuts only grow, and added clauses only remove
+        models, so an assignment refuted under one cut stays refuted under
+        every later one and is never searched again."""
         pending: list[tuple[int, int]] = []
-        true = _search(hard, 0, 0, pending)
+        true = _search(hard, true, pending)
         if true is None:
             return 0
         for i, group in enumerate(self._groups, 1):
             hard.extend(group)
             if all(c & true for c in group):
                 continue
-            true = _search(hard, true, _negations(true), pending)
+            true = _search(hard, true, pending)
             if true is None:
                 return i
         return len(self.degrees) - 1

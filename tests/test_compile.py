@@ -200,6 +200,24 @@ class TestCptFor:
         with pytest.raises(ResourceCapError, match="se would have 8 cells"):
             cpt_for(weather, SE, (WI, SU))
 
+    def test_asks_two_level_questions_per_column(self, solver_path, monkeypatch):
+        # A column's context degree is the larger of its two cells'
+        # degrees, so it is never asked.
+        asked = []
+        level = semantics._Levels.level
+
+        def counted(levels, ctx):
+            asked.append(ctx)
+            return level(levels, ctx)
+
+        monkeypatch.setattr(semantics._Levels, "level", counted)
+        b = oracle.random_base(5, 6, 10, require_consistent=False)
+        var, *rest = b.variables
+        for k in range(len(rest) + 1):
+            asked.clear()
+            cpt_for(b, var, rest[:k])
+            assert len(asked) == 2 * 2**k
+
     def test_holds_one_context_per_parent(self):
         # 2^13 columns over 2^14 worlds: the breadth-first sweep held every
         # column's 2 KB world mask at once, about 16 MB.

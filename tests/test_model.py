@@ -305,6 +305,23 @@ class TestWeightedBase:
     def test_undeclared_variable_rejected(self):
         with pytest.raises(DomainError):
             WeightedBase([(clause(pos(X)), F(1, 2))], (Y,))
+        a, b, c = Var("a"), Var("b"), Var("c")
+        with pytest.raises(DomainError, match="undeclared variables: a, c$"):
+            WeightedBase([(clause(pos(c), neg(b), pos(a)), F(1, 2))], (b,))
+        with pytest.raises(DomainError, match="duplicate variable in universe"):
+            WeightedBase([], (a, b, Var("a")))
+
+    def test_universe_is_checked_by_name(self, monkeypatch):
+        # A `Var` hashes through Python code; a wide universe is checked
+        # against its names, whose hashes are cached, not against its Vars.
+        universe = [Var(f"a{i}") for i in range(1000)]
+        entry = (clause(pos(universe[0]), neg(universe[1])), F(1, 2))
+        hashed = []
+        var_hash = Var.__hash__
+        monkeypatch.setattr(Var, "__hash__", lambda v: hashed.append(v) or var_hash(v))
+        b = WeightedBase([entry], universe)
+        assert len(hashed) <= 4
+        assert b.variables == tuple(universe)
 
     def test_extended_grows_universe(self):
         b = WeightedBase([(clause(pos(X)), F(1, 2))], (X,))

@@ -4,7 +4,7 @@ import itertools
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from posslog import (
@@ -223,14 +223,34 @@ class TestDpllKernel:
         # Clauses over at most 6 variables, tautologies and the empty
         # clause among them.
         n, clauses = drawn
-        model = semantics._dpll_sat(clauses)
+        model = semantics._search(clauses, 0, [])
         assert (model is not None) == brute_sat(clauses, n)
         if model is not None:
             assert all(c & model for c in clauses)
             assert not model & (model >> 1) & 0x555  # no pair with both bits
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=12),
+        st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=n),
+    )))
+    @example((1, [0b01], [(0, False)]))  # the start refutes the only clause
+    def test_a_start_is_kept_in_the_model_or_none_is_found(self, drawn):
+        # The start is a consistent set of literal bits, the last drawn
+        # polarity of each variable; it is as good as its unit clauses.
+        n, clauses, literals = drawn
+        start = sum({j: (1 if p else 2) << 2 * j for j, p in literals}.values())
+        units = [start & (3 << 2 * j) for j in range(n) if start & (3 << 2 * j)]
+        model = semantics._search(clauses, start, [])
+        assert (model is not None) == brute_sat(clauses + units, n)
+        if model is not None:
+            assert model & start == start
+            assert all(c & model for c in clauses)
+            assert not model & (model >> 1) & 0x555
+
     def test_no_clauses_have_the_empty_model(self):
-        assert semantics._dpll_sat([]) == 0
+        assert semantics._search([], 0, []) == 0
 
 
 class TestDpllSearchCounts:
@@ -243,19 +263,21 @@ class TestDpllSearchCounts:
         assignment it starts from, its result), and each `_Levels._refuted`
         call as its number of levels and the searches it made. A search
         from the root is one with a pending stack of its own; a resumed
-        search is handed the stack of an earlier one."""
-        log = {"questions": [], "searches": []}
+        search is handed the stack of an earlier one. `starts` holds each
+        question's hard clauses and start, as `_refuted` was handed them."""
+        log = {"questions": [], "searches": [], "starts": []}
         search, refuted = semantics._search, semantics._Levels._refuted
 
-        def counted(clauses, true, false, pending):
+        def counted(clauses, true, pending):
             entry = [pending, list(clauses), true, None]
             log["searches"].append(entry)
-            entry[3] = search(clauses, true, false, pending)
+            entry[3] = search(clauses, true, pending)
             return entry[3]
 
-        def logged(levels, hard):
+        def logged(levels, hard, true):
             start = len(log["searches"])
-            level = refuted(levels, hard)
+            log["starts"].append((list(hard), true))
+            level = refuted(levels, hard, true)
             log["questions"].append((len(levels._groups), log["searches"][start:]))
             return level
 
@@ -301,25 +323,47 @@ class TestDpllSearchCounts:
             questions["questions"].clear()
 
     def test_searches_only_where_the_last_model_misses(self, questions):
+        # The literal bits each question starts from: a literal context's
+        # own, with no hard clauses; None for a formula, whose CNF is the
+        # hard clauses and which starts from no bits. A contradictory
+        # literal context is answered without a search.
+        expected = []
         for rng, b in self.bases():
+            levels = semantics._levels(b, "test")
             inconsistency_degree(b)
+            expected.append(levels.condition())
             for v in b.variables:
-                certainty_degree(b, Literal(v, rng.random() < 0.5))
+                lit = Literal(v, rng.random() < 0.5)
+                certainty_degree(b, lit)
+                expected.append(levels.condition([negate(lit)]))
             context = [Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)]
-            conditional_possibility(b, Literal(b.variables[0], True), context)
+            lit = Literal(b.variables[0], True)
+            conditional_possibility(b, lit, context)
+            for asked in (context, [*context, lit]):
+                bits = levels.condition(asked)
+                if bits is not None:
+                    expected.append(bits)
             if inconsistency_degree(b) == 0:
                 for _ in range(5):
                     possibility(b, random_formula(rng, b.variables))
+                    expected.append(None)
         asked = questions["questions"]
         assert asked
         assert len(questions["searches"]) == sum(len(s) for _, s in asked)
-        for levels, searches in asked:
+        assert len(asked) == len(questions["starts"]) == len(expected)
+        for (levels, searches), (hard, start), bits in zip(
+            asked, questions["starts"], expected
+        ):
             # One search from the root, then one resumed search at most
             # per level, each from the last model and only where it
             # misses a clause.
             assert 1 <= len(searches) <= 1 + levels and self.roots(searches) == 1
-            (_, _, true, model), *resumed = searches
-            assert true == 0
+            (_, clauses, true, model), *resumed = searches
+            assert clauses == hard and true == start
+            if bits is None:
+                assert start == 0
+            else:
+                assert hard == [] and start == bits
             for _, clauses, true, found in resumed:
                 assert model is not None and true == model
                 assert any(not c & true for c in clauses)
@@ -387,6 +431,49 @@ class TestDpllLevelWalk:
             entries, lambda w: all(holds(lit, w) for lit in context), worlds
         )
         assert by_formula == self.first_refuted(entries, lambda w: holds(f, w), worlds)
+
+
+class TestMaxitivity:
+    """A context's level is the larger of its two halves' levels, with ¬x
+    and with x: a cut misses the context exactly when it misses both. The
+    CPT sweep reads a column's context degree off its two cells this way."""
+
+    # Variables x0 .. x(n-1) are drawn into clauses, x(n) is declared but
+    # in no clause, and x(n+1) is outside the universe.
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=4),
+                st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(1)]),
+            ),
+            max_size=12,
+        ),
+        st.lists(st.tuples(st.integers(0, n + 1), st.booleans()), max_size=4),
+        st.integers(0, n + 1),
+    )))
+    @example((1, [([(0, True)], F(1, 2))], [], 0))  # x used by a clause
+    @example((1, [([(0, True)], F(1, 2))], [(0, False)], 1))  # x in no clause
+    @example((1, [([(0, True)], F(1, 2))], [(2, True)], 2))  # x outside
+    def test_context_level_is_the_larger_half(self, solver_path, drawn):
+        n, raw, raw_context, x = drawn
+        variables = tuple(Var(f"x{i}") for i in range(n + 2))
+        entries = [
+            (Clause(Literal(variables[i], p) for i, p in lits), a) for lits, a in raw
+        ]
+        # The last polarity drawn for each variable, so no clash.
+        context = [Literal(variables[i], p) for i, p in dict(raw_context).items()]
+        levels = semantics._levels(WeightedBase(entries, variables[: n + 1]), "test")
+        whole = levels.level(levels.condition(context))
+        halves = [
+            levels.level(levels.condition([*context, Literal(variables[x], p)]))
+            for p in (False, True)
+        ]
+        assert whole == max(halves)
 
 
 class TestInconsistencyDegree:
