@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DomainError, InconsistentBaseError, ResourceCapError
 from .marginalize import marginal_base
 from .model import ONE, Literal, Var, WeightedBase
-from .network import CPT, Network
+from .network import CPT, Network, check_parents
 from .normalize import remove_subsumed, remove_tautologies, to_clausal
 from .semantics import _levels, inconsistency_degree
 from .semantics import certainty_degree  # not called here; bench/tracing.py wraps it here
@@ -84,6 +84,17 @@ def immediate_parents(b: WeightedBase, var: Var) -> frozenset[Var]:
     return frozenset(out)
 
 
+def _check_cells(var: Var, parents: int) -> None:
+    """Raises `ResourceCapError` when a table of `var` given that many
+    parents would have more than `MAX_CPT_CELLS` cells."""
+    cells = 2 << parents
+    if cells > MAX_CPT_CELLS:
+        raise ResourceCapError(
+            f"the table of {var} would have {cells} cells,"
+            f" more than the cap of {MAX_CPT_CELLS}"
+        )
+
+
 def _walk(levels, var: Var, steps, standing: int = -1):
     """Yields the context of each instantiation of `var`'s parents, depth
     first, False first and first parent most significant: the i-th is
@@ -94,12 +105,7 @@ def _walk(levels, var: Var, steps, standing: int = -1):
     at most one context per parent is alive besides the one yielded. A
     table over `MAX_CPT_CELLS` cells raises `ResourceCapError` at once.
     """
-    cells = 2 << len(steps)
-    if cells > MAX_CPT_CELLS:
-        raise ResourceCapError(
-            f"the table of {var} would have {cells} cells,"
-            f" more than the cap of {MAX_CPT_CELLS}"
-        )
+    _check_cells(var, len(steps))
     narrow = levels.narrow
     stack = [(levels.condition(), standing, 0)] if standing else []
     while stack:
@@ -184,25 +190,40 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     """The full conditional table of `var` given `parents`, one column per
     parent instantiation, both polarities per column.
 
-    Column i is the i-th context u of `_walk` (on the bitset path each step
-    is one AND with the parent's truth table). h' is asked once per
-    polarity and h not at all: Π(u) = max(Π(u ∧ ¬x), Π(u ∧ x)), so u's
-    level is the larger of the two. The answers are level indices, and
-    the few distinct pairs of them share one column of divisions each.
+    Column i is the parent instantiation u that reads i in binary. h' is
+    asked once per polarity and h not at all: Π(u) = max(Π(u ∧ ¬x),
+    Π(u ∧ x)), so u's level is the larger of the two. On the bitset path
+    the weight levels answer every column in one pass
+    (`_Levels.column_levels`); above the cap each column is the i-th
+    context of `_walk`, asked two level questions. The answers are level
+    indices, and the few distinct pairs of them share one column each. The
+    half at u's own level has degree 1, Π(u ∧ x) / Π(u) with equal terms,
+    so a column needs one division at most.
     """
     parents = tuple(parents)
+    _check_cells(var, len(parents))
+    check_parents(var, parents)
     levels = _levels(b, "cpt_for")
-    steps = [(Literal(p, False), 0, Literal(p, True), 0) for p in parents]
-    neg, pos = Literal(var, False), Literal(var, True)
-    degrees, level, narrow = levels.degrees, levels.level, levels.narrow
+    keys = levels.column_levels(var, parents)
+    if keys is None:
+        steps = [(Literal(p, False), 0, Literal(p, True), 0) for p in parents]
+        neg, pos = Literal(var, False), Literal(var, True)
+        level, narrow = levels.level, levels.narrow
+        keys = (
+            (level(narrow(ctx, neg)), level(narrow(ctx, pos)))
+            for ctx, _ in _walk(levels, var, steps)
+        )
+    degrees = levels.degrees
     cells: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     columns = []
-    for ctx, _ in _walk(levels, var, steps):
-        key = (level(narrow(ctx, neg)), level(narrow(ctx, pos)))
+    for key in keys:
         cell = cells.get(key)
         if cell is None:
-            h = degrees[max(key)]
-            cell = cells[key] = tuple(_conditional(h, degrees[i]) for i in key)
+            top = max(key)
+            h = degrees[top]
+            cell = cells[key] = tuple(
+                ONE if i == top else _conditional(h, degrees[i]) for i in key
+            )
         columns.append(cell)
     return CPT(var, parents, *zip(*columns))
 

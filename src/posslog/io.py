@@ -16,6 +16,8 @@ import json
 import re
 import warnings
 from fractions import Fraction
+from itertools import chain, product
+from operator import itemgetter
 from typing import Iterator
 
 from . import compiler
@@ -268,9 +270,6 @@ def serialize_base(b: WeightedBase) -> str:
 # network JSON
 
 
-_JSON_BOOL = ("false", "true")
-
-
 def _json_list(items: list[str], indent: str) -> str:
     """A JSON array of already rendered items, laid out as
     `json.dumps(..., indent=2)` lays it out at depth `indent`."""
@@ -304,22 +303,35 @@ def network_pieces(n: Network) -> Iterator[str]:
     node_sep = "\n    "
     for cpt in n.nodes:
         names = [p.name for p in cpt.parents]
-        by_name = sorted(range(len(names)), key=names.__getitem__)
         yield f'{node_sep}{{\n      "cpt": [\n        '
         node_sep = ",\n    "
+        # Column i's assignment is the i-th of the products of each
+        # parent's false and true fields, written in name order.
+        fields = [
+            (f'            "{name}": false', f'            "{name}": true') for name in names
+        ]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        # itemgetter of a single index would return a bare field.
+        by_name = itemgetter(*order) if len(order) > 1 else tuple
+        texts = (
+            ("{\n" + ",\n".join(by_name(fs)) + "\n          }" for fs in product(*fields))
+            if names
+            else ("{}",)
+        )
+        # The columns share a few degree objects; each is rendered once.
+        distinct = {id(w): w for w in chain(cpt.neg, cpt.pos)}
+        rendered = {key: _weight_text(w) for key, w in distinct.items()}
+        negs = map(rendered.__getitem__, map(id, cpt.neg))
+        poss = map(rendered.__getitem__, map(id, cpt.pos))
         cell_sep = ""
-        for assignment, neg, pos in cpt.columns():
-            fields = ",\n".join(
-                f'            "{names[j]}": {_JSON_BOOL[assignment[j]]}' for j in by_name
-            )
-            text = f"{{\n{fields}\n          }}" if names else "{}"
+        for text, neg, pos in zip(texts, negs, poss):
             yield (
                 f'{cell_sep}{{\n          "assignment": {text},'
                 f'\n          "polarity": false,'
-                f'\n          "weight": "{_weight_text(neg)}"\n        }},'
+                f'\n          "weight": "{neg}"\n        }},'
                 f'\n        {{\n          "assignment": {text},'
                 f'\n          "polarity": true,'
-                f'\n          "weight": "{_weight_text(pos)}"\n        }}'
+                f'\n          "weight": "{pos}"\n        }}'
             )
             cell_sep = ",\n        "
         parents = _json_list([f'"{name}"' for name in names], "      ")

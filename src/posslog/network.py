@@ -29,6 +29,15 @@ def _column(assignment: Iterable[bool]) -> int:
     return i
 
 
+def check_parents(var: Var, parents: tuple[Var, ...]) -> None:
+    """Raises `DomainError` when `var` is among its parents or a parent
+    repeats."""
+    if var in parents:
+        raise DomainError(f"{var} cannot be its own parent")
+    if len(set(parents)) != len(parents):
+        raise DomainError("duplicate parent")
+
+
 @dataclass(frozen=True)
 class CPT:
     """Conditional possibility table of one variable.
@@ -50,10 +59,7 @@ class CPT:
 
     def __post_init__(self) -> None:
         var, parents = self.var, tuple(self.parents)
-        if var in parents:
-            raise DomainError(f"{var} cannot be its own parent")
-        if len(set(parents)) != len(parents):
-            raise DomainError("duplicate parent")
+        check_parents(var, parents)
         neg, pos = (
             tuple(w if isinstance(w, Fraction) else as_weight(w) for w in column)
             for column in (self.neg, self.pos)

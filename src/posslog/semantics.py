@@ -279,6 +279,25 @@ def _clause_models(c: int, tables: dict[int, int]) -> int:
     return out
 
 
+def _cuts(groups: list[list[int]], tables: dict[int, int], full: int) -> list[int]:
+    """The worlds of `full` that satisfy every clause of the first i+1
+    groups, for each i in turn, given the literal tables of a layout keyed
+    as `_literal_tables` keys them. A tautology's models are every world,
+    so it cuts nothing; the list stops at the first empty cut, since every
+    later one is empty too."""
+    cuts = []
+    acc = full
+    for group in groups:
+        for c in group:
+            acc &= _clause_models(c, tables)
+            if not acc:
+                break
+        cuts.append(acc)
+        if not acc:
+            break
+    return cuts
+
+
 class _Levels:
     """A clausal base's integer clauses (`_encoded`) split into weight
     levels, highest first, and then asked for the inconsistency degree of
@@ -308,7 +327,8 @@ class _Levels:
     A context is built once by `condition` (or grown a literal at a time
     by `narrow`) and can then be asked its `level`: on the bitset path it
     is the mask of its worlds, above the cap the OR of its literals' bits.
-    `formula_level` asks the same of a formula. A degree is
+    `formula_level` asks the same of a formula, and on the bitset path
+    `column_levels` answers every column of a CPT at once. A degree is
     `degrees[level]`, read off the descending ladder of 1, the level
     weights and 0, so that callers can memoize on the index.
 
@@ -344,18 +364,8 @@ class _Levels:
             self._unconditioned = 0
             return
         full, tables = found
-        models = []
-        acc = full
-        for group in groups:
-            for c in group:
-                acc &= _clause_models(c, tables)
-                if not acc:
-                    break
-            models.append(acc)
-            if not acc:
-                break
         self._tables = tables
-        self._models = models
+        self._models = _cuts(groups, tables, full)
         self._unconditioned = full
 
     def condition(self, context: Iterable[Literal] = ()):
@@ -442,6 +452,69 @@ class _Levels:
         if ctx is None:
             return 0
         return self._refuted([], ctx)
+
+    def column_levels(
+        self, var: Var, parents: tuple[Var, ...]
+    ) -> list[tuple[int, int]] | None:
+        """The `level` pair of each column of `var`'s table given `parents`
+        (its parent context with ¬var, then with var), in column order:
+        False before True, first parent most significant. None above the
+        cap, where there are no truth tables to read them off.
+
+        The cuts are rebuilt over the used variables laid out with the rest
+        most significant, then the parents in parent order, then `var`, so
+        that the low bits of a world number its cell (a parent assignment
+        and a value of `var`). Halving a cut's width r times, each time
+        ORing its upper half onto its lower one, projects away the r
+        variables of the rest and leaves bit c set when the cut meets cell
+        c. Cuts are nested, so a cell meets a prefix of them, and its level
+        is 1 plus their number: the cells' counts are summed for all cells
+        at once, as fields of one integer.
+
+        A parent or `var` that no clause uses is not laid out: it changes
+        no level, so its columns repeat those without it.
+        """
+        if self._models is None:
+            return None
+        pairs = self._pairs
+        held = [p for p in parents if p in pairs]
+        front = [*held, var] if var in pairs else held
+        rest = [v for v in pairs if v not in front]
+        full = self._unconditioned
+        tables: dict[int, int] = {}
+        for v, table in zip((*rest, *front), _truth_tables(len(rest) + len(front))):
+            tables[pairs[v]] = table
+            tables[pairs[v] << 1] = full ^ table
+        cuts = _cuts(self._groups, tables, full)
+        cells = 1 << len(front)
+        # A cut's binary text has one digit per cell, cell 0 last. Read with
+        # a byte (or, past 255 cuts, four) per digit, the digit's character
+        # code, it is an integer with a field per cell; less the reading of
+        # an all-"0" text, each field is 0 or 1, and the sum of those adds
+        # up every cell's count without a carry between fields.
+        width, code = (1, "latin-1") if len(cuts) < 255 else (4, "utf-32-be")
+        zero = int.from_bytes(("0" * cells).encode(code), "big")
+        total = int.from_bytes(("1" * cells).encode(code), "big") - zero
+        for cut in cuts:
+            size = full.bit_length()
+            while size > cells:
+                size >>= 1
+                cut = cut >> size | cut & ((1 << size) - 1)
+            total += int.from_bytes(f"{cut:0{cells}b}".encode(code), "big") - zero
+        raw = total.to_bytes(width * cells, "little")  # cell 0 first
+        counts = raw if width == 1 else [
+            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+        ]
+        if len(front) > len(held):
+            columns = list(zip(counts[0::2], counts[1::2]))
+        else:
+            columns = list(zip(counts, counts))
+        if len(held) < len(parents):
+            index = [0]
+            for p in parents:
+                index = [2 * i + v if p in pairs else i for i in index for v in (0, 1)]
+            columns = [columns[i] for i in index]
+        return columns
 
     def own_level(self) -> int:
         """`level` of the empty context, computed on the first call."""

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import chain, permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posslog import (
     CPT,
@@ -200,9 +202,18 @@ class TestCptFor:
         with pytest.raises(ResourceCapError, match="se would have 8 cells"):
             cpt_for(weather, SE, (WI, SU))
 
+    def test_rejects_a_self_parent_or_a_repeated_parent(self, weather, solver_path):
+        with pytest.raises(DomainError, match="se cannot be its own parent"):
+            cpt_for(weather, SE, (WI, SE))
+        with pytest.raises(DomainError, match="duplicate parent"):
+            cpt_for(weather, SE, (WI, SU, WI))
+        with pytest.raises(DomainError, match="duplicate parent"):
+            cpt_for(WeightedBase(weather.entries, (*weather.variables, X)), SE, (X, X))
+
     def test_asks_two_level_questions_per_column(self, solver_path, monkeypatch):
         # A column's context degree is the larger of its two cells'
-        # degrees, so it is never asked.
+        # degrees, so it is never asked. On the bitset path the whole
+        # table is read off the weight levels in one pass, asking none.
         asked = []
         level = semantics._Levels.level
 
@@ -216,7 +227,57 @@ class TestCptFor:
         for k in range(len(rest) + 1):
             asked.clear()
             cpt_for(b, var, rest[:k])
-            assert len(asked) == 2 * 2**k
+            assert len(asked) == (2 * 2**k if solver_path == "dpll" else 0)
+
+    # A random base over v1 .. vn, declared with one more variable, `free`,
+    # that no clause uses; `order` puts the node first, then the parents,
+    # so `free` can be either.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.integers(0, 2**32),
+        st.just(n),
+        st.integers(0, 2 * n),
+        st.permutations(range(n + 1)),
+        st.integers(0, n),
+    )))
+    @example((1, 6, 12, (0, 1, 2, 3, 4, 5, 6), 0))  # no parent
+    @example((1, 6, 12, (5, 3, 0, 4, 6, 1, 2), 6))  # the cuts stop at level 3 of 6
+    @example((2, 4, 3, (4, 2, 0, 1, 3), 4))  # the node is in no clause
+    @example((2, 4, 3, (0, 4, 2, 1, 3), 4))  # a parent is in no clause
+    def test_one_pass_matches_the_walk(self, drawn):
+        seed, n, m, order, k = drawn
+        b = oracle.random_base(seed, n, m, require_consistent=False)
+        variables = (*b.variables, Var("free"))
+        var, *parents = (variables[i] for i in order)
+        parents = parents[:k]
+        one_pass = cpt_for(WeightedBase(b.entries, variables), var, parents)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semantics, "_BITSET_MAX_VARS", 0)
+            walked = WeightedBase(b.entries, variables)
+            assert cpt_for(walked, var, parents) == one_pass
+            # The DPLL path, unless no clause uses a variable.
+            assert walked._levels._models is None or not walked._levels._pairs
+
+    def test_one_pass_counts_past_a_byte(self):
+        # 300 distinct weights, each on a clause that excludes one world of
+        # its own: 300 nested cuts, more than a byte-wide count holds.
+        variables = tuple(Var(f"x{i}") for i in range(9))
+        worlds = random.Random(3).sample(range(1 << 9), 300)
+        b = WeightedBase(
+            [
+                (Clause(Literal(v, not w >> i & 1) for i, v in enumerate(variables)), F(j, 300))
+                for j, w in enumerate(worlds, 1)
+            ],
+            variables,
+        )
+        var, *parents = variables
+        for k in (0, 2, 8):
+            one_pass = cpt_for(b, var, parents[:k][::-1])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(semantics, "_BITSET_MAX_VARS", 0)
+                walked = WeightedBase(b.entries, variables)
+                assert cpt_for(walked, var, parents[:k][::-1]) == one_pass
+        assert len(semantics._levels(b, "test")._models) == 300
 
     def test_holds_one_context_per_parent(self):
         # 2^13 columns over 2^14 worlds: the breadth-first sweep held every
