@@ -63,7 +63,6 @@ from .network import (
     network_distribution,
 )
 from .normalize import (
-    merge_duplicates,
     remove_subsumed,
     remove_tautologies,
     to_clausal,
@@ -131,7 +130,6 @@ __all__ = [
     "instantiate",
     "interpretations",
     "marginal_base",
-    "merge_duplicates",
     "necessity",
     "negate",
     "network_distribution",

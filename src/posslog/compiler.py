@@ -35,7 +35,7 @@ from .marginalize import marginal_base
 from .model import ONE, Literal, Var, WeightedBase
 from .network import CPT, Network, check_parents
 from .normalize import remove_subsumed, remove_tautologies, to_clausal
-from .semantics import _levels, inconsistency_degree
+from .semantics import _levels, _truth_tables, inconsistency_degree
 from .semantics import certainty_degree  # not called here; bench/tracing.py wraps it here
 
 # Most cells a node's table may have: 2 per parent instantiation, so at most
@@ -95,69 +95,57 @@ def _check_cells(var: Var, parents: int) -> None:
         )
 
 
-def _walk(levels, var: Var, steps, standing: int = -1):
-    """Yields the context of each instantiation of `var`'s parents, depth
-    first, False first and first parent most significant: the i-th is
-    column i. Per parent, `steps` holds its False literal, the mask of the
-    candidate clauses holding it, then the same for its True literal. Each
-    context comes with the candidates of `standing` holding no chosen
-    literal; a branch where none stands is cut. One `narrow` per step, so
-    at most one context per parent is alive besides the one yielded. A
-    table over `MAX_CPT_CELLS` cells raises `ResourceCapError` at once.
-    """
-    _check_cells(var, len(steps))
-    narrow = levels.narrow
-    stack = [(levels.condition(), standing, 0)] if standing else []
-    while stack:
-        ctx, standing, j = stack.pop()
-        # Follow False down to a leaf, leaving each True branch on the stack.
-        while j < len(steps):
-            neg, neg_holding, pos, pos_holding = steps[j]
-            j += 1
-            left = standing & ~pos_holding
-            if left:
-                stack.append((narrow(ctx, pos), left, j))
-            standing &= ~neg_holding
-            if not standing:
-                break
-            ctx = narrow(ctx, neg)
-        else:
-            yield ctx, standing
-
-
 def hidden_parent_closure(
     b: WeightedBase, var: Var, seed: Iterable[Var]
 ) -> frozenset[Var]:
     """Grow `seed` until no parent instantiation exposes an influencing
     clause (see the module docstring for the rule and its rationale).
-    Instantiations are swept in variable-name order, so runs are
-    reproducible. A candidate clause, one that could bring a fresh parent,
-    falls once it holds a chosen literal. The node is derivable in a
-    context when its column is not (1, 1): when its halves with ¬var and
-    with var differ in level (a walk context never contradicts itself, so
-    both levels are 1 or more, and those have distinct degrees).
+
+    Each round sweeps the columns of `var`'s table given the parents in
+    name order, so runs are reproducible. A candidate clause, one that
+    could bring a fresh parent, stands in a column when the column makes
+    each of its literals on a parent false: its mask of columns is the AND
+    of those literals' false columns, read off the parents' truth tables
+    (column i is world i). A round with no candidate standing anywhere
+    ends the closure. Otherwise the first column that is derivable, not
+    (1, 1) in `_Levels.column_levels`, and has a candidate standing adds
+    those candidates' variables, and the next round starts. Each entry's
+    variables and literals are read once per call.
     """
     levels = _levels(b, "hidden_parent_closure")
-    level, narrow = levels.level, levels.narrow
-    neg, pos = Literal(var, False), Literal(var, True)
+    clauses = []  # (variables, literals) of each entry not on `var`
+    for c, _ in b.entries:
+        variables = c.variables
+        if var not in variables:
+            clauses.append((variables, c.literals))
     parents = set(seed) - {var}
     while True:
+        names = tuple(sorted(parents))
+        _check_cells(var, len(names))
+        full = (1 << (1 << len(names))) - 1
+        true_in = dict(zip(names, _truth_tables(len(names))))
         candidates = []
-        holding: dict[Literal, int] = {}
-        for c, _ in b.entries:
-            variables = c.variables
-            if var in variables or variables <= parents:
+        for variables, literals in clauses:
+            if variables <= parents:
                 continue
-            for lit in c.literals:
-                holding[lit] = holding.get(lit, 0) | 1 << len(candidates)
-            candidates.append(variables)
-        pairs = [(Literal(p, False), Literal(p, True)) for p in sorted(parents)]
-        steps = [(n, holding.get(n, 0), p, holding.get(p, 0)) for n, p in pairs]
-        for ctx, standing in _walk(levels, var, steps, (1 << len(candidates)) - 1):
-            if level(narrow(ctx, neg)) != level(narrow(ctx, pos)):
-                for i, candidate in enumerate(candidates):
-                    if standing >> i & 1:
-                        parents |= candidate
+            mask = full
+            for lit in literals:
+                table = true_in.get(lit.var)
+                if table is not None:
+                    mask &= full ^ table if lit.positive else table
+            if mask:
+                candidates.append((variables, mask))
+        if not candidates:
+            return frozenset(parents)
+        stands = 0
+        for _, mask in candidates:
+            stands |= mask
+        standing = f"{stands:0{full.bit_length()}b}"[::-1]  # column i at i
+        for i, (neg, pos) in enumerate(levels.column_levels(var, names)):
+            if neg != pos and standing[i] == "1":
+                for variables, mask in candidates:
+                    if mask >> i & 1:
+                        parents |= variables
                 break
         else:
             return frozenset(parents)
@@ -192,31 +180,21 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
 
     Column i is the parent instantiation u that reads i in binary. h' is
     asked once per polarity and h not at all: Π(u) = max(Π(u ∧ ¬x),
-    Π(u ∧ x)), so u's level is the larger of the two. On the bitset path
-    the weight levels answer every column in one pass
-    (`_Levels.column_levels`); above the cap each column is the i-th
-    context of `_walk`, asked two level questions. The answers are level
-    indices, and the few distinct pairs of them share one column each. The
-    half at u's own level has degree 1, Π(u ∧ x) / Π(u) with equal terms,
-    so a column needs one division at most.
+    Π(u ∧ x)), so u's level is the larger of the two. The weight levels
+    hand over each column's pair of levels in column order
+    (`_Levels.column_levels`). The answers are level indices, and the few
+    distinct pairs of them share one column each. The half at u's own
+    level has degree 1, Π(u ∧ x) / Π(u) with equal terms, so a column needs
+    one division at most.
     """
     parents = tuple(parents)
     _check_cells(var, len(parents))
     check_parents(var, parents)
     levels = _levels(b, "cpt_for")
-    keys = levels.column_levels(var, parents)
-    if keys is None:
-        steps = [(Literal(p, False), 0, Literal(p, True), 0) for p in parents]
-        neg, pos = Literal(var, False), Literal(var, True)
-        level, narrow = levels.level, levels.narrow
-        keys = (
-            (level(narrow(ctx, neg)), level(narrow(ctx, pos)))
-            for ctx, _ in _walk(levels, var, steps)
-        )
     degrees = levels.degrees
     cells: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     columns = []
-    for key in keys:
+    for key in levels.column_levels(var, parents):
         cell = cells.get(key)
         if cell is None:
             top = max(key)

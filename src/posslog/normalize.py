@@ -7,8 +7,7 @@ removal are all pure simplifications.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Hashable, Iterable
+from typing import Iterable
 
 from .errors import DomainError
 from .model import Clause, Literal, WeightedBase, cnf_clauses
@@ -39,24 +38,6 @@ def remove_tautologies(b: WeightedBase) -> WeightedBase:
         raise DomainError("remove_tautologies requires a clausal base")
     kept = [(c, w) for c, w in b.entries if not c.is_tautology]
     return b if len(kept) == len(b.entries) else WeightedBase(kept, b.variables)
-
-
-def _merged(entries: Iterable[tuple[Hashable, Fraction | int]]) -> dict:
-    """Each distinct clause of `entries` with its maximum weight (or weight
-    rank), in first-occurrence order. Weights are positive."""
-    best: dict = {}
-    for c, w in entries:
-        if w > best.get(c, 0):
-            best[c] = w
-    return best
-
-
-def merge_duplicates(b: WeightedBase) -> WeightedBase:
-    """Collapse duplicate clauses onto their maximum weight (lower-weight
-    copies are semantically vacuous). First-occurrence order is kept."""
-    if not b.is_clausal:
-        raise DomainError("merge_duplicates requires a clausal base")
-    return WeightedBase(_merged(b.entries).items(), b.variables)
 
 
 def remove_subsumed(b: WeightedBase) -> WeightedBase:
@@ -91,7 +72,11 @@ def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     bitset cap each test is a DPLL search over the entries still present
     that starts from the entry's negated literals.
     """
-    entries = list(_merged(entries).items())
+    best: dict[int, int] = {}  # each distinct clause's largest rank
+    for c, r in entries:
+        if r > best.get(c, 0):
+            best[c] = r
+    entries = list(best.items())
     order = sorted(
         range(len(entries)),
         key=lambda k: (entries[k][1], *_ClauseBits.order(entries[k][0])),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Iterable
 
 from .errors import DomainError, InconsistentBaseError
@@ -324,13 +325,14 @@ class _Levels:
     The level of the empty context, the base's own inconsistency, is
     asked by every query and so is computed once, by `own_level`.
 
-    A context is built once by `condition` (or grown a literal at a time
-    by `narrow`) and can then be asked its `level`: on the bitset path it
-    is the mask of its worlds, above the cap the OR of its literals' bits.
-    `formula_level` asks the same of a formula, and on the bitset path
-    `column_levels` answers every column of a CPT at once. A degree is
-    `degrees[level]`, read off the descending ladder of 1, the level
-    weights and 0, so that callers can memoize on the index.
+    A context is built by `condition` and can then be asked its `level`:
+    on the bitset path it is the mask of its worlds, above the cap the OR
+    of its literals' bits. `formula_level` asks the same of a formula.
+    `column_levels` gives the pair of levels of every column of a CPT, the
+    one sweep behind both the CPT and the hidden-parent closure: on the
+    bitset path all at once, above the cap lazily, a column at a time. A
+    degree is `degrees[level]`, read off the descending ladder of 1, the
+    level weights and 0, so that callers can memoize on the index.
 
     The codec may span variables that no clause uses, such as one a
     marginal base forgot. A context literal on such a variable, or on one
@@ -371,32 +373,27 @@ class _Levels:
     def condition(self, context: Iterable[Literal] = ()):
         """The worlds of a literal context: a bitset, 0 when the context
         contradicts itself; above the cap the OR of its literals' bits,
-        None when it contradicts itself."""
-        pairs = self._pairs
+        None when it contradicts itself. A literal on a variable no clause
+        uses has no bit, so a clash with one is caught by name."""
+        pairs, tables = self._pairs, self._tables
         free: set[Literal] = set()
         ctx = self._unconditioned
         for lit in context:
-            if lit.var in pairs:
-                ctx = self.narrow(ctx, lit)
-            elif negate(lit) in free:
-                return 0 if self._models is not None else None
-            else:
+            bit = pairs.get(lit.var)
+            if bit is None:
+                if negate(lit) in free:
+                    return 0 if tables is not None else None
                 free.add(lit)
+                continue
+            if not lit.positive:
+                bit <<= 1
+            if tables is not None:
+                ctx &= tables[bit]
+            elif ctx & _negation(bit):
+                return None
+            else:
+                ctx |= bit
         return ctx
-
-    def narrow(self, ctx, lit: Literal):
-        """`ctx` with `lit` added. A context does not record literals on
-        variables no clause uses, so a clash with one goes unseen here:
-        add only literals on variables the context does not mention yet,
-        and let `condition` take any other context."""
-        bit = self._pairs.get(lit.var)
-        if bit is None:
-            return ctx
-        if not lit.positive:
-            bit <<= 1
-        if self._models is not None:
-            return ctx & self._tables[bit]
-        return None if ctx is None or ctx & _negation(bit) else ctx | bit
 
     def formula_level(self, f: Formula) -> int:
         """`level` with a formula, instead of literals, as the hard context.
@@ -455,13 +452,18 @@ class _Levels:
 
     def column_levels(
         self, var: Var, parents: tuple[Var, ...]
-    ) -> list[tuple[int, int]] | None:
+    ) -> Iterable[tuple[int, int]]:
         """The `level` pair of each column of `var`'s table given `parents`
         (its parent context with ¬var, then with var), in column order:
-        False before True, first parent most significant. None above the
-        cap, where there are no truth tables to read them off.
+        False before True, first parent most significant.
 
-        The cuts are rebuilt over the used variables laid out with the rest
+        Above the cap the pairs are asked lazily, a column at a time, so a
+        caller that stops early asks no more: a column's context is the OR
+        of one literal bit per parent, the product of their (negative,
+        positive) bits, and a variable that no clause uses has bit 0.
+
+        On the bitset path they are read off in one pass, as a list. The
+        cuts are rebuilt over the used variables laid out with the rest
         most significant, then the parents in parent order, then `var`, so
         that the low bits of a world number its cell (a parent assignment
         and a value of `var`). Halving a cut's width r times, each time
@@ -474,9 +476,12 @@ class _Levels:
         A parent or `var` that no clause uses is not laid out: it changes
         no level, so its columns repeat those without it.
         """
-        if self._models is None:
-            return None
         pairs = self._pairs
+        if self._models is None:
+            level = self.level
+            x = pairs.get(var, 0)
+            bits = [(pairs.get(p, 0) << 1, pairs.get(p, 0)) for p in parents]
+            return ((level(u | x << 1), level(u | x)) for u in map(sum, product(*bits)))
         held = [p for p in parents if p in pairs]
         front = [*held, var] if var in pairs else held
         rest = [v for v in pairs if v not in front]
@@ -556,7 +561,7 @@ def _encoded(b: WeightedBase, op: str) -> tuple[_ClauseBits, list[tuple[int, int
     """The entries of a clausal base as integer clauses, each with the rank
     of its weight: rank r stands for `weights[r]`, and ranks order as the
     weights do. Rank 0 is unused, so that every rank is positive, as
-    `normalize._merged` needs; ranks compare as plain ints, not `Fraction`s.
+    `normalize._reduce` needs; ranks compare as plain ints, not `Fraction`s.
     Kept on the base. A base `_decoded` built has it from the start; any
     other gets a codec over the variables its entries mention, so a
     universe variable no entry mentions costs nothing. `op` names the

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -32,7 +33,6 @@ from posslog import (
     inconsistency_degree,
     instantiate,
     marginal_base,
-    merge_duplicates,
     network_distribution,
     remove_subsumed,
     remove_tautologies,
@@ -45,6 +45,7 @@ from posslog import compiler, oracle, parse_base, semantics
 from posslog.compiler import StageSummary
 from posslog.model import ONE
 
+import helpers
 from helpers import (
     A1,
     A2,
@@ -143,6 +144,57 @@ class TestHiddenParentClosure:
                 assert hidden_parent_closure(b, var, seed) == unit_context_closure(
                     b, var, seed
                 )
+
+    @pytest.mark.parametrize(
+        "b, var, sweeps",
+        [
+            # a3's clause stands in the first column and is pulled in
+            (helpers.support_base(), A1, 1),
+            # every clause stands, but x is in none, so it is never derivable
+            (WeightedBase(helpers.weather_base().entries, (SU, WI, SE, X)), X, 1),
+            # no clause could bring a fresh parent
+            (helpers.weather_base(), SE, 0),
+        ],
+        ids=["support", "isolated", "weather"],
+    )
+    def test_one_column_sweep_per_round(self, b, var, sweeps, monkeypatch):
+        # On the bitset path a round is one `column_levels` pass over the
+        # parents in name order, and no context is asked its level alone.
+        swept, asked = [], []
+        column_levels, level = semantics._Levels.column_levels, semantics._Levels.level
+
+        def sweep(levels, var, parents):
+            swept.append(parents)
+            return column_levels(levels, var, parents)
+
+        def counted(levels, ctx):
+            asked.append(ctx)
+            return level(levels, ctx)
+
+        monkeypatch.setattr(semantics._Levels, "column_levels", sweep)
+        monkeypatch.setattr(semantics._Levels, "level", counted)
+        hidden_parent_closure(b, var, immediate_parents(b, var))
+        assert asked == []
+        assert len(swept) == sweeps
+        assert all(list(p) == sorted(p) for p in swept)
+
+    def test_dpll_round_stops_at_its_first_hit(self, monkeypatch):
+        # Above the cap the columns are asked lazily: support's first
+        # column is derivable with a3's clause standing, so the closure
+        # asks its two halves and nothing more.
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
+        asked = []
+        level = semantics._Levels.level
+
+        def counted(levels, ctx):
+            asked.append(ctx)
+            return level(levels, ctx)
+
+        monkeypatch.setattr(semantics._Levels, "level", counted)
+        b = helpers.support_base()
+        seed = immediate_parents(b, A1)
+        assert hidden_parent_closure(b, A1, seed) == frozenset({A2, A3})
+        assert len(asked) == 2
 
     def test_over_cap_seed_raises_before_sweeping(self):
         # x's clause gives it 40 parents; !y0 | z would make the closure
@@ -311,6 +363,14 @@ class TestCompileNetwork:
 
         assert distributions_equal(
             network_distribution(net), distribution_of_base(weather)
+        )
+
+    def test_fourteen_var_digest(self, solver_path):
+        # Pins the closure's and the CPT's column sweep on both paths.
+        b = oracle.random_base(1003, 14, 28, require_consistent=False)
+        text = serialize_network(compile_network(b, b.variables))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0485190f5c31eeda76ce406aa7b4d06a981ac1360174c053be84a55aff9d99a1"
         )
 
     def test_empty_base_compiles_to_all_ones(self):
@@ -549,7 +609,6 @@ class TestClausalCheck:
             lambda b: marginal_base(b, X),
             remove_subsumed,
             lambda b: immediate_parents(b, X),
-            merge_duplicates,
             remove_tautologies,
             lambda b: decompose_check(b, X),
             inconsistency_degree,
@@ -560,7 +619,6 @@ class TestClausalCheck:
             "marginal_base",
             "remove_subsumed",
             "immediate_parents",
-            "merge_duplicates",
             "remove_tautologies",
             "decompose_check",
             "inconsistency_degree",

@@ -10,7 +10,6 @@ from posslog import (
     Or,
     WeightedBase,
     distribution_of_base,
-    merge_duplicates,
     remove_subsumed,
     remove_tautologies,
     to_clausal,
@@ -128,7 +127,7 @@ class TestRemoveSubsumed:
     def test_one_pass_equals_restart_loop(self):
         # Reference: rescan from the lowest entry after every removal.
         def restart_loop(b):
-            entries = list(merge_duplicates(b).entries)
+            entries = list(clause_reference.merge_duplicates(b).entries)
             while True:
                 candidate = WeightedBase(entries, b.variables)
                 for entry in sorted(entries, key=_entry_key):
@@ -150,7 +149,7 @@ class TestRemoveSubsumed:
         # Reference: the pass as it was written over `is_subsumed`, which
         # asks `entails` of the base rebuilt after every removal.
         def entails_loop(b):
-            current = merge_duplicates(b)
+            current = clause_reference.merge_duplicates(b)
             for entry in sorted(current.entries, key=_entry_key):
                 if is_subsumed(current, entry):
                     entries = list(current.entries)
@@ -183,20 +182,3 @@ class TestRemoveSubsumed:
             got = remove_subsumed(b)
             want = clause_reference.remove_subsumed(b)
             assert (got.entries, got.variables) == (want.entries, want.variables), b
-
-
-class TestMergeDuplicates:
-    def test_keeps_first_occurrence_order(self):
-        b = WeightedBase(
-            [
-                (clause(pos(X)), F(1, 3)),
-                (clause(pos(Y)), F(1, 2)),
-                (clause(pos(X)), F(2, 3)),
-            ],
-            (X, Y),
-        )
-        out = merge_duplicates(b)
-        assert out.entries == (
-            (clause(pos(X)), F(2, 3)),
-            (clause(pos(Y)), F(1, 2)),
-        )
