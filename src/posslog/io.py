@@ -191,6 +191,7 @@ def parse_base(text: str) -> WeightedBase:
             if len(set(names)) != len(names):
                 raise ParseError("vars line repeats a variable", lineno, tokens[0][2])
             declared = tuple(Var(n) for n in names)
+            known = set(declared)
             continue
         kind, weight_text, col = tokens[0]
         if kind != "num":
@@ -209,7 +210,7 @@ def parse_base(text: str) -> WeightedBase:
         formula = _FormulaParser(body, lineno, len(line)).parse()
         formula = _as_clause_if_flat(formula)
         if declared is not None:
-            extra = vars_of(formula) - set(declared)
+            extra = vars_of(formula) - known
             if extra:
                 names = ", ".join(sorted(v.name for v in extra))
                 raise ParseError(f"undeclared variable(s): {names}", lineno, body[0][2])

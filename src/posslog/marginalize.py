@@ -22,8 +22,8 @@ from .model import (
     ZERO,
     negate,
 )
-from .normalize import _reduce, remove_subsumed, remove_tautologies
-from .semantics import _decoded, _encoded, distribution_of_base
+from .normalize import remove_subsumed, remove_tautologies
+from .semantics import _decoded, _encoded, _reduce, distribution_of_base
 
 # `remove_subsumed` and `remove_tautologies` are not called here: a
 # marginal base runs their cores on integer clauses. They stay importable

@@ -255,22 +255,36 @@ def satisfies(w: Interpretation, f: Formula) -> bool:
     if missing:
         names = ", ".join(sorted(v.name for v in missing))
         raise DomainError(f"formula mentions variables outside the universe: {names}")
-    return _eval(f, w)
+    return bool(_formula_models(f, w._lookup, 1))
 
 
-def _eval(f: Formula, w: Interpretation) -> bool:
-    if isinstance(f, Const):
-        return f.value
+def _formula_models(f: Formula, tables: Mapping[Var, int], full: int) -> int:
+    """The worlds of `full` that satisfy `f`, given the truth table of each
+    of its variables: the one formula evaluator. An interpretation's truth
+    values are the tables of its one world, with `full` 1."""
     if isinstance(f, Literal):
-        return w.value(f.var) == f.positive
+        t = tables[f.var]
+        return t if f.positive else full ^ t
     if isinstance(f, Clause):
-        return any(w.value(l.var) == l.positive for l in f.literals)
-    if isinstance(f, Not):
-        return not _eval(f.operand, w)
+        out = 0
+        for lit in f.literals:
+            t = tables[lit.var]
+            out |= t if lit.positive else full ^ t
+        return out
     if isinstance(f, And):
-        return all(_eval(p, w) for p in f.parts)
+        out = full
+        for p in f.parts:
+            out &= _formula_models(p, tables, full)
+        return out
     if isinstance(f, Or):
-        return any(_eval(p, w) for p in f.parts)
+        out = 0
+        for p in f.parts:
+            out |= _formula_models(p, tables, full)
+        return out
+    if isinstance(f, Not):
+        return full ^ _formula_models(f.operand, tables, full)
+    if isinstance(f, Const):
+        return full if f.value else 0
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -11,9 +11,10 @@ int. A clausal base is encoded once and keeps its encoding, and a base
 derived from it by the syntactic layer is handed the same codec, so a
 compile builds one. The encoding is split into weight levels, which then
 answer the inconsistency degree of the base under any literal or formula
-context. Satisfiability is decided by an exhaustive bitset sweep for
-small universes (the common case here), where a question is a few
-integer ANDs, and above that by a complete search with unit propagation.
+context; subsumption removal (`_reduce`) runs on the same encoding.
+Satisfiability is decided by an exhaustive bitset sweep for small
+universes (the common case here), where a question is a few integer
+ANDs, and above that by a complete search with unit propagation.
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ from .errors import DomainError, InconsistentBaseError
 from .model import (
     ONE,
     ZERO,
-    And,
     Clause,
-    Const,
     Distribution,
     Formula,
     Interpretation,
     Literal,
     Not,
-    Or,
     Var,
     WeightedBase,
+    _formula_models,
     cnf_clauses,
     interpretations,
     negate,
@@ -220,35 +219,6 @@ class _ClauseBits:
         """Sorts clauses by length, then by their literals sorted as
         `(name, positive)` pairs."""
         return c.bit_count(), -c
-
-
-def _formula_models(f: Formula, tables: dict[Var, int], full: int) -> int:
-    """The worlds of `full` that satisfy `f`, given the truth table of each
-    of its variables."""
-    if isinstance(f, Literal):
-        t = tables[f.var]
-        return t if f.positive else full ^ t
-    if isinstance(f, Clause):
-        out = 0
-        for lit in f.literals:
-            t = tables[lit.var]
-            out |= t if lit.positive else full ^ t
-        return out
-    if isinstance(f, And):
-        out = full
-        for p in f.parts:
-            out &= _formula_models(p, tables, full)
-        return out
-    if isinstance(f, Or):
-        out = 0
-        for p in f.parts:
-            out |= _formula_models(p, tables, full)
-        return out
-    if isinstance(f, Not):
-        return full ^ _formula_models(f.operand, tables, full)
-    if isinstance(f, Const):
-        return full if f.value else 0
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def _literal_tables(used: int) -> tuple[int, dict[int, int]] | None:
@@ -557,11 +527,79 @@ class _Levels:
         return self.degrees[self.level(self.condition(context))]
 
 
+def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """`normalize.remove_subsumed` on integer clauses (`_ClauseBits`) with
+    weight ranks (see `_encoded`): the merged entries that survive, in
+    first-occurrence order.
+
+    Entries are tested by weight, then clause length, then sorted literals.
+    One pass reaches the fixpoint: dropping a premise only weakens
+    entailment, so an entry kept once is never redundant later.
+
+    Each clause is encoded once into its models over the variables the
+    clauses mention. Every entry weighing more than the one under test is
+    tested later, so it is still present: the premises are the AND of all
+    heavier entries, of the kept entries of equal weight tested before, and
+    of those of equal weight still to come. The entry is redundant when
+    they have no model outside its own. A lighter entry is never a premise,
+    so the weight groups can be worked through heaviest first. Above the
+    bitset cap each test is a DPLL search over the entries still present
+    that starts from the entry's negated literals.
+    """
+    best: dict[int, int] = {}  # each distinct clause's largest rank
+    for c, r in entries:
+        if r > best.get(c, 0):
+            best[c] = r
+    entries = list(best.items())
+    order = sorted(
+        range(len(entries)),
+        key=lambda k: (entries[k][1], *_ClauseBits.order(entries[k][0])),
+    )
+    alive = [True] * len(entries)
+    used = 0
+    for c, _ in entries:
+        used |= c
+    found = _literal_tables(used)
+    if found is None:
+        for k in order:
+            clause, weight = entries[k]
+            premises = [
+                c
+                for j, (c, w) in enumerate(entries)
+                if alive[j] and j != k and w >= weight
+            ]
+            # Kept unless the premises have no model from the entry's
+            # negated literals; a tautology has none to start from.
+            n = _negations(clause)
+            alive[k] = not (n & clause) and _search(premises, n, []) is not None
+    else:
+        full, tables = found
+        models = [_clause_models(c, tables) for c, _ in entries]
+        by_weight: dict[int, list[int]] = {}
+        for k in order:
+            by_weight.setdefault(entries[k][1], []).append(k)
+        heavier = full  # the models of every entry of a greater weight
+        for group in reversed(by_weight.values()):
+            # rest[t]: heavier entries and the group's entries from t on.
+            rest = [heavier]
+            for k in reversed(group):
+                rest.append(rest[-1] & models[k])
+            rest.reverse()
+            kept = full
+            for t, k in enumerate(group):
+                if kept & rest[t + 1] & ~models[k]:
+                    kept &= models[k]
+                else:
+                    alive[k] = False
+            heavier = rest[0]
+    return [e for e, keep in zip(entries, alive) if keep]
+
+
 def _encoded(b: WeightedBase, op: str) -> tuple[_ClauseBits, list[tuple[int, int]], list]:
     """The entries of a clausal base as integer clauses, each with the rank
     of its weight: rank r stands for `weights[r]`, and ranks order as the
     weights do. Rank 0 is unused, so that every rank is positive, as
-    `normalize._reduce` needs; ranks compare as plain ints, not `Fraction`s.
+    `_reduce` needs; ranks compare as plain ints, not `Fraction`s.
     Kept on the base. A base `_decoded` built has it from the start; any
     other gets a codec over the variables its entries mention, so a
     universe variable no entry mentions costs nothing. `op` names the

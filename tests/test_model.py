@@ -29,7 +29,7 @@ from posslog import (
     vars_of,
 )
 
-from posslog import model
+from posslog import model, oracle
 
 from helpers import SE, SU, WI, X, Y, clause, neg, pos, random_formula
 
@@ -161,6 +161,23 @@ class TestSatisfies:
             for w in interpretations(universe):
                 expected = any(satisfies(w, l) for l in c.literals)
                 assert satisfies(w, c) == expected
+
+    def test_matches_the_oracle_evaluator(self):
+        """`satisfies` agrees with the oracle's independent evaluator on
+        random formula trees and clauses, and a tree holding a clause, in
+        every world of 1-5 variables."""
+        rng = random.Random(29)
+        for n in range(1, 6):
+            universe = tuple(Var(f"v{i}") for i in range(n))
+            for _ in range(40):
+                f = random_formula(rng, universe)
+                c = Clause(
+                    Literal(rng.choice(universe), rng.random() < 0.5)
+                    for _ in range(rng.randint(0, 4))
+                )
+                for g in (f, c, Not(And((c, f)))):
+                    for w in interpretations(universe):
+                        assert satisfies(w, g) == oracle._holds(g, w.as_dict())
 
 
 def dnf(k):  # (a0 & b0) | ... | (a{k-1} & b{k-1}): expands to 2**k clauses
