@@ -26,16 +26,26 @@ minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InconsistentBaseError, ResourceCapError
-from .marginalize import marginal_base
+from .marginalize import _marginal
+from .marginalize import marginal_base  # not called here; bench/tracing.py wraps it here
 from .model import ONE, Literal, Var, WeightedBase
 from .network import CPT, Network, check_parents
 from .normalize import remove_subsumed, remove_tautologies, to_clausal
-from .semantics import _levels, _truth_tables, inconsistency_degree
+from .semantics import (
+    _ClauseBits,
+    _encoded,
+    _Levels,
+    _levels,
+    _literal_bits,
+    _truth_tables,
+    inconsistency_degree,
+)
 from .semantics import certainty_degree  # not called here; bench/tracing.py wraps it here
 
 # Most cells a node's table may have: 2 per parent instantiation, so at most
@@ -72,16 +82,21 @@ class Ordering:
             raise DomainError("ordering must list each base variable exactly once")
 
 
+def _seed(codec: _ClauseBits, entries: list[tuple[int, int]], var: Var) -> int:
+    """`immediate_parents` on integer clauses: the mask of the pairs of
+    every clause on `var`'s pair, less that pair."""
+    own = codec.pairs.get(var, 0) * 3  # both bits of var's pair
+    touched = 0
+    for c, _ in entries:
+        if c & own:
+            touched |= c
+    return codec.span(touched) & ~own
+
+
 def immediate_parents(b: WeightedBase, var: Var) -> frozenset[Var]:
     """Variables that share a clause with `var` (either polarity)."""
-    if not b.is_clausal:
-        raise DomainError("immediate_parents requires a clausal base")
-    out: set[Var] = set()
-    for c, _ in b.entries:
-        if var in c.variables:
-            out |= c.variables
-    out.discard(var)
-    return frozenset(out)
+    codec, entries, _ = _encoded(b, "immediate_parents")
+    return frozenset(codec.variables(_seed(codec, entries, var)))
 
 
 def _check_cells(var: Var, parents: int) -> None:
@@ -93,6 +108,53 @@ def _check_cells(var: Var, parents: int) -> None:
             f"the table of {var} would have {cells} cells,"
             f" more than the cap of {MAX_CPT_CELLS}"
         )
+
+
+def _closure(
+    codec: _ClauseBits,
+    entries: list[tuple[int, int]],
+    levels: _Levels,
+    var: Var,
+    parents: int,
+    free: int = 0,
+) -> int:
+    """`hidden_parent_closure` on integer clauses, with the parents as a
+    mask of pairs (`_ClauseBits.span`) and `free` more parents that no
+    clause mentions: they only widen the table, since a column's levels
+    and each clause's standing repeat over their values."""
+    own = codec.pairs.get(var, 0) * 3  # both bits of var's pair
+    clauses = [c for c, _ in entries if not c & own]
+    while True:
+        names = tuple(codec.variables(parents))
+        _check_cells(var, len(names) + free)
+        full = (1 << (1 << len(names))) - 1
+        false_in: dict[int, int] = {}  # the columns where each literal bit is false
+        for v, table in zip(names, _truth_tables(len(names))):
+            bit = codec.pairs[v]
+            false_in[bit], false_in[bit << 1] = full ^ table, table
+        candidates = []
+        for c in clauses:
+            if not c & ~parents:
+                continue
+            mask = full
+            for bit in _literal_bits(c & parents):
+                mask &= false_in[bit]
+            if mask:
+                candidates.append((c, mask))
+        if not candidates:
+            return parents
+        stands = 0
+        for _, mask in candidates:
+            stands |= mask
+        standing = f"{stands:0{full.bit_length()}b}"[::-1]  # column i at i
+        for i, (neg, pos) in enumerate(levels.column_levels(var, names)):
+            if neg != pos and standing[i] == "1":
+                for c, mask in candidates:
+                    if mask >> i & 1:
+                        parents |= codec.span(c)
+                break
+        else:
+            return parents
 
 
 def hidden_parent_closure(
@@ -109,46 +171,17 @@ def hidden_parent_closure(
     (column i is world i). A round with no candidate standing anywhere
     ends the closure. Otherwise the first column that is derivable, not
     (1, 1) in `_Levels.column_levels`, and has a candidate standing adds
-    those candidates' variables, and the next round starts. Each entry's
-    variables and literals are read once per call.
+    those candidates' variables, and the next round starts. The clauses
+    and parents are integers (`_closure`), so a candidate is tested and
+    added by its mask of pairs.
     """
+    codec, entries, _ = _encoded(b, "hidden_parent_closure")
     levels = _levels(b, "hidden_parent_closure")
-    clauses = []  # (variables, literals) of each entry not on `var`
-    for c, _ in b.entries:
-        variables = c.variables
-        if var not in variables:
-            clauses.append((variables, c.literals))
-    parents = set(seed) - {var}
-    while True:
-        names = tuple(sorted(parents))
-        _check_cells(var, len(names))
-        full = (1 << (1 << len(names))) - 1
-        true_in = dict(zip(names, _truth_tables(len(names))))
-        candidates = []
-        for variables, literals in clauses:
-            if variables <= parents:
-                continue
-            mask = full
-            for lit in literals:
-                table = true_in.get(lit.var)
-                if table is not None:
-                    mask &= full ^ table if lit.positive else table
-            if mask:
-                candidates.append((variables, mask))
-        if not candidates:
-            return frozenset(parents)
-        stands = 0
-        for _, mask in candidates:
-            stands |= mask
-        standing = f"{stands:0{full.bit_length()}b}"[::-1]  # column i at i
-        for i, (neg, pos) in enumerate(levels.column_levels(var, names)):
-            if neg != pos and standing[i] == "1":
-                for variables, mask in candidates:
-                    if mask >> i & 1:
-                        parents |= variables
-                break
-        else:
-            return frozenset(parents)
+    seed = set(seed) - {var}
+    free = {v for v in seed if v not in codec.pairs}
+    held = sum(codec.pairs[v] for v in seed - free) * 3
+    closed = _closure(codec, entries, levels, var, held, len(free))
+    return frozenset(free.union(codec.variables(closed)))
 
 
 def _conditional(context_degree: Fraction, joint_degree: Fraction) -> Fraction:
@@ -174,6 +207,23 @@ def conditional_possibility(
     )
 
 
+def _cpt(levels: _Levels, var: Var, parents: tuple[Var, ...]) -> CPT:
+    """`cpt_for` on a base's weight levels, with parents already checked."""
+    degrees = levels.degrees
+    cells: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    columns = []
+    for key in levels.column_levels(var, parents):
+        cell = cells.get(key)
+        if cell is None:
+            top = max(key)
+            h = degrees[top]
+            cell = cells[key] = tuple(
+                ONE if i == top else _conditional(h, degrees[i]) for i in key
+            )
+        columns.append(cell)
+    return CPT(var, parents, *zip(*columns))
+
+
 def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     """The full conditional table of `var` given `parents`, one column per
     parent instantiation, both polarities per column.
@@ -190,32 +240,26 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     parents = tuple(parents)
     _check_cells(var, len(parents))
     check_parents(var, parents)
-    levels = _levels(b, "cpt_for")
-    degrees = levels.degrees
-    cells: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    columns = []
-    for key in levels.column_levels(var, parents):
-        cell = cells.get(key)
-        if cell is None:
-            top = max(key)
-            h = degrees[top]
-            cell = cells[key] = tuple(
-                ONE if i == top else _conditional(h, degrees[i]) for i in key
-            )
-        columns.append(cell)
-    return CPT(var, parents, *zip(*columns))
+    return _cpt(_levels(b, "cpt_for"), var, parents)
 
 
 @dataclass(frozen=True)
 class StageSummary:
     """Per-variable compilation trace, for logging and inspection. The
     node and its parents, in ordering order, are `cpt.var` and
-    `cpt.parents`."""
+    `cpt.parents`. `cross_clauses` counts the pairs the marginal's cross
+    product forms; the `_s` fields are `perf_counter` seconds spent on
+    the parents (seed, weight levels and closure), on the table and on
+    the marginal, and take no part in equality."""
 
     index: int
     stage_entries: int
     cpt: CPT
     marginal_entries: int
+    cross_clauses: int
+    closure_s: float = field(compare=False)
+    cpt_s: float = field(compare=False)
+    marginal_s: float = field(compare=False)
 
 
 def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
@@ -228,6 +272,12 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     from the current base, then forgets the variable. A node whose table
     would have more than `MAX_CPT_CELLS` cells raises `ResourceCapError`
     before its parent instantiations are swept.
+
+    After the front end a stage is the integer clauses of the first
+    stage's encoding (`semantics._encoded`), handed from stage to stage
+    through the cores of `immediate_parents`, `hidden_parent_closure`,
+    `cpt_for` and `marginal_base`; no base is built, so a stage costs
+    nothing per universe variable that no clause mentions.
     """
     ordering = Ordering.of(ordering)
     ordering.validate_for(b.variables)
@@ -235,17 +285,30 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     inc = inconsistency_degree(stage)
     if inc != 0:
         raise InconsistentBaseError(inc)
+    codec, entries, weights = _encoded(stage, "compile_stages")
+    levels = _levels(stage, "compile_stages")
+    position = {v: i for i, v in enumerate(ordering.sequence)}
     for i, var in enumerate(ordering.sequence):
-        parents = hidden_parent_closure(stage, var, immediate_parents(stage, var))
-        cpt = cpt_for(stage, var, sorted(parents, key=ordering.position))
-        stage_entries = len(stage)
-        stage = marginal_base(stage, var)
+        start = perf_counter()
+        if i:
+            levels = _Levels(codec, entries, weights)
+        parents = _closure(codec, entries, levels, var, _seed(codec, entries, var))
+        closed = perf_counter()
+        names = sorted(codec.variables(parents), key=position.__getitem__)
+        cpt = _cpt(levels, var, tuple(names))
+        tabled = perf_counter()
+        marginal, cross = _marginal(codec, entries, var)
         yield StageSummary(
             index=i,
-            stage_entries=stage_entries,
+            stage_entries=len(entries),
             cpt=cpt,
-            marginal_entries=len(stage),
+            marginal_entries=len(marginal),
+            cross_clauses=cross,
+            closure_s=closed - start,
+            cpt_s=tabled - closed,
+            marginal_s=perf_counter() - tabled,
         )
+        entries = marginal
 
 
 def compile_network(b: WeightedBase, ordering) -> Network:

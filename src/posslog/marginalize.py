@@ -23,7 +23,13 @@ from .model import (
     negate,
 )
 from .normalize import remove_subsumed, remove_tautologies
-from .semantics import _decoded, _encoded, _reduce, distribution_of_base
+from .semantics import (
+    _ClauseBits,
+    _decoded,
+    _encoded,
+    _reduce,
+    distribution_of_base,
+)
 
 # `remove_subsumed` and `remove_tautologies` are not called here: a
 # marginal base runs their cores on integer clauses. They stay importable
@@ -65,6 +71,26 @@ def instantiate(b: WeightedBase, *literals: Literal) -> WeightedBase:
     )
 
 
+def _marginal(
+    codec: _ClauseBits, entries: list[tuple[int, int]], var: Var
+) -> tuple[list[tuple[int, int]], int]:
+    """`marginal_base` on integer clauses with weight ranks (see
+    `semantics._encoded`): the reduced entries of the marginal, and the
+    number of pairs the cross product forms, one per clause without `var`
+    times one per clause without `¬var`."""
+    x = codec.bit(Literal(var, True))
+    not_x = codec.bit(Literal(var, False))
+    pos = _condition(entries, x, not_x)
+    neg = _condition(entries, not_x, x)
+    cross = []
+    for c1, r1 in pos:
+        for c2, r2 in neg:
+            c = c1 | c2
+            if not codec.is_tautology(c):
+                cross.append((c, r1 if r1 < r2 else r2))
+    return _reduce(cross), len(pos) * len(neg)
+
+
 def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
     """A base over the universe minus `var` whose distribution is the
     max-marginal of the input's distribution over `var`.
@@ -73,8 +99,8 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
     min-combined weights, then canonicalized: tautologies dropped, then
     `remove_subsumed`'s duplicate merge and subsumption removal. The
     cross-product blowup is accepted; the cleanup runs immediately after.
-    Every step works on integer clauses (`semantics._ClauseBits`), and
-    only the result is decoded into a base, which keeps them.
+    Every step works on integer clauses (`_marginal`), and only the result
+    is decoded into a base, which keeps them.
     """
     codec, encoded, weights = _encoded(b, "marginal_base")
     try:
@@ -83,18 +109,8 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
         at = b.variables.index(var)
     except ValueError:
         raise DomainError(f"variable {var} not in the base universe") from None
-    x = codec.bit(Literal(var, True))
-    not_x = codec.bit(Literal(var, False))
-    neg = _condition(encoded, not_x, x)
-    cross = []
-    for c1, r1 in _condition(encoded, x, not_x):
-        for c2, r2 in neg:
-            c = c1 | c2
-            if not codec.is_tautology(c):
-                cross.append((c, r1 if r1 < r2 else r2))
-    return _decoded(
-        (codec, _reduce(cross), weights), b.variables[:at] + b.variables[at + 1 :]
-    )
+    kept, _ = _marginal(codec, encoded, var)
+    return _decoded((codec, kept, weights), b.variables[:at] + b.variables[at + 1 :])
 
 
 def decompose_check(b: WeightedBase, var: Var) -> tuple[Distribution, Distribution]:

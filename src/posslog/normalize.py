@@ -16,7 +16,10 @@ from .semantics import entails  # not called here; bench/tracing.py wraps it her
 def to_clausal(b: WeightedBase) -> WeightedBase:
     """Replace every formula entry by the clauses of one of its CNFs, each
     carrying the original weight. Entries that already are clauses pass
-    through untouched; no new variables are introduced."""
+    through untouched, and a base of clauses only is returned as it is; no
+    new variables are introduced."""
+    if b.is_clausal:
+        return b
     out = []
     for f, w in b.entries:
         if isinstance(f, Clause):

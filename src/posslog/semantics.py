@@ -8,8 +8,9 @@ construction of a base from a distribution.
 
 A clause has one encoding, `_ClauseBits`' two bits per variable in one
 int. A clausal base is encoded once and keeps its encoding, and a base
-derived from it by the syntactic layer is handed the same codec, so a
-compile builds one. The encoding is split into weight levels, which then
+derived from it by the syntactic layer is handed the same codec; a
+compile hands the integer clauses themselves from stage to stage, so it
+builds one. The encoding is split into weight levels, which then
 answer the inconsistency degree of the base under any literal or formula
 context; subsumption removal (`_reduce`) runs on the same encoding.
 Satisfiability is decided by an exhaustive bitset sweep for small
@@ -181,10 +182,10 @@ class _ClauseBits:
     orders, decodes and masks the same clauses as one over fewer.
     """
 
-    __slots__ = ("pairs", "literals", "_positive")
+    __slots__ = ("pairs", "literals", "_ranked", "_positive")
 
     def __init__(self, universe: Iterable[Var]):
-        ranked = sorted(universe, key=lambda v: v.name)
+        self._ranked = ranked = sorted(universe, key=lambda v: v.name)
         n = len(ranked)
         # The bit of each variable's positive literal, the lower of its pair.
         self.pairs = {v: 1 << 2 * (n - 1 - i) for i, v in enumerate(ranked)}
@@ -213,6 +214,21 @@ class _ClauseBits:
 
     def is_tautology(self, c: int) -> bool:
         return bool(c & (c >> 1) & self._positive)
+
+    def span(self, c: int) -> int:
+        """Both bits of each pair that `c` touches: a mask of variables."""
+        return ((c | c >> 1) & self._positive) * 3
+
+    def variables(self, mask: int) -> list[Var]:
+        """The variables whose pairs `mask` touches, in name order (highest
+        pair first)."""
+        ranked, n = self._ranked, len(self._ranked)
+        out = []
+        while mask:
+            pair = (mask.bit_length() - 1) >> 1
+            out.append(ranked[n - 1 - pair])
+            mask &= (1 << 2 * pair) - 1
+        return out
 
     @staticmethod
     def order(c: int) -> tuple[int, int]:

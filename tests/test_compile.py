@@ -94,6 +94,16 @@ class TestHiddenParentClosure:
         extended = WeightedBase(weather.entries, weather.variables + (X,))
         assert hidden_parent_closure(extended, X, frozenset()) == frozenset()
 
+    def test_seed_variable_in_no_clause_is_kept_and_counted(self, support, monkeypatch):
+        # X widens a1's table but stands in no clause, so it adds nobody.
+        extended = WeightedBase(support.entries, (*support.variables, X))
+        seed = immediate_parents(extended, A1) | {X}
+        assert hidden_parent_closure(extended, A1, seed) == frozenset({A2, A3, X})
+        monkeypatch.setattr(compiler, "MAX_CPT_CELLS", 8)
+        assert hidden_parent_closure(support, A1, {A2}) == frozenset({A2, A3})
+        with pytest.raises(ResourceCapError, match="16 cells"):
+            hidden_parent_closure(extended, A1, seed)
+
     def test_weak_side_clause_still_matters(self):
         # a unit below the support level rescales the conditional of the
         # unsupported value, so its variable must become a parent
@@ -427,6 +437,73 @@ class TestCompileNetwork:
         net = compile_network(b, universe)
         assert net.nodes[0].parents == (universe[1],)
         assert spans == [2]
+
+    def test_wide_universe_builds_no_base_per_stage(self, monkeypatch):
+        # A stage hands integer clauses to the next, so the number of bases
+        # a compile builds does not grow with the universe; one built per
+        # stage would make a reverse-order compile quadratic in it.
+        built = []
+        init = WeightedBase.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        counts = []
+        for n in (50, 500):
+            universe = tuple(Var(f"a{i}") for i in range(n))
+            b = WeightedBase(
+                [(clause(pos(universe[0]), pos(universe[1])), F(1, 2))], universe
+            )
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(WeightedBase, "__init__", counting)
+                net = compile_network(b, universe[::-1])
+            assert net.nodes[-2].parents == (universe[0],)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    def test_stage_records(self, weather):
+        for stage in compile_stages(weather, (SE, WI, SU)):
+            assert min(stage.closure_s, stage.cpt_s, stage.marginal_s) >= 0
+            assert stage.cross_clauses >= stage.marginal_entries
+
+    def test_public_stage_functions_chain_to_the_loop(self, solver_path):
+        # The four public stage functions, chained over the cleaned base,
+        # give the loop's network, stage sizes and cross-product counts.
+        rng = random.Random(19)
+        checked = 0
+        while checked < 40:
+            b = random_clausal_base(rng, rng.randint(2, 8), rng.randint(1, 12))
+            entries = list(b.entries)
+            for c, w in rng.sample(entries, min(2, len(entries))):
+                entries.append((c, rng.choice((w, F(1, 5), F(1)))))  # duplicate
+                spare = [v for v in b.variables if v not in c.variables]
+                if spare:  # subsumed unless its weight is larger
+                    wider = Clause((*c.literals, Literal(rng.choice(spare), True)))
+                    entries.append((wider, w))
+            rng.shuffle(entries)
+            b = WeightedBase(entries, b.variables)
+            if inconsistency_degree(b) != 0:
+                continue
+            checked += 1
+            order = list(b.variables)
+            if checked % 2:
+                rng.shuffle(order)
+            stages = list(compile_stages(b, order))
+            stage = remove_subsumed(remove_tautologies(to_clausal(b)))
+            nodes = []
+            for summary, var in zip(stages, order):
+                parents = hidden_parent_closure(stage, var, immediate_parents(stage, var))
+                nodes.append(cpt_for(stage, var, sorted(parents, key=order.index)))
+                keep_pos = sum(Literal(var, True) not in c for c, _ in stage.entries)
+                keep_neg = sum(Literal(var, False) not in c for c, _ in stage.entries)
+                assert summary.stage_entries == len(stage)
+                assert summary.cross_clauses == keep_pos * keep_neg
+                stage = marginal_base(stage, var)
+                assert summary.marginal_entries == len(stage)
+            assert Network(nodes) == Network(s.cpt for s in stages)
+            assert Network(nodes) == compile_network(b, order)
 
     def test_formula_entries_are_clausalized_first(self):
         from posslog import And

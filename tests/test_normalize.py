@@ -44,7 +44,16 @@ class TestToClausal:
         assert set(out.entries) == {(clause(pos(X)), F(1, 2)), (clause(pos(Y)), F(1, 2))}
 
     def test_already_clausal_unchanged(self, weather):
-        assert to_clausal(weather) == weather
+        assert to_clausal(weather) is weather
+
+    def test_one_formula_entry_rebuilds(self, weather):
+        b = weather.extended([(And((pos(X), pos(Y))), F(1, 2))])
+        out = to_clausal(b)
+        assert out is not b
+        assert out.entries == weather.entries + (
+            (clause(pos(X)), F(1, 2)),
+            (clause(pos(Y)), F(1, 2)),
+        )
 
     def test_negated_disjunction(self):
         b = WeightedBase([(Not(Or((pos(X), pos(Y)))), F(1, 3))], (X, Y))
