@@ -21,7 +21,7 @@ from .errors import InconsistentBaseError, PosslogError
 from .marginalize import marginal_base
 from .model import And, Literal, Var, WeightedBase, Interpretation
 from .network import Network
-from .normalize import remove_tautologies, to_clausal
+from .normalize import to_clausal
 from .oracle import DEFAULT_WEIGHT_POOL, random_base, verify_compilation
 from .semantics import (
     inconsistency_degree,
@@ -91,7 +91,7 @@ def _write(fh: TextIO, path: str, pieces: Iterable[str]) -> None:
 
 
 def _load_clausal(path: str) -> WeightedBase:
-    return remove_tautologies(to_clausal(formats.parse_base(_read(path))))
+    return to_clausal(formats.parse_base(_read(path)))
 
 
 def _require_consistent(b: WeightedBase) -> None:

@@ -36,14 +36,17 @@ from .marginalize import _marginal
 from .marginalize import marginal_base  # not called here; bench/tracing.py wraps it here
 from .model import ONE, Literal, Var, WeightedBase
 from .network import CPT, Network, check_parents
-from .normalize import remove_subsumed, remove_tautologies, to_clausal
+from .normalize import to_clausal
+from .normalize import remove_subsumed, remove_tautologies  # not called here; bench/tracing.py wraps it here
 from .semantics import (
     _ClauseBits,
     _encoded,
+    _layout,
     _Levels,
     _levels,
     _literal_bits,
-    _truth_tables,
+    _negations,
+    _reduce,
     inconsistency_degree,
 )
 from .semantics import certainty_degree  # not called here; bench/tracing.py wraps it here
@@ -69,12 +72,6 @@ class Ordering:
     @classmethod
     def of(cls, sequence) -> "Ordering":
         return sequence if isinstance(sequence, Ordering) else cls(sequence)
-
-    def position(self, var: Var) -> int:
-        try:
-            return self.sequence.index(var)
-        except ValueError:
-            raise DomainError(f"{var} not in ordering") from None
 
     def validate_for(self, variables: Iterable[Var]) -> None:
         expected = set(variables)
@@ -127,18 +124,14 @@ def _closure(
     while True:
         names = tuple(codec.variables(parents))
         _check_cells(var, len(names) + free)
-        full = (1 << (1 << len(names))) - 1
-        false_in: dict[int, int] = {}  # the columns where each literal bit is false
-        for v, table in zip(names, _truth_tables(len(names))):
-            bit = codec.pairs[v]
-            false_in[bit], false_in[bit << 1] = full ^ table, table
+        full, tables = _layout([codec.pairs[v] for v in names])
         candidates = []
         for c in clauses:
             if not c & ~parents:
                 continue
-            mask = full
-            for bit in _literal_bits(c & parents):
-                mask &= false_in[bit]
+            mask = full  # the columns that make each literal on a parent false
+            for bit in _literal_bits(_negations(c & parents)):
+                mask &= tables[bit]
             if mask:
                 candidates.append((c, mask))
         if not candidates:
@@ -266,38 +259,44 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     """Compile a consistent base one variable at a time, yielding each
     stage's summary (with its table) as soon as the variable is forgotten.
 
-    The base is first clausalized, tautology-freed and subsumption-reduced;
-    an inconsistent input is rejected with its inconsistency degree when
-    iteration starts. Each stage computes the node's parents and table
-    from the current base, then forgets the variable. A node whose table
-    would have more than `MAX_CPT_CELLS` cells raises `ResourceCapError`
-    before its parent instantiations are swept.
+    The base is first clausalized; an inconsistent input is rejected with
+    its inconsistency degree when iteration starts. Each stage computes
+    the node's parents and table from the current clauses, then forgets
+    the variable. A node whose table would have more than `MAX_CPT_CELLS`
+    cells raises `ResourceCapError` before its parent instantiations are
+    swept.
 
-    After the front end a stage is the integer clauses of the first
-    stage's encoding (`semantics._encoded`), handed from stage to stage
-    through the cores of `immediate_parents`, `hidden_parent_closure`,
-    `cpt_for` and `marginal_base`; no base is built, so a stage costs
-    nothing per universe variable that no clause mentions.
+    A stage is integer clauses under the clausal input's encoding
+    (`semantics._encoded`), reduced (`semantics._reduce`: no tautology,
+    duplicate or subsumed entry) and handed from stage to stage through
+    the cores of `immediate_parents`, `hidden_parent_closure`, `cpt_for`
+    and `marginal_base`; no base is built, so a stage costs nothing per
+    universe variable that no clause mentions. A stage whose variable is
+    on no clause passes its clauses on as they are: crossed with itself,
+    a reduced stage reduces back to itself.
     """
     ordering = Ordering.of(ordering)
     ordering.validate_for(b.variables)
-    stage = remove_subsumed(remove_tautologies(to_clausal(b)))
-    inc = inconsistency_degree(stage)
+    clausal = to_clausal(b)
+    inc = inconsistency_degree(clausal)
     if inc != 0:
         raise InconsistentBaseError(inc)
-    codec, entries, weights = _encoded(stage, "compile_stages")
-    levels = _levels(stage, "compile_stages")
+    codec, entries, weights = _encoded(clausal, "compile_stages")
+    entries = _reduce(entries)
     position = {v: i for i, v in enumerate(ordering.sequence)}
     for i, var in enumerate(ordering.sequence):
         start = perf_counter()
-        if i:
-            levels = _Levels(codec, entries, weights)
+        levels = _Levels(codec, entries, weights)
         parents = _closure(codec, entries, levels, var, _seed(codec, entries, var))
         closed = perf_counter()
         names = sorted(codec.variables(parents), key=position.__getitem__)
         cpt = _cpt(levels, var, tuple(names))
         tabled = perf_counter()
-        marginal, cross = _marginal(codec, entries, var)
+        own = codec.pairs.get(var, 0) * 3  # both bits of var's pair
+        if any(c & own for c, _ in entries):
+            marginal, cross = _marginal(codec, entries, var)
+        else:
+            marginal, cross = entries, 0
         yield StageSummary(
             index=i,
             stage_entries=len(entries),

@@ -100,7 +100,7 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
     `remove_subsumed`'s duplicate merge and subsumption removal. The
     cross-product blowup is accepted; the cleanup runs immediately after.
     Every step works on integer clauses (`_marginal`), and only the result
-    is decoded into a base, which keeps them.
+    is decoded into a base.
     """
     codec, encoded, weights = _encoded(b, "marginal_base")
     try:

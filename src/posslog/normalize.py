@@ -42,8 +42,7 @@ def remove_subsumed(b: WeightedBase) -> WeightedBase:
     """Merge duplicates, then test each entry once, lower weights first
     (ties broken by a deterministic clause order), dropping it if the
     entries still present subsume it. The clauses are worked on as
-    integers (see `semantics._reduce`) and decoded once into the result,
-    which keeps them."""
+    integers (see `semantics._reduce`) and decoded once into the result."""
     codec, entries, weights = _encoded(b, "remove_subsumed")
     kept = _reduce(entries)
     if len(kept) == len(b.entries):

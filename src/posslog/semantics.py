@@ -7,12 +7,13 @@ degree, possibility/necessity measures, entailment degrees and the converse
 construction of a base from a distribution.
 
 A clause has one encoding, `_ClauseBits`' two bits per variable in one
-int. A clausal base is encoded once and keeps its encoding, and a base
-derived from it by the syntactic layer is handed the same codec; a
-compile hands the integer clauses themselves from stage to stage, so it
-builds one. The encoding is split into weight levels, which then
-answer the inconsistency degree of the base under any literal or formula
-context; subsumption removal (`_reduce`) runs on the same encoding.
+int. A clausal base is encoded once, on the first question asked of it,
+and keeps its encoding; a compile encodes its clausal input once and
+hands the integer clauses from stage to stage. The encoding is split into
+weight levels, which then answer the inconsistency degree of the base
+under any literal or formula context; clause cleanup (`_reduce`: dropping
+tautologies, merging duplicates, removing subsumed entries) runs on the
+same encoding.
 Satisfiability is decided by an exhaustive bitset sweep for small
 universes (the common case here), where a question is a few integer
 ANDs, and above that by a complete search with unit propagation.
@@ -237,24 +238,30 @@ class _ClauseBits:
         return c.bit_count(), -c
 
 
+def _layout(bits: list[int]) -> tuple[int, dict[int, int]]:
+    """The set of all worlds over the variables whose positive literal bits
+    are `bits`, the first most significant, and the worlds where each
+    literal bit of those pairs holds, keyed by the bit."""
+    full = (1 << (1 << len(bits))) - 1
+    tables: dict[int, int] = {}
+    for bit, table in zip(bits, _truth_tables(len(bits))):
+        tables[bit] = table
+        tables[bit << 1] = full ^ table
+    return full, tables
+
+
 def _literal_tables(used: int) -> tuple[int, dict[int, int]] | None:
-    """The set of all worlds over the variables whose pairs `used`
-    touches, highest pair most significant, and the worlds where each
-    literal bit of those pairs holds, keyed by the bit; None above
-    `_BITSET_MAX_VARS`, where satisfiability is left to the DPLL search."""
-    pairs = []  # the lower bit of each used variable's pair, highest first
+    """`_layout` of the variables whose pairs `used` touches, highest pair
+    most significant; None above `_BITSET_MAX_VARS`, where satisfiability
+    is left to the DPLL search."""
+    bits = []  # the lower bit of each used variable's pair, highest first
     while used:
         low = (used.bit_length() - 1) & ~1
-        pairs.append(low)
+        bits.append(1 << low)
         used &= ~(3 << low)
-    if len(pairs) > _BITSET_MAX_VARS:
+    if len(bits) > _BITSET_MAX_VARS:
         return None
-    full = (1 << (1 << len(pairs))) - 1
-    tables: dict[int, int] = {}
-    for low, table in zip(pairs, _truth_tables(len(pairs))):
-        tables[1 << low] = table
-        tables[2 << low] = full ^ table
-    return full, tables
+    return _layout(bits)
 
 
 def _clause_models(c: int, tables: dict[int, int]) -> int:
@@ -471,11 +478,7 @@ class _Levels:
         held = [p for p in parents if p in pairs]
         front = [*held, var] if var in pairs else held
         rest = [v for v in pairs if v not in front]
-        full = self._unconditioned
-        tables: dict[int, int] = {}
-        for v, table in zip((*rest, *front), _truth_tables(len(rest) + len(front))):
-            tables[pairs[v]] = table
-            tables[pairs[v] << 1] = full ^ table
+        full, tables = _layout([pairs[v] for v in (*rest, *front)])
         cuts = _cuts(self._groups, tables, full)
         cells = 1 << len(front)
         # A cut's binary text has one digit per cell, cell 0 last. Read with
@@ -546,7 +549,8 @@ class _Levels:
 def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """`normalize.remove_subsumed` on integer clauses (`_ClauseBits`) with
     weight ranks (see `_encoded`): the merged entries that survive, in
-    first-occurrence order.
+    first-occurrence order. A tautology never survives, since it follows
+    from no premises at all, so the result is free of them too.
 
     Entries are tested by weight, then clause length, then sorted literals.
     One pass reaches the fixpoint: dropping a premise only weakens
@@ -616,9 +620,8 @@ def _encoded(b: WeightedBase, op: str) -> tuple[_ClauseBits, list[tuple[int, int
     of its weight: rank r stands for `weights[r]`, and ranks order as the
     weights do. Rank 0 is unused, so that every rank is positive, as
     `_reduce` needs; ranks compare as plain ints, not `Fraction`s.
-    Kept on the base. A base `_decoded` built has it from the start; any
-    other gets a codec over the variables its entries mention, so a
-    universe variable no entry mentions costs nothing. `op` names the
+    Kept on the base. The codec spans the variables the entries mention,
+    so a universe variable no entry mentions costs nothing. `op` names the
     caller in the error for a base that is not clausal; a base with an
     encoding is clausal, so it is not scanned again."""
     encoding = b._encoding
@@ -643,20 +646,18 @@ def _encoded(b: WeightedBase, op: str) -> tuple[_ClauseBits, list[tuple[int, int
 
 
 def _decoded(encoding: tuple, variables: Iterable[Var]) -> WeightedBase:
-    """The base of the integer clauses of `encoding`, laid out as
-    `_encoded`'s, that keeps it: a base derived from another hands the
-    codec and weight list on instead of being encoded afresh."""
+    """The base over `variables` of the integer clauses of `encoding`,
+    laid out as `_encoded`'s: the result of the syntactic layer's public
+    functions, which is encoded afresh if it is asked a question."""
     codec, entries, weights = encoding
-    b = WeightedBase([(codec.decode(c), weights[r]) for c, r in entries], variables)
-    object.__setattr__(b, "_encoding", encoding)
-    return b
+    return WeightedBase([(codec.decode(c), weights[r]) for c, r in entries], variables)
 
 
 def _levels(b: WeightedBase, op: str) -> _Levels:
     """The weight levels of a clausal base, built from its encoding on the
-    first degree question asked of `b` and kept on the base, so a stage's
-    closure and CPT sweep ask all their questions of one encoding. `op`
-    names the caller in `_encoded`'s error for a base that is not clausal."""
+    first degree question asked of `b` and kept on the base, so every
+    later question asked of it reads the same levels. `op` names the
+    caller in `_encoded`'s error for a base that is not clausal."""
     levels = b._levels
     if levels is None:
         levels = _Levels(*_encoded(b, op))

@@ -294,6 +294,32 @@ class TestParents:
         assert captured.out.strip() == ""
 
 
+class TestTautologyInInput:
+    # The weight levels, the marginal and the compile each drop a
+    # tautology, so an input holding some answers as one without.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "pi", "wi | !se"],
+            ["query", "nec", "su"],
+            ["query", "cond", "su", "--context", "!wi"],
+            ["marginalize", "wi"],
+            ["marginalize", "se"],
+            ["parents", "se"],
+            ["parents", "su", "--order", "su,wi,se"],
+        ],
+    )
+    def test_same_output(self, weather_file, tmp_path, capsys, argv):
+        messy = tmp_path / "messy.base"
+        messy.write_text(WEATHER_TEXT + "1: wi | !wi | se\n1/2: su | !su\n")
+        outputs = []
+        for path in (weather_file, str(messy)):
+            code = main([argv[0], path, *argv[1:]])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][1]
+
+
 class TestVerify:
     def test_compiled_network_passes(self, weather_file, tmp_path, capsys):
         net_path = tmp_path / "net.json"

@@ -463,6 +463,64 @@ class TestCompileNetwork:
             counts.append(len(built))
         assert counts[0] == counts[1]
 
+    def test_messy_input_compiles_as_its_cleaned_base(self, solver_path):
+        # The stages reduce the encoded input themselves, so the base-level
+        # cleanup passes change no record and no refusal.
+        rng = random.Random(20)
+        for _ in range(300):
+            b = helpers.random_messy_base(rng)
+            order = list(b.variables)
+            rng.shuffle(order)
+            runs = []
+            for base in (b, remove_subsumed(remove_tautologies(b))):
+                try:
+                    runs.append(list(compile_stages(base, order)))
+                except InconsistentBaseError as exc:
+                    runs.append(exc.degree)
+            assert runs[0] == runs[1], b
+
+    def test_clausal_input_builds_no_base(self, monkeypatch):
+        # A tautology, a duplicate and a subsumed entry are dropped on the
+        # encoded clauses, so no cleaned base is built on the way.
+        b = WeightedBase(
+            [
+                (clause(pos(X), neg(X)), F(1, 2)),
+                (clause(neg(Y), pos(SU)), F(1, 4)),
+                (clause(pos(X), pos(Y)), F(1, 3)),
+                (clause(neg(Y), pos(SU)), F(1, 4)),
+                (clause(pos(X)), F(1, 2)),
+            ],
+            (X, Y, SU),
+        )
+        built = []
+        init = WeightedBase.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(WeightedBase, "__init__", counting)
+            net = compile_network(b, (X, Y, SU))
+        assert built == []
+        cleaned = remove_subsumed(remove_tautologies(b))
+        assert len(cleaned) == 2
+        assert net == compile_network(cleaned, (X, Y, SU))
+
+    def test_unmentioned_variables_pass_their_stage_on(self):
+        # A variable on no clause crosses nothing: its stage hands the
+        # clauses on unchanged and gets an all-ones table with no parent.
+        b = oracle.random_base(7, 10, 40)
+        extra = tuple(Var(f"u{i}") for i in range(300))
+        wide = WeightedBase(b.entries, extra + b.variables)
+        stages = list(compile_stages(wide, wide.variables))
+        for stage, var in zip(stages, extra):
+            assert stage.cross_clauses == 0
+            assert stage.marginal_entries == stage.stage_entries
+            assert stage.cpt == CPT(var, (), (ONE,), (ONE,))
+        alone = compile_network(b, b.variables)
+        assert Network(s.cpt for s in stages[len(extra) :]) == alone
+
     def test_stage_records(self, weather):
         for stage in compile_stages(weather, (SE, WI, SU)):
             assert min(stage.closure_s, stage.cpt_s, stage.marginal_s) >= 0
@@ -499,7 +557,9 @@ class TestCompileNetwork:
                 keep_pos = sum(Literal(var, True) not in c for c, _ in stage.entries)
                 keep_neg = sum(Literal(var, False) not in c for c, _ in stage.entries)
                 assert summary.stage_entries == len(stage)
-                assert summary.cross_clauses == keep_pos * keep_neg
+                # A stage whose variable is on no clause crosses nothing.
+                mentioned = any(var in c.variables for c, _ in stage.entries)
+                assert summary.cross_clauses == (keep_pos * keep_neg if mentioned else 0)
                 stage = marginal_base(stage, var)
                 assert summary.marginal_entries == len(stage)
             assert Network(nodes) == Network(s.cpt for s in stages)
@@ -523,12 +583,6 @@ class TestOrdering:
     def test_no_repeats(self):
         with pytest.raises(DomainError):
             Ordering((X, X))
-
-    def test_position(self):
-        order = Ordering((SE, WI, SU))
-        assert order.position(WI) == 1
-        with pytest.raises(DomainError):
-            order.position(X)
 
 
 

@@ -10,14 +10,12 @@ from posslog import (
     Literal,
     Var,
     WeightedBase,
-    certainty_degree,
-    conditional_possibility,
     decompose_check,
     distribution_of_base,
-    inconsistency_degree,
     instantiate,
     marginal_base,
     negate,
+    semantics,
     unit,
 )
 
@@ -180,17 +178,25 @@ class TestMatchesClauseReference:
 
     @staticmethod
     def assert_answers_as_rebuilt(got, var):
-        # `got` keeps the encoding it was handed, whose codec still spans
-        # `var`; a base rebuilt from its entries is encoded afresh.
-        fresh = WeightedBase(got.entries, got.variables)
-        assert inconsistency_degree(got) == inconsistency_degree(fresh)
+        # Weight levels over a codec that still spans `var`, which no clause
+        # of `got` mentions, answer as the levels of `got`'s own codec do.
+        codec, entries, weights = semantics._encoded(got, "test")
+        wide = semantics._ClauseBits({var, *codec.pairs})
+        spanning = semantics._Levels(
+            wide,
+            [(wide.encode(c), r) for (c, _), (_, r) in zip(got.entries, entries)],
+            weights,
+        )
+        own = semantics._levels(got, "test")
         x = Literal(var, True)
-        both = (x, negate(x))
-        for lit in both:
-            assert certainty_degree(got, lit) == certainty_degree(fresh, lit)
-            assert conditional_possibility(got, lit, both) == conditional_possibility(
-                fresh, lit, both
-            )
+        contexts = [(), (x,), (negate(x),), (x, negate(x))]
+        contexts += [(x, Literal(v, False)) for v in got.variables[:2]]
+        for context in contexts:
+            assert spanning.inconsistency(context) == own.inconsistency(context)
+        parents = got.variables[:2]
+        assert list(spanning.column_levels(var, parents)) == list(
+            own.column_levels(var, parents)
+        )
 
     def test_instantiate(self, solver_path):
         rng = random.Random(61)
