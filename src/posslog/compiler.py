@@ -47,9 +47,8 @@ from .semantics import (
     _literal_bits,
     _negations,
     _reduce,
-    inconsistency_degree,
 )
-from .semantics import certainty_degree  # not called here; bench/tracing.py wraps it here
+from .semantics import certainty_degree, inconsistency_degree  # not called here; bench/tracing.py wraps it here
 
 # Most cells a node's table may have: 2 per parent instantiation, so at most
 # 19 parents. `parse_network` holds every node it reads to the same cap.
@@ -157,7 +156,9 @@ def hidden_parent_closure(
     clause (see the module docstring for the rule and its rationale).
 
     Each round sweeps the columns of `var`'s table given the parents in
-    name order, so runs are reproducible. A candidate clause, one that
+    name order. The order decides which fixpoint the closure reaches, not
+    only that runs repeat: another order can meet another column first and
+    end at another, still sufficient, parent set. A candidate clause, one that
     could bring a fresh parent, stands in a column when the column makes
     each of its literals on a parent false: its mask of columns is the AND
     of those literals' false columns, read off the parents' truth tables
@@ -242,8 +243,9 @@ class StageSummary:
     node and its parents, in ordering order, are `cpt.var` and
     `cpt.parents`. `cross_clauses` counts the pairs the marginal's cross
     product forms; the `_s` fields are `perf_counter` seconds spent on
-    the parents (seed, weight levels and closure), on the table and on
-    the marginal, and take no part in equality."""
+    the parents (seed, weight levels and closure; stage 0's levels, built
+    before the input's consistency check, are timed with that check), on
+    the table and on the marginal, and take no part in equality."""
 
     index: int
     stage_entries: int
@@ -259,34 +261,37 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     """Compile a consistent base one variable at a time, yielding each
     stage's summary (with its table) as soon as the variable is forgotten.
 
-    The base is first clausalized; an inconsistent input is rejected with
-    its inconsistency degree when iteration starts. Each stage computes
-    the node's parents and table from the current clauses, then forgets
-    the variable. A node whose table would have more than `MAX_CPT_CELLS`
-    cells raises `ResourceCapError` before its parent instantiations are
-    swept.
+    The base is clausalized, encoded once (`semantics._encoded`) and
+    reduced (`semantics._reduce`: no tautology, duplicate or subsumed
+    entry). An inconsistent input is rejected when iteration starts, with
+    the degree of the first stage's weight levels: reducing drops only
+    entailed entries, so it is the input's own. Each stage computes the
+    node's parents and table from the current clauses, on one set of
+    weight levels, then forgets the variable. A node whose table would
+    have more than `MAX_CPT_CELLS` cells raises `ResourceCapError` before
+    its parent instantiations are swept.
 
-    A stage is integer clauses under the clausal input's encoding
-    (`semantics._encoded`), reduced (`semantics._reduce`: no tautology,
-    duplicate or subsumed entry) and handed from stage to stage through
-    the cores of `immediate_parents`, `hidden_parent_closure`, `cpt_for`
-    and `marginal_base`; no base is built, so a stage costs nothing per
-    universe variable that no clause mentions. A stage whose variable is
-    on no clause passes its clauses on as they are: crossed with itself,
-    a reduced stage reduces back to itself.
+    The integer clauses are handed from stage to stage through the cores
+    of `immediate_parents`, `hidden_parent_closure`, `cpt_for` and
+    `marginal_base`; no base is built and nothing is kept on `b`, so a
+    stage costs nothing per universe variable that no clause mentions. A
+    stage whose variable is on no clause passes its clauses on as they
+    are: crossed with itself, a reduced stage reduces back to itself.
     """
     ordering = Ordering.of(ordering)
     ordering.validate_for(b.variables)
-    clausal = to_clausal(b)
-    inc = inconsistency_degree(clausal)
+    codec, entries, weights = _encoded(to_clausal(b), "compile_stages")
+    entries = _reduce(entries)
+    start = perf_counter()
+    levels = _Levels(codec, entries, weights)
+    inc = levels.degrees[levels.own_level()]
     if inc != 0:
         raise InconsistentBaseError(inc)
-    codec, entries, weights = _encoded(clausal, "compile_stages")
-    entries = _reduce(entries)
     position = {v: i for i, v in enumerate(ordering.sequence)}
     for i, var in enumerate(ordering.sequence):
-        start = perf_counter()
-        levels = _Levels(codec, entries, weights)
+        if i:
+            start = perf_counter()
+            levels = _Levels(codec, entries, weights)
         parents = _closure(codec, entries, levels, var, _seed(codec, entries, var))
         closed = perf_counter()
         names = sorted(codec.variables(parents), key=position.__getitem__)

@@ -410,13 +410,12 @@ class WeightedBase:
                     raise DomainError(f"entry mentions undeclared variables: {names}")
         object.__setattr__(self, "entries", tuple(cooked))
         object.__setattr__(self, "variables", universe)
-        # The encoding and weight levels `semantics` builds on first use and
-        # keeps; they are no fields, so they take no part in equality.
-        object.__setattr__(self, "_encoding", None)
+        # The weight levels `semantics` builds on first use and keeps; not
+        # a field, so they take no part in equality.
         object.__setattr__(self, "_levels", None)
 
     def __reduce__(self):
-        # Rebuilt from its fields, so a pickle never carries the encoding.
+        # Rebuilt from its fields, so a pickle never carries the levels.
         return (WeightedBase, (self.entries, self.variables))
 
     @property

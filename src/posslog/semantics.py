@@ -7,13 +7,13 @@ degree, possibility/necessity measures, entailment degrees and the converse
 construction of a base from a distribution.
 
 A clause has one encoding, `_ClauseBits`' two bits per variable in one
-int. A clausal base is encoded once, on the first question asked of it,
-and keeps its encoding; a compile encodes its clausal input once and
-hands the integer clauses from stage to stage. The encoding is split into
-weight levels, which then answer the inconsistency degree of the base
-under any literal or formula context; clause cleanup (`_reduce`: dropping
-tautologies, merging duplicates, removing subsumed entries) runs on the
-same encoding.
+int. A clausal base is encoded on the first question asked of it and
+keeps its weight levels, the encoding split by weight, which then answer
+the inconsistency degree of the base under any literal or formula
+context; a compile encodes its clausal input once, builds nothing on it,
+and hands the integer clauses from stage to stage. Clause cleanup
+(`_reduce`: dropping tautologies, merging duplicates, removing subsumed
+entries) runs on the same encoding.
 Satisfiability is decided by an exhaustive bitset sweep for small
 universes (the common case here), where a question is a few integer
 ANDs, and above that by a complete search with unit propagation.
@@ -79,14 +79,15 @@ def _truth_tables(n: int) -> tuple[int, ...]:
     """truth_tables(n)[j] is the bitset of the 2**n worlds where variable j
     is true, under the package-wide enumeration order (variable 0 is the
     most significant bit)."""
-    full = (1 << (1 << n)) - 1
+    size = 1 << n
     tables = []
     for j in range(n):
-        seg = 1 << (n - 1 - j)
-        period = seg << 1
-        block = ((1 << seg) - 1) << seg
-        reps = full // ((1 << period) - 1)
-        tables.append(block * reps)
+        period = 1 << (n - j)  # a run of false worlds, then one of true
+        table = ((1 << (period >> 1)) - 1) << (period >> 1)
+        while period < size:
+            table |= table << period
+            period <<= 1
+        tables.append(table)
     return tuple(tables)
 
 
@@ -620,29 +621,22 @@ def _encoded(b: WeightedBase, op: str) -> tuple[_ClauseBits, list[tuple[int, int
     of its weight: rank r stands for `weights[r]`, and ranks order as the
     weights do. Rank 0 is unused, so that every rank is positive, as
     `_reduce` needs; ranks compare as plain ints, not `Fraction`s.
-    Kept on the base. The codec spans the variables the entries mention,
-    so a universe variable no entry mentions costs nothing. `op` names the
-    caller in the error for a base that is not clausal; a base with an
-    encoding is clausal, so it is not scanned again."""
-    encoding = b._encoding
-    if encoding is None:
-        if not b.is_clausal:
-            raise DomainError(f"{op} requires a clausal base; run to_clausal first")
-        codec = _ClauseBits({lit.var for c, _ in b.entries for lit in c.literals})
-        # Each weight is hashed once, for its index of first appearance; a
-        # `Fraction` hash is not cached and costs about a microsecond.
-        first: dict[Fraction, int] = {}
-        indices = [first.setdefault(w, len(first)) for _, w in b.entries]
-        distinct = list(first)
-        order = sorted(range(len(distinct)), key=distinct.__getitem__)
-        weights = [ZERO, *(distinct[i] for i in order)]
-        rank = [0] * len(distinct)
-        for r, i in enumerate(order, 1):
-            rank[i] = r
-        entries = [(codec.encode(c), rank[i]) for (c, _), i in zip(b.entries, indices)]
-        encoding = (codec, entries, weights)
-        object.__setattr__(b, "_encoding", encoding)
-    return encoding
+    Nothing is kept on the base. The codec spans the variables the entries
+    mention, so a universe variable no entry mentions costs nothing. `op`
+    names the caller in the error for a base that is not clausal."""
+    if not b.is_clausal:
+        raise DomainError(f"{op} requires a clausal base; run to_clausal first")
+    codec = _ClauseBits({lit.var for c, _ in b.entries for lit in c.literals})
+    # Each weight is hashed once, for its index of first appearance; a
+    # `Fraction` hash is not cached and costs about a microsecond.
+    first: dict[Fraction, int] = {}
+    indices = [first.setdefault(w, len(first)) for _, w in b.entries]
+    distinct = list(first)
+    order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    weights = [ZERO, *(distinct[i] for i in order)]
+    rank = {i: r for r, i in enumerate(order, 1)}
+    entries = [(codec.encode(c), rank[i]) for (c, _), i in zip(b.entries, indices)]
+    return codec, entries, weights
 
 
 def _decoded(encoding: tuple, variables: Iterable[Var]) -> WeightedBase:
@@ -654,10 +648,10 @@ def _decoded(encoding: tuple, variables: Iterable[Var]) -> WeightedBase:
 
 
 def _levels(b: WeightedBase, op: str) -> _Levels:
-    """The weight levels of a clausal base, built from its encoding on the
-    first degree question asked of `b` and kept on the base, so every
-    later question asked of it reads the same levels. `op` names the
-    caller in `_encoded`'s error for a base that is not clausal."""
+    """The weight levels of a clausal base, built from `_encoded` on the
+    first degree question asked of `b` and kept on the base, its only
+    cache, so every later question asked of it reads the same levels. `op`
+    names the caller in `_encoded`'s error for a base that is not clausal."""
     levels = b._levels
     if levels is None:
         levels = _Levels(*_encoded(b, op))
@@ -703,7 +697,7 @@ def possibility(b: WeightedBase, f: Formula) -> Fraction:
     hard context: 1 minus the inconsistency degree of the base with `f`.
     """
     levels = _levels(b, "possibility")
-    inc = inconsistency_degree(b)
+    inc = levels.degrees[levels.own_level()]
     if inc != 0:
         raise InconsistentBaseError(inc)
     return ONE - levels.degrees[levels.formula_level(f)]

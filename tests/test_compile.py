@@ -391,11 +391,91 @@ class TestCompileNetwork:
             assert cpt.cell((), True) == 1
             assert cpt.cell((), False) == 1
 
-    def test_rejects_inconsistent_base(self):
-        b = WeightedBase([(clause(pos(X)), F(1)), (clause(neg(X)), F(1))], (X,))
+    @pytest.mark.parametrize(
+        "entries, variables, degree",
+        [
+            pytest.param(
+                [(clause(pos(X)), F(1)), (clause(neg(X)), F(1))], (X,), F(1), id="units"
+            ),
+            pytest.param(
+                [
+                    (clause(pos(X), neg(X)), F(1)),
+                    (clause(pos(X)), F(1, 2)),
+                    (clause(neg(X)), F(2, 3)),
+                ],
+                (X,),
+                F(1, 2),
+                id="tautology",
+            ),
+            pytest.param(
+                [
+                    (clause(pos(X)), F(1, 2)),
+                    (clause(neg(X)), F(2, 3)),
+                    (clause(pos(X)), F(1, 3)),
+                ],
+                (X,),
+                F(1, 2),
+                id="duplicate",
+            ),
+            pytest.param(
+                [
+                    (clause(pos(X)), F(2, 3)),
+                    (clause(pos(X), pos(Y)), F(1, 2)),
+                    (clause(neg(X)), F(1, 2)),
+                    (clause(neg(Y)), F(1, 4)),
+                ],
+                (X, Y),
+                F(1, 2),
+                id="subsumed",
+            ),
+            pytest.param(
+                [(Clause(()), F(1, 3)), (clause(pos(X)), F(1, 2)), (clause(neg(X)), F(1, 4))],
+                (X,),
+                F(1, 3),
+                id="empty-clause",
+            ),
+            pytest.param(
+                [(And((pos(X), pos(Y))), F(3, 4)), (clause(neg(X), neg(Y)), F(1, 2))],
+                (X, Y),
+                F(1, 2),
+                id="and-entry",
+            ),
+            pytest.param([(Clause(()), F(2, 5))], (), F(2, 5), id="no-variables"),
+        ],
+    )
+    def test_rejects_inconsistent_base(self, entries, variables, degree, solver_path):
+        # The degree is read off the reduced clauses' levels; reducing
+        # drops only entailed entries, so it is the input's own degree.
+        b = WeightedBase(entries, variables)
         with pytest.raises(InconsistentBaseError) as err:
-            compile_network(b, (X,))
-        assert err.value.degree == 1
+            compile_network(b, variables)
+        assert err.value.degree == inconsistency_degree(to_clausal(b)) == degree
+
+    def test_leaves_its_input_bare(self, solver_path):
+        # The compile encodes and checks the input itself, so the caller's
+        # base gets no weight levels.
+        drawn = oracle.random_base(5, 6, 12)
+        b = WeightedBase(drawn.entries, drawn.variables)
+        compile_network(b, b.variables[::-1])
+        assert b._levels is None
+
+    def test_one_level_build_per_stage(self, monkeypatch):
+        # Stage 0's levels also answer the consistency check, and each
+        # later stage builds its own from the marginal.
+        built = []
+        init = semantics._Levels.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(semantics._Levels, "__init__", counting)
+        for n in (1, 3, 6):
+            drawn = oracle.random_base(n, n, 2 * n)
+            for b in (drawn, WeightedBase(drawn.entries, (*drawn.variables, Var("spare")))):
+                built.clear()
+                compile_network(b, b.variables)
+                assert len(built) == len(b.variables)
 
     def test_every_ordering_of_a_small_base(self, support):
         for order in permutations(support.variables):

@@ -356,9 +356,9 @@ class TestWeightedBase:
         marginal = marginal_base(b, Y)
         assert certainty_degree(marginal, pos(X)) == 0
         for base in (b, marginal):
-            assert base._encoding is not None and base._levels is not None
+            assert base._levels is not None
             data = pickle.dumps(base)
             again = pickle.loads(data)
             assert again == base
-            assert again._encoding is None and again._levels is None
+            assert again._levels is None
             assert data == pickle.dumps(WeightedBase(base.entries, base.variables))
