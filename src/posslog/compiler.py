@@ -26,7 +26,6 @@ minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
@@ -34,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DomainError, InconsistentBaseError, ResourceCapError
 from .marginalize import _marginal
 from .marginalize import marginal_base  # not called here; bench/tracing.py wraps it here
-from .model import ONE, Literal, Var, WeightedBase
+from .model import ONE, Literal, Var, WeightedBase, _Value
 from .network import CPT, Network, check_parents
 from .normalize import to_clausal
 from .normalize import remove_subsumed, remove_tautologies  # not called here; bench/tracing.py wraps it here
@@ -55,11 +54,11 @@ from .semantics import certainty_degree, inconsistency_degree  # not called here
 MAX_CPT_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(_Value):
     """An elimination order: first variable is eliminated first, and a
     node's parents may only be later variables."""
 
+    __slots__ = _fields = ("sequence",)
     sequence: tuple[Var, ...]
 
     def __init__(self, sequence: Iterable[Var]):
@@ -237,8 +236,7 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     return _cpt(_levels(b, "cpt_for"), var, parents)
 
 
-@dataclass(frozen=True)
-class StageSummary:
+class StageSummary(_Value):
     """Per-variable compilation trace, for logging and inspection. The
     node and its parents, in ordering order, are `cpt.var` and
     `cpt.parents`. `cross_clauses` counts the pairs the marginal's cross
@@ -247,14 +245,35 @@ class StageSummary:
     before the input's consistency check, are timed with that check), on
     the table and on the marginal, and take no part in equality."""
 
-    index: int
-    stage_entries: int
-    cpt: CPT
-    marginal_entries: int
-    cross_clauses: int
-    closure_s: float = field(compare=False)
-    cpt_s: float = field(compare=False)
-    marginal_s: float = field(compare=False)
+    __slots__ = _fields = (
+        "index",
+        "stage_entries",
+        "cpt",
+        "marginal_entries",
+        "cross_clauses",
+        "closure_s",
+        "cpt_s",
+        "marginal_s",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        stage_entries: int,
+        cpt: CPT,
+        marginal_entries: int,
+        cross_clauses: int,
+        closure_s: float,
+        cpt_s: float,
+        marginal_s: float,
+    ):
+        self._set(
+            index, stage_entries, cpt, marginal_entries, cross_clauses,
+            closure_s, cpt_s, marginal_s,
+        )
+
+    def _compared(self) -> tuple:
+        return self._values()[:5]  # not the timings
 
 
 def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:

@@ -12,7 +12,6 @@ ever drifts through decimal rendering.
 
 from __future__ import annotations
 
-import json
 import re
 import warnings
 from fractions import Fraction
@@ -367,6 +366,8 @@ def parse_network(text: str) -> Network:
     (missing cells, cyclic parents, malformed weights, a node with more
     parents than `compiler.MAX_CPT_CELLS` allows) are errors; columns that
     never reach 1 only provoke a NormalizationWarning."""
+    import json  # here, its one user, so `import posslog` does not load it
+
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -104,8 +104,7 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
     """
     codec, encoded, weights = _encoded(b, "marginal_base")
     try:
-        # Found once: `Var` equality is Python-level, and the universe can
-        # be thousands of variables long.
+        # Found once: the universe can be thousands of variables long.
         at = b.variables.index(var)
     except ValueError:
         raise DomainError(f"variable {var} not in the base universe") from None

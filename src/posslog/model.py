@@ -9,8 +9,8 @@ after construction and safe to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError, ResourceCapError
@@ -48,26 +48,98 @@ def as_weight(value) -> Fraction:
     return w
 
 
-@dataclass(frozen=True, order=True)
-class Var:
+class _Value:
+    """Base of the value types: equality (between instances of one class),
+    hash, `repr` and pickling derive from `_fields`, the constructor's
+    arguments in order, each held in the slot of the same name. `__init__`
+    sets the slots with `object.__setattr__`; assigning or deleting an
+    attribute raises `AttributeError`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        """Fill the slots of `_fields`, in order; for `__init__`."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _compared(self) -> tuple:
+        """The values that equality and the hash read."""
+        return self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so a pickle carries no slot
+        # outside `_fields`.
+        return (type(self), self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# `Var` and `Literal` are tuples, so that their hashing, equality and
+# ordering, which every layer leans on, run in C. A `Var` hashes as
+# `(name,)` and a `Literal` as `(var, positive)`, and both order by their
+# fields: by name, then `False` before `True`.
+
+
+class Var(tuple):
     """A binary propositional variable, identified by name."""
 
-    name: str
+    __slots__ = ()
+    name = property(itemgetter(0))
 
-    def __post_init__(self):
-        if not _NAME_RE.match(self.name) or self.name in RESERVED_NAMES:
-            raise DomainError(f"invalid variable name {self.name!r}")
+    def __new__(cls, name: str):
+        if (
+            not isinstance(name, str)
+            or not _NAME_RE.match(name)
+            or name in RESERVED_NAMES
+        ):
+            raise DomainError(f"invalid variable name {name!r}")
+        return tuple.__new__(cls, (name,))
+
+    def __reduce__(self):
+        return (type(self), (self[0],))
+
+    def __repr__(self) -> str:
+        return f"Var(name={self[0]!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Literal(tuple):
     """A variable or its negation."""
 
-    var: Var
-    positive: bool = True
+    __slots__ = ()
+    var = property(itemgetter(0))
+    positive = property(itemgetter(1))
+
+    def __new__(cls, var: Var, positive: bool = True):
+        return tuple.__new__(cls, (var, positive))
+
+    def __reduce__(self):
+        return (type(self), tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Literal(var={self[0]!r}, positive={self[1]!r})"
 
     def __str__(self) -> str:
         return self.var.name if self.positive else "!" + self.var.name
@@ -78,16 +150,19 @@ def negate(lit: Literal) -> Literal:
     return Literal(lit.var, not lit.positive)
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(_Value):
     """A disjunction of literals with set semantics (duplicates collapse).
 
     The empty clause is permitted and is unsatisfiable.
     """
 
-    literals: frozenset[Literal] = frozenset()
+    __slots__ = _fields = ("literals",)
+    literals: frozenset[Literal]
 
     def __init__(self, literals: Iterable[Literal] = ()):
+        if isinstance(literals, Literal):
+            # A `Literal` is a tuple, so it would pass as its var and sign.
+            raise TypeError("Clause takes an iterable of literals; use unit(lit)")
         object.__setattr__(self, "literals", frozenset(literals))
 
     @property
@@ -118,32 +193,36 @@ class Clause:
         return " | ".join(str(l) for l in self)
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Value):
     """Boolean constant leaf."""
 
-    value: bool
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool):
+        object.__setattr__(self, "value", value)
 
 
 TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Formula"
+class Not(_Value):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: "Formula"):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class And:
+class And(_Value):
+    __slots__ = _fields = ("parts",)
     parts: tuple["Formula", ...]
 
     def __init__(self, parts: Iterable["Formula"]):
         object.__setattr__(self, "parts", tuple(parts))
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(_Value):
+    __slots__ = _fields = ("parts",)
     parts: tuple["Formula", ...]
 
     def __init__(self, parts: Iterable["Formula"]):
@@ -188,22 +267,23 @@ def vars_in_appearance(f: Formula) -> list[Var]:
     return list(seen)
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(_Value):
     """A total truth assignment over an ordered variable universe."""
 
+    _fields = ("universe", "values")
+    __slots__ = (*_fields, "_lookup")
     universe: tuple[Var, ...]
     values: tuple[bool, ...]
-    _lookup: Mapping[Var, bool] = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    _lookup: Mapping[Var, bool]
 
-    def __post_init__(self):
-        if len(self.universe) != len(self.values):
+    def __init__(self, universe: tuple[Var, ...], values: tuple[bool, ...]):
+        if len(universe) != len(values):
             raise DomainError("universe and values lengths differ")
-        lookup = dict(zip(self.universe, self.values))
-        if len(lookup) != len(self.universe):
+        lookup = dict(zip(universe, values))
+        if len(lookup) != len(universe):
             raise DomainError("duplicate variable in universe")
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "_lookup", lookup)
 
     @classmethod
@@ -366,8 +446,7 @@ def _check_cnf_size(size: int) -> None:
 Entry = tuple[Formula, Fraction]
 
 
-@dataclass(frozen=True)
-class WeightedBase:
+class WeightedBase(_Value):
     """A multiset of weighted formulas over an ordered variable universe.
 
     Weight-0 entries are vacuous and dropped on construction. Duplicate
@@ -375,6 +454,10 @@ class WeightedBase:
     weight is semantically effective, and the normalize pass merges them.
     """
 
+    _fields = ("entries", "variables")
+    # `_levels`: the weight levels `semantics` builds on first use and
+    # keeps; not a field, so they take no part in equality or pickling.
+    __slots__ = (*_fields, "_levels")
     entries: tuple[Entry, ...]
     variables: tuple[Var, ...]
 
@@ -399,7 +482,8 @@ class WeightedBase:
             universe = tuple(seen)
         else:
             universe = tuple(variables)
-            # By name: a `str` caches its hash, a `Var` hashes in Python code.
+            # By name: a `str` caches its hash, while a `Var` is a tuple
+            # that combines its name's hash again on every call.
             declared = {v.name for v in universe}
             if len(declared) != len(universe):
                 raise DomainError("duplicate variable in universe")
@@ -410,13 +494,7 @@ class WeightedBase:
                     raise DomainError(f"entry mentions undeclared variables: {names}")
         object.__setattr__(self, "entries", tuple(cooked))
         object.__setattr__(self, "variables", universe)
-        # The weight levels `semantics` builds on first use and keeps; not
-        # a field, so they take no part in equality.
         object.__setattr__(self, "_levels", None)
-
-    def __reduce__(self):
-        # Rebuilt from its fields, so a pickle never carries the levels.
-        return (WeightedBase, (self.entries, self.variables))
 
     @property
     def is_clausal(self) -> bool:
@@ -441,8 +519,7 @@ def unit(lit: Literal) -> Clause:
     return Clause((lit,))
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(_Value):
     """A possibility distribution: every interpretation of the universe is
     mapped to an exact degree in [0, 1].
 
@@ -450,6 +527,7 @@ class Distribution:
     `interpretations(universe)`.
     """
 
+    __slots__ = _fields = ("universe", "values")
     universe: tuple[Var, ...]
     values: tuple[Fraction, ...]
 

@@ -9,13 +9,12 @@ immutable after construction, evaluated eagerly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NetworkSchemaError
-from .model import Distribution, Interpretation, Var, as_weight, interpretations
+from .model import Distribution, Interpretation, Var, _Value, as_weight, interpretations
 
 Assignment = tuple[bool, ...]
 Cell = tuple[Assignment, bool, Fraction]
@@ -38,8 +37,7 @@ def check_parents(var: Var, parents: tuple[Var, ...]) -> None:
         raise DomainError("duplicate parent")
 
 
-@dataclass(frozen=True)
-class CPT:
+class CPT(_Value):
     """Conditional possibility table of one variable.
 
     The table is two columns of degrees, `neg[i]` = Π(¬x | u) and
@@ -52,20 +50,28 @@ class CPT:
     inspected.
     """
 
+    __slots__ = _fields = ("var", "parents", "neg", "pos")
     var: Var
     parents: tuple[Var, ...]
     neg: tuple[Fraction, ...]
     pos: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        var, parents = self.var, tuple(self.parents)
+    def __init__(
+        self,
+        var: Var,
+        parents: Iterable[Var],
+        neg: Iterable[object],
+        pos: Iterable[object],
+    ) -> None:
+        parents = tuple(parents)
         check_parents(var, parents)
         neg, pos = (
             tuple(w if isinstance(w, Fraction) else as_weight(w) for w in column)
-            for column in (self.neg, self.pos)
+            for column in (neg, pos)
         )
         if not len(neg) == len(pos) == 1 << len(parents):
             raise DomainError(f"columns of {var} must hold {1 << len(parents)} degrees")
+        object.__setattr__(self, "var", var)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "neg", neg)
         object.__setattr__(self, "pos", pos)
@@ -93,10 +99,10 @@ class CPT:
         return zip(assignments, self.neg, self.pos)
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(_Value):
     """A DAG of CPTs; node order is the evaluation/serialization order."""
 
+    __slots__ = _fields = ("nodes",)
     nodes: tuple[CPT, ...]
 
     def __init__(self, nodes: Iterable[CPT]):
@@ -156,11 +162,11 @@ def network_distribution(n: Network) -> Distribution:
     )
 
 
-@dataclass(frozen=True)
-class NormalizationViolation:
-    var: Var
-    assignment: Assignment
-    maximum: Fraction
+class NormalizationViolation(_Value):
+    __slots__ = _fields = ("var", "assignment", "maximum")
+
+    def __init__(self, var: Var, assignment: Assignment, maximum: Fraction):
+        self._set(var, assignment, maximum)
 
     def __str__(self) -> str:
         return f"{self.var}: column {self.assignment} has max {self.maximum}"

@@ -9,7 +9,6 @@ direct recursion over plain dicts, and distributions are compared exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import semantics
@@ -26,6 +25,7 @@ from .model import (
     Or,
     Var,
     WeightedBase,
+    _Value,
     as_weight,
 )
 from .network import Network, network_distribution
@@ -104,19 +104,23 @@ def distributions_equal(d1: Distribution, d2: Distribution) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    world: Interpretation
-    base_value: Fraction
-    network_value: Fraction
+class Mismatch(_Value):
+    __slots__ = _fields = ("world", "base_value", "network_value")
+
+    def __init__(
+        self, world: Interpretation, base_value: Fraction, network_value: Fraction
+    ):
+        self._set(world, base_value, network_value)
 
     def __str__(self) -> str:
         return f"{self.world}: base={self.base_value} network={self.network_value}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    mismatches: tuple[Mismatch, ...]
+class VerificationReport(_Value):
+    __slots__ = _fields = ("mismatches",)
+
+    def __init__(self, mismatches: tuple[Mismatch, ...]):
+        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def ok(self) -> bool:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
+
+import pytest
 
 from posslog import And, Clause, Const, Literal, Not, Or, Var, WeightedBase
 
@@ -133,3 +136,25 @@ def random_messy_base(rng: random.Random) -> WeightedBase:
     entries += [(c, rng.choice(pool)) for c, _ in entries if rng.random() < 0.3]
     rng.shuffle(entries)
     return WeightedBase(entries, variables)
+
+
+def assert_value_type(cls, fields: dict, compared: int | None = None) -> None:
+    """`cls(*fields.values())` behaves as an immutable value: two equal
+    constructions are equal and hash as the tuple of their compared fields
+    (the first `compared` of `fields`, all by default); every field refuses
+    assignment and deletion; and a pickle round trip, through `(cls,
+    constructor arguments)`, gives an equal object."""
+    args = tuple(fields.values())
+    value, twin = cls(*args), cls(*args)
+    assert value is not twin
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin) == hash(args[:compared])
+    for name, expected in fields.items():
+        assert getattr(value, name) == expected
+        with pytest.raises(AttributeError):
+            setattr(value, name, expected)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value.__reduce__() == (cls, args)
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is cls and again == value and hash(again) == hash(value)

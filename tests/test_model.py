@@ -29,9 +29,23 @@ from posslog import (
     vars_of,
 )
 
-from posslog import model, oracle
+from posslog import CPT, model, oracle
+from posslog.compiler import Ordering, StageSummary
+from posslog.network import NormalizationViolation
+from posslog.oracle import Mismatch, VerificationReport
 
-from helpers import SE, SU, WI, X, Y, clause, neg, pos, random_formula
+from helpers import (
+    SE,
+    SU,
+    WI,
+    X,
+    Y,
+    assert_value_type,
+    clause,
+    neg,
+    pos,
+    random_formula,
+)
 
 F = Fraction
 
@@ -42,13 +56,24 @@ class TestVar:
             assert Var(name).name == name
 
     # The base grammar reserves `true`, `false` and `vars`, so a base over
-    # such a variable could not be written out and read back.
+    # such a variable could not be written out and read back. A name that
+    # is not a `str` is refused as invalid too, not with `re`'s TypeError.
     @pytest.mark.parametrize(
-        "name", ["", "1a", "a-b", "a b", "_x", "!", "true", "false", "vars"]
+        "name", ["", "1a", "a-b", "a b", "_x", "!", "true", "false", "vars", 3, None]
     )
     def test_invalid_names(self, name):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="invalid variable name"):
             Var(name)
+
+    def test_value_semantics(self):
+        assert_value_type(Var, {"name": "a"})
+        assert Var("a") != Var("b")
+        assert repr(Var("a")) == "Var(name='a')"
+        assert sorted([Var("b"), Var("a10"), Var("a2")]) == [
+            Var("a10"),
+            Var("a2"),
+            Var("b"),
+        ]
 
 
 class TestLiteral:
@@ -63,11 +88,85 @@ class TestLiteral:
         assert str(pos(SU)) == "su"
         assert str(neg(SU)) == "!su"
 
+    def test_value_semantics(self):
+        assert_value_type(Literal, {"var": X, "positive": False})
+        assert Literal(X) == pos(X) != neg(X)
+        assert repr(neg(X)) == "Literal(var=Var(name='x'), positive=False)"
+
+    def test_order_by_name_then_false_first(self):
+        lits = [pos(Y), neg(X), pos(SU), neg(Y), pos(X), neg(SU)]
+        assert sorted(lits) == [neg(SU), pos(SU), neg(X), pos(X), neg(Y), pos(Y)]
+
+
+# Each value type besides `Var`, `Literal`, `CPT` and `Network`, and its
+# fields in constructor order.
+VALUE_CASES = [
+    (Clause, {"literals": frozenset({pos(X), neg(Y)})}),
+    (Const, {"value": False}),
+    (Not, {"operand": pos(X)}),
+    (And, {"parts": (pos(X), neg(Y))}),
+    (Or, {"parts": (pos(X), neg(Y))}),
+    (Interpretation, {"universe": (X, Y), "values": (True, False)}),
+    (WeightedBase, {"entries": ((clause(pos(X)), F(1, 2)),), "variables": (X, Y)}),
+    (Distribution, {"universe": (X,), "values": (F(1), F(1, 3))}),
+    (NormalizationViolation, {"var": X, "assignment": (True,), "maximum": F(1, 2)}),
+    (Ordering, {"sequence": (Y, X)}),
+    (
+        Mismatch,
+        {
+            "world": Interpretation((X,), (True,)),
+            "base_value": F(1),
+            "network_value": F(1, 2),
+        },
+    ),
+    (VerificationReport, {"mismatches": ()}),
+]
+
+
+class TestValueTypes:
+    """The value types besides `Var`, `Literal`, `CPT` and `Network`
+    (see `TestVar`, `TestLiteral` and `test_network.TestCPTValue`)."""
+
+    @pytest.mark.parametrize(
+        "cls, fields", VALUE_CASES, ids=[cls.__name__ for cls, _ in VALUE_CASES]
+    )
+    def test_value_semantics(self, cls, fields):
+        assert_value_type(cls, fields)
+
+    def test_stage_summary_timings_take_no_part_in_equality(self):
+        cpt = CPT(X, (), [F(1)], [F(1, 2)])
+        fields = {
+            "index": 0,
+            "stage_entries": 2,
+            "cpt": cpt,
+            "marginal_entries": 1,
+            "cross_clauses": 1,
+            "closure_s": 0.25,
+            "cpt_s": 0.5,
+            "marginal_s": 0.125,
+        }
+        assert_value_type(StageSummary, fields, compared=5)
+        summary = StageSummary(**fields)
+        later = StageSummary(*list(fields.values())[:5], 1.0, 2.0, 3.0)
+        assert later == summary and hash(later) == hash(summary)
+        assert StageSummary(1, *list(fields.values())[1:]) != summary
+
+    def test_equality_is_per_class(self):
+        parts = (pos(X), neg(Y))
+        assert And(parts) != Or(parts)
+        assert Not(Const(True)) != Not(Const(False))
+        assert Interpretation((X,), (True,)) != Distribution((X,), (1, 1))
+        assert repr(And(parts)) == f"And(parts={parts!r})"
+
 
 class TestClause:
     def test_set_semantics(self):
         c = Clause([pos(X), pos(X), neg(Y)])
         assert len(c) == 2
+
+    def test_refuses_a_bare_literal(self):
+        with pytest.raises(TypeError):
+            Clause(pos(X))
 
     def test_tautology(self):
         assert clause(pos(X), neg(X), pos(Y)).is_tautology
@@ -329,8 +428,9 @@ class TestWeightedBase:
             WeightedBase([], (a, b, Var("a")))
 
     def test_universe_is_checked_by_name(self, monkeypatch):
-        # A `Var` hashes through Python code; a wide universe is checked
-        # against its names, whose hashes are cached, not against its Vars.
+        # A `Var` is a tuple, which combines its name's hash again on every
+        # call; a wide universe is checked against its names, whose hashes
+        # are cached, not against its Vars.
         universe = [Var(f"a{i}") for i in range(1000)]
         entry = (clause(pos(universe[0]), neg(universe[1])), F(1, 2))
         hashed = []

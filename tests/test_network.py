@@ -16,7 +16,7 @@ from posslog import (
     network_distribution,
 )
 
-from helpers import SE, SU, WI, X, Y, weather_base
+from helpers import SE, SU, WI, X, Y, assert_value_type, weather_base
 
 F = Fraction
 
@@ -97,6 +97,10 @@ class TestCPTValue:
         se, wi, su = weather_net.nodes
         assert len({se, wi, su, *rebuilt.nodes}) == 3
         assert Network([su]) != Network([CPT(SU, (), [1], [1])])
+        for cpt in weather_net.nodes:
+            columns = {"neg": cpt.neg, "pos": cpt.pos}
+            assert_value_type(CPT, {"var": cpt.var, "parents": cpt.parents, **columns})
+        assert_value_type(Network, {"nodes": weather_net.nodes})
 
     def test_cells_are_the_columns_in_order(self, weather_net):
         for cpt in weather_net.nodes:
