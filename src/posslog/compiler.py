@@ -191,9 +191,11 @@ def conditional_possibility(
 
     h is the degree of the context alone, h' the degree of context plus
     literal, both read off the base's weight levels with the literals as
-    hard facts: the one-column case of `cpt_for`.
+    hard facts: the one-column case of `cpt_for`. The base's own level is
+    asked first, so that above the bitset cap its model can answer both.
     """
     levels = _levels(b, "conditional_possibility")
+    levels.own_level()
     context = tuple(context)
     return _conditional(
         levels.inconsistency(context), levels.inconsistency((*context, lit))

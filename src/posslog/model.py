@@ -276,7 +276,8 @@ class Interpretation(_Value):
     values: tuple[bool, ...]
     _lookup: Mapping[Var, bool]
 
-    def __init__(self, universe: tuple[Var, ...], values: tuple[bool, ...]):
+    def __init__(self, universe: Iterable[Var], values: Iterable[bool]):
+        universe, values = tuple(universe), tuple(values)
         if len(universe) != len(values):
             raise DomainError("universe and values lengths differ")
         lookup = dict(zip(universe, values))

@@ -293,6 +293,17 @@ def _cuts(groups: list[list[int]], tables: dict[int, int], full: int) -> list[in
     return cuts
 
 
+class _World(dict):
+    """A world as the one-world truth tables `_formula_models` reads: 1
+    for each variable it holds true; any other variable, one a model
+    leaves unassigned or one no clause uses, is false."""
+
+    __slots__ = ()
+
+    def __missing__(self, var: Var) -> int:
+        return 0
+
+
 class _Levels:
     """A clausal base's integer clauses (`_encoded`) split into weight
     levels, highest first, and then asked for the inconsistency degree of
@@ -317,7 +328,13 @@ class _Levels:
     variables can take a question past the cap.
 
     The level of the empty context, the base's own inconsistency, is
-    asked by every query and so is computed once, by `own_level`.
+    asked by every query and so is computed once, by `own_level`. Above
+    the cap that search also leaves the own model: the literal bits in
+    hand at the deepest satisfiable cut, a model of every level of a
+    consistent base. Once it is kept, a question whose context the model
+    admits is answered by the own level with no search: a context only
+    removes models, so its level is at most the own level, and the model
+    shows it is at least that. Bitset-path levels keep no model.
 
     A context is built by `condition` and can then be asked its `level`:
     on the bitset path it is the mask of its worlds, above the cap the OR
@@ -335,7 +352,8 @@ class _Levels:
     """
 
     __slots__ = (
-        "degrees", "_pairs", "_tables", "_models", "_groups", "_unconditioned", "_own"
+        "degrees", "_pairs", "_tables", "_models", "_groups", "_unconditioned", "_own",
+        "_false", "_world",
     )
 
     def __init__(
@@ -353,6 +371,10 @@ class _Levels:
         self._pairs = {v: bit for v, bit in codec.pairs.items() if bit * 3 & used}
         self._groups = groups = [by_rank[r] for r in ranks]
         self._own: int | None = None
+        # The own model's negations, and its world: set by `own_level`
+        # above the cap only, so None means there is no model to consult.
+        self._false: int | None = None
+        self._world: _World | None = None
 
         found = _literal_tables(used)
         if found is None:
@@ -401,9 +423,16 @@ class _Levels:
         is within the cap. Otherwise the formula's CNF is the hard clauses
         of the DPLL level walk, so only that path meets the
         `MAX_CNF_CLAUSES` cap.
+        Once `own_level` has kept the own model, the formula is first
+        evaluated once on the model's world; a world that satisfies it
+        answers the own level, with no CNF and no search, so on that path
+        the cap is met only by a formula the world falsifies.
         A formula context is not a `level` argument, so that `level` keeps
         its literal contexts free of a type dispatch.
         """
+        world = self._world
+        if world is not None and _formula_models(f, world, 1):
+            return self._own
         place = {v: self._pairs.get(v) for v in vars_of(f)}  # positive bits
         free = sorted(v for v, bit in place.items() if bit is None)
         used = sum(self._pairs.values()) * 3  # both bits of each pair
@@ -426,12 +455,14 @@ class _Levels:
         return self._refuted([
             sum(place[lit.var] << (not lit.positive) for lit in c.literals)
             for c in cnf_clauses(f)
-        ], 0)
+        ], 0)[0]
 
     def level(self, ctx) -> int:
         """The index into `degrees` of the context's degree: 0 (degree 1)
         for a contradictory context; otherwise i for the first level i whose
-        cut has no model of the context, or the last index (degree 0)."""
+        cut has no model of the context, or the last index (degree 0).
+        Above the cap, a context that holds no bit whose negation the own
+        model holds is answered by the own level, once it is known."""
         if self._models is not None:
             if not ctx:
                 return 0
@@ -442,7 +473,10 @@ class _Levels:
 
         if ctx is None:
             return 0
-        return self._refuted([], ctx)
+        false = self._false
+        if false is not None and not ctx & false:
+            return self._own
+        return self._refuted([], ctx)[0]
 
     def column_levels(
         self, var: Var, parents: tuple[Var, ...]
@@ -512,34 +546,48 @@ class _Levels:
         return columns
 
     def own_level(self) -> int:
-        """`level` of the empty context, computed on the first call."""
+        """`level` of the empty context, computed on the first call. Above
+        the cap the search's last model is kept as the own model: its
+        negations for `level` and its world for `formula_level`."""
         own = self._own
         if own is None:
-            own = self._own = self.level(self._unconditioned)
+            if self._models is not None:
+                own = self.level(self._unconditioned)
+            else:
+                own, model = self._refuted([], 0)
+                self._false = _negations(model)
+                self._world = _World(
+                    {v: 1 for v, bit in self._pairs.items() if model & bit}
+                )
+            self._own = own
         return own
 
-    def _refuted(self, hard: list[int], true: int) -> int:
+    def _refuted(self, hard: list[int], true: int) -> tuple[int, int | None]:
         """`level` by one resumed `_search` over integer hard clauses (a
-        formula's CNF) from the literal bits `true` (a literal context's):
-        0 when no model keeps them. Otherwise the cut of each level is
-        appended to the hard clauses in turn; where the model in hand misses
-        one of its clauses, the search resumes from that model with the
-        alternatives it left pending, and the first level where it finds
-        none is the answer. Cuts only grow, and added clauses only remove
-        models, so an assignment refuted under one cut stays refuted under
-        every later one and is never searched again."""
+        formula's CNF) from the literal bits `true` (a literal context's),
+        with the model in hand at the deepest satisfiable cut: level 0, and
+        no model, when no model keeps them. Otherwise the cut of each level
+        is appended to the hard clauses in turn; where the model in hand
+        misses one of its clauses, the search resumes from that model with
+        the alternatives it left pending, and the first level where it
+        finds none is the answer, handed back with the last model found, a
+        model of the cut before it (of every cut, at the last index). Cuts
+        only grow, and added clauses only remove models, so an assignment
+        refuted under one cut stays refuted under every later one and is
+        never searched again."""
         pending: list[tuple[int, int]] = []
-        true = _search(hard, true, pending)
-        if true is None:
-            return 0
+        model = _search(hard, true, pending)
+        if model is None:
+            return 0, None
         for i, group in enumerate(self._groups, 1):
             hard.extend(group)
-            if all(c & true for c in group):
+            if all(c & model for c in group):
                 continue
-            true = _search(hard, true, pending)
-            if true is None:
-                return i
-        return len(self.degrees) - 1
+            found = _search(hard, model, pending)
+            if found is None:
+                return i, model
+            model = found
+        return len(self.degrees) - 1, model
 
     def inconsistency(self, context: Iterable[Literal]) -> Fraction:
         """1 when the context contradicts itself; otherwise the weight of
@@ -696,25 +744,38 @@ def possibility(b: WeightedBase, f: Formula) -> Fraction:
     empty set of worlds). `f` is asked of the base's weight levels as a
     hard context: 1 minus the inconsistency degree of the base with `f`.
     """
-    levels = _levels(b, "possibility")
-    inc = levels.degrees[levels.own_level()]
-    if inc != 0:
-        raise InconsistentBaseError(inc)
+    levels = _consistent_levels(b, "possibility")
     return ONE - levels.degrees[levels.formula_level(f)]
 
 
 def necessity(b: WeightedBase, f: Formula) -> Fraction:
-    """Degree to which `f` is entailed by the base: 1 - possibility(not f)."""
-    return ONE - possibility(b, Not(f))
+    """Degree to which `f` is entailed by the base: 1 - possibility(not f),
+    which is the inconsistency degree of the base with not f."""
+    levels = _consistent_levels(b, "necessity")
+    return levels.degrees[levels.formula_level(Not(f))]
+
+
+def _consistent_levels(b: WeightedBase, op: str) -> _Levels:
+    """The weight levels of a base, with its own level asked first, so
+    that the own model can answer; raises `InconsistentBaseError` for an
+    inconsistent base."""
+    levels = _levels(b, op)
+    inc = levels.degrees[levels.own_level()]
+    if inc != 0:
+        raise InconsistentBaseError(inc)
+    return levels
 
 
 def certainty_degree(b: WeightedBase, lit: Literal) -> Fraction:
     """Entailment degree of a literal; defined for inconsistent bases too:
     the refutation level counts only when it exceeds the inconsistency of
-    the base, otherwise nothing genuinely supports the literal."""
+    the base, otherwise nothing genuinely supports the literal. Levels are
+    compared as indices: past index 0, which a single literal never
+    reaches, a lower index has a higher degree."""
     levels = _levels(b, "certainty_degree")
-    refute_inc = levels.inconsistency((negate(lit),))
-    return refute_inc if refute_inc > levels.degrees[levels.own_level()] else ZERO
+    own = levels.own_level()
+    refuted = levels.level(levels.condition((negate(lit),)))
+    return levels.degrees[refuted] if refuted < own else ZERO
 
 
 # ---------------------------------------------------------------------------

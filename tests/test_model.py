@@ -389,6 +389,19 @@ class TestInterpretations:
         with pytest.raises(DomainError):
             Interpretation.from_assignment((X, Y), {X: True})
 
+    def test_lists_are_stored_as_tuples(self):
+        # Built from lists or from a generator, a world is hashable and
+        # equal to, and hashed as, its tuple-built twin.
+        twin = Interpretation((X, Y), (True, False))
+        for w in (
+            Interpretation([X, Y], [True, False]),
+            Interpretation(iter((X, Y)), (v for v in (True, False))),
+        ):
+            assert w.universe == (X, Y) and w.values == (True, False)
+            assert w == twin and hash(w) == hash(twin)
+            assert w.value(Y) is False
+        assert len({twin, Interpretation([X, Y], [True, False])}) == 1
+
 
 class TestDistribution:
     def test_indexing_matches_enumeration(self):

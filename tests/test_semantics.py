@@ -255,7 +255,9 @@ class TestDpllKernel:
 
 class TestDpllSearchCounts:
     """The searches a level question runs on 20-variable bases, which stay
-    above the bitset cap."""
+    above the bitset cap. Once the own level is known, a question whose
+    context the own model admits starts no search; any other starts one
+    search from the root."""
 
     @pytest.fixture
     def questions(self, monkeypatch):
@@ -277,9 +279,9 @@ class TestDpllSearchCounts:
         def logged(levels, hard, true):
             start = len(log["searches"])
             log["starts"].append((list(hard), true))
-            level = refuted(levels, hard, true)
+            found = refuted(levels, hard, true)
             log["questions"].append((len(levels._groups), log["searches"][start:]))
-            return level
+            return found
 
         monkeypatch.setattr(semantics, "_search", counted)
         monkeypatch.setattr(semantics._Levels, "_refuted", logged)
@@ -298,35 +300,77 @@ class TestDpllSearchCounts:
             assert semantics._levels(b, "test")._models is None  # the DPLL path
             yield rng, WeightedBase(b.entries, b.variables)
 
+    @staticmethod
+    def admits(b, asked):
+        """Whether the own model of `b`'s levels answers a question: for a
+        list of literals, when the model makes none of them false; for a
+        formula, when the model's world, with every variable the model
+        leaves unassigned false, satisfies it. The model is first checked
+        to satisfy every cut below the own level."""
+        levels = semantics._levels(b, "test")
+        model = semantics._negations(levels._false)
+        for group in levels._groups[: levels.own_level() - 1]:
+            assert all(c & model for c in group)
+        pairs = levels._pairs
+        if isinstance(asked, list):
+            return not any(
+                model & (pairs.get(lit.var, 0) << lit.positive) for lit in asked
+            )
+        world = Interpretation(
+            b.variables, tuple(bool(model & pairs.get(v, 0)) for v in b.variables)
+        )
+        return satisfies(world, asked)
+
+    def searched(self, b, asked):
+        """Whether a question starts a search: a literal context that
+        contradicts itself is answered without one, as is any question the
+        own model admits."""
+        if isinstance(asked, list) and any(negate(lit) in asked for lit in asked):
+            return False
+        return not self.admits(b, asked)
+
     def test_own_level_is_searched_once(self, questions):
         searches = questions["searches"]
+        answered = {True: 0, False: 0}
         for rng, b in self.bases():
             inc = inconsistency_degree(b)
             assert len(questions["questions"]) == 1 and self.roots(searches) == 1
             before = len(searches)
             assert inconsistency_degree(b) == inc
             assert len(searches) == before
-            # Each question below starts at most one search from the root:
-            # one question for a certainty degree or a possibility, two for
-            # a conditional possibility (the context with and without the
-            # literal).
-            certainty_degree(b, Literal(rng.choice(b.variables), True))
+            # Each question below starts exactly one search from the root
+            # per context the own model does not admit, and none for one
+            # it admits: one context for a certainty degree or a
+            # possibility, two for a conditional possibility (the context
+            # with and without the literal).
+            lit = Literal(rng.choice(b.variables), True)
             context = [Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)]
-            conditional_possibility(b, Literal(b.variables[0], True), context)
+            x = Literal(b.variables[0], True)
+            asks = [
+                (lambda: certainty_degree(b, lit), [[negate(lit)]]),
+                (lambda: conditional_possibility(b, x, context), [context, [*context, x]]),
+            ]
             if inc == 0:
-                possibility(b, random_formula(rng, b.variables))
-            asked = questions["questions"][1:]
-            assert len(asked) <= 4
-            assert all(self.roots(s) <= 1 for _, s in asked)
-            assert len(searches) - before == sum(len(s) for _, s in asked)
+                f = random_formula(rng, b.variables)
+                asks.append((lambda: possibility(b, f), [f]))
+            for ask, contexts in asks:
+                start = len(questions["questions"])
+                ask()
+                asked = questions["questions"][start:]
+                for c in contexts:
+                    answered[self.admits(b, c)] += 1
+                assert len(asked) == sum(self.searched(b, c) for c in contexts)
+                assert all(self.roots(s) == 1 for _, s in asked)
             searches.clear()
             questions["questions"].clear()
+        assert answered[True] and answered[False]  # hits and misses both
 
     def test_searches_only_where_the_last_model_misses(self, questions):
         # The literal bits each question starts from: a literal context's
         # own, with no hard clauses; None for a formula, whose CNF is the
         # hard clauses and which starts from no bits. A contradictory
-        # literal context is answered without a search.
+        # literal context, and any context the own model admits, is
+        # answered without a search.
         expected = []
         for rng, b in self.bases():
             levels = semantics._levels(b, "test")
@@ -335,18 +379,20 @@ class TestDpllSearchCounts:
             for v in b.variables:
                 lit = Literal(v, rng.random() < 0.5)
                 certainty_degree(b, lit)
-                expected.append(levels.condition([negate(lit)]))
+                if self.searched(b, [negate(lit)]):
+                    expected.append(levels.condition([negate(lit)]))
             context = [Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)]
             lit = Literal(b.variables[0], True)
             conditional_possibility(b, lit, context)
             for asked in (context, [*context, lit]):
-                bits = levels.condition(asked)
-                if bits is not None:
-                    expected.append(bits)
+                if self.searched(b, asked):
+                    expected.append(levels.condition(asked))
             if inconsistency_degree(b) == 0:
                 for _ in range(5):
-                    possibility(b, random_formula(rng, b.variables))
-                    expected.append(None)
+                    f = random_formula(rng, b.variables)
+                    possibility(b, f)
+                    if self.searched(b, f):
+                        expected.append(None)
         asked = questions["questions"]
         assert asked
         assert len(questions["searches"]) == sum(len(s) for _, s in asked)
@@ -431,6 +477,119 @@ class TestDpllLevelWalk:
             entries, lambda w: all(holds(lit, w) for lit in context), worlds
         )
         assert by_formula == self.first_refuted(entries, lambda w: holds(f, w), worlds)
+
+
+class TestOwnModel:
+    """Above the bitset cap, the model the own-level search ends with
+    answers every question whose context it admits."""
+
+    @staticmethod
+    def answer(b, kind, args):
+        """One question's answer; an inconsistent base's possibility and
+        necessity answer with the degree they raise."""
+        if kind == "certainty":
+            return certainty_degree(b, *args)
+        if kind == "conditional":
+            return conditional_possibility(b, *args)
+        measure = possibility if kind == "possibility" else necessity
+        try:
+            return measure(b, *args)
+        except InconsistentBaseError as exc:
+            return ("inconsistent", exc.degree)
+
+    def test_search_path_agrees_with_the_bitset_path(self, monkeypatch):
+        # 17-20 variables, all used, so the default cap puts every base on
+        # the search path; the same questions with the cap raised above n
+        # answer on the bitset path. Formulas reach two variables outside
+        # the base, and a third of the contexts contradict themselves.
+        rng = random.Random(53)
+        outside = (Var("o1"), Var("o2"))
+        refuted = semantics._Levels._refuted
+        calls = []
+
+        def counted(levels, hard, true):
+            calls.append(1)
+            return refuted(levels, hard, true)
+
+        monkeypatch.setattr(semantics._Levels, "_refuted", counted)
+        # Possibility, necessity and certainty questions answered with no
+        # search (True) or with one (False).
+        answered = {True: 0, False: 0}
+        consistent = set()
+        checked = 0
+        while checked < 8:
+            n = rng.randint(17, 20)
+            b = random_clausal_base(rng, n, rng.randint(n, 2 * n))
+            searched = WeightedBase(b.entries, b.variables)
+            if len(semantics._levels(searched, "test")._pairs) < n:
+                continue
+            checked += 1
+            questions = []
+            for _ in range(12):
+                f = random_formula(rng, b.variables + outside)
+                questions += [("possibility", (f,)), ("necessity", (f,))]
+                lit = Literal(rng.choice(b.variables), rng.random() < 0.5)
+                questions.append(("certainty", (lit,)))
+                context = [
+                    Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)
+                ]
+                if rng.random() < 1 / 3:
+                    context.append(negate(context[0]))
+                questions.append(("conditional", (lit, tuple(context))))
+            assert semantics._levels(searched, "test")._models is None
+            consistent.add(inconsistency_degree(searched) == 0)
+            by_search = []
+            for kind, args in questions:
+                before = len(calls)
+                by_search.append(self.answer(searched, kind, args))
+                if kind != "conditional" and not isinstance(by_search[-1], tuple):
+                    answered[len(calls) == before] += 1
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(semantics, "_BITSET_MAX_VARS", n + len(outside))
+                swept = WeightedBase(b.entries, b.variables)
+                assert semantics._levels(swept, "test")._models is not None
+                by_sweep = [self.answer(swept, kind, args) for kind, args in questions]
+            assert by_search == by_sweep
+        assert consistent == {True, False}  # consistent and inconsistent bases
+        assert answered[True] and answered[False]  # model hits and misses
+
+    @staticmethod
+    def world_terms(levels, variables, agree):
+        """13 two-literal terms over `variables`, each of whose literals the
+        own model's world makes true (`agree`) or false: their disjunction
+        expands to 8,192 CNF clauses before any pruning."""
+        world = levels._world
+        lits = [Literal(v, bool(world[v]) == agree) for v in variables]
+        pairs = list(combinations(lits, 2))
+        return Or(tuple(And(pair) for pair in (pairs * 3)[:13]))
+
+    def test_cnf_cap_is_met_only_where_the_model_misses(self, monkeypatch):
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
+        xs = tuple(Var(f"x{i}") for i in range(4))
+        b = WeightedBase(
+            [
+                (clause(pos(xs[0]), neg(xs[1])), F(1, 2)),
+                (clause(pos(xs[1]), pos(xs[2])), F(1, 3)),
+                (clause(neg(xs[2]), pos(xs[3])), F(2, 3)),
+                (clause(neg(xs[0]), neg(xs[3])), F(1, 4)),
+            ],
+            xs,
+        )
+        assert inconsistency_degree(b) == 0
+        levels = semantics._levels(b, "test")
+        assert levels._models is None
+        hit = self.world_terms(levels, xs, True)
+        miss = self.world_terms(levels, xs, False)
+        for f in (hit, miss):
+            with pytest.raises(ResourceCapError):
+                cnf_clauses(f)
+        worlds = enumerated_worlds(b, ())
+        assert possibility(b, hit) == brute_measures(worlds, hit)[0] == 1
+        assert necessity(b, Not(hit)) == brute_measures(worlds, Not(hit))[1] == 0
+        with pytest.raises(ResourceCapError):
+            possibility(b, miss)
+        with pytest.raises(ResourceCapError):
+            necessity(b, Not(miss))
 
 
 class TestMaxitivity:
