@@ -39,12 +39,11 @@ from .normalize import to_clausal
 from .normalize import remove_subsumed, remove_tautologies  # not called here; bench/tracing.py wraps it here
 from .semantics import (
     _ClauseBits,
+    _clause_models,
     _encoded,
     _layout,
     _Levels,
     _levels,
-    _literal_bits,
-    _negations,
     _reduce,
 )
 from .semantics import certainty_degree, inconsistency_degree  # not called here; bench/tracing.py wraps it here
@@ -116,7 +115,10 @@ def _closure(
     """`hidden_parent_closure` on integer clauses, with the parents as a
     mask of pairs (`_ClauseBits.span`) and `free` more parents that no
     clause mentions: they only widen the table, since a column's levels
-    and each clause's standing repeat over their values."""
+    and each clause's standing repeat over their values. A candidate's
+    columns are the complement of `semantics._clause_models` of its part
+    on the parents, and `stands`, their union, is gathered in the same
+    pass."""
     own = codec.pairs.get(var, 0) * 3  # both bits of var's pair
     clauses = [c for c, _ in entries if not c & own]
     while True:
@@ -124,19 +126,15 @@ def _closure(
         _check_cells(var, len(names) + free)
         full, tables = _layout([codec.pairs[v] for v in names])
         candidates = []
-        for c in clauses:
-            if not c & ~parents:
-                continue
-            mask = full  # the columns that make each literal on a parent false
-            for bit in _literal_bits(_negations(c & parents)):
-                mask &= tables[bit]
-            if mask:
-                candidates.append((c, mask))
-        if not candidates:
-            return parents
         stands = 0
-        for _, mask in candidates:
-            stands |= mask
+        for c in clauses:
+            if c & ~parents:
+                # The columns that make each literal on a parent false.
+                mask = full ^ _clause_models(c & parents, tables)
+                candidates.append((c, mask))
+                stands |= mask
+        if not stands:
+            return parents
         standing = f"{stands:0{full.bit_length()}b}"[::-1]  # column i at i
         for i, (neg, pos) in enumerate(levels.column_levels(var, names)):
             if neg != pos and standing[i] == "1":
@@ -159,9 +157,11 @@ def hidden_parent_closure(
     only that runs repeat: another order can meet another column first and
     end at another, still sufficient, parent set. A candidate clause, one that
     could bring a fresh parent, stands in a column when the column makes
-    each of its literals on a parent false: its mask of columns is the AND
-    of those literals' false columns, read off the parents' truth tables
-    (column i is world i). A round with no candidate standing anywhere
+    each of its literals on a parent false: its mask of columns is every
+    column but the models of its literals on the parents, read off the
+    parents' truth tables (column i is world i). So a candidate with no
+    literal on a parent stands everywhere, and one that holds both
+    literals of a parent stands nowhere. A round where no candidate stands
     ends the closure. Otherwise the first column that is derivable, not
     (1, 1) in `_Levels.column_levels`, and has a candidate standing adds
     those candidates' variables, and the next round starts. The clauses

@@ -41,11 +41,28 @@ def as_weight(value) -> Fraction:
         raise DomainError(f"weight {value!r} has an exponent")
     try:
         w = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"cannot interpret {value!r} as a rational weight") from exc
     if not ZERO <= w <= ONE:
         raise DomainError(f"weight {w} outside [0, 1]")
     return w
+
+
+def _degrees(values: Iterable[object]) -> tuple[Fraction, ...]:
+    """`values` as a tuple of degrees in [0, 1]: as given when each is a
+    `Fraction` in range, otherwise each read by `as_weight`, which refuses
+    one out of range. A table's cells repeat a few degree objects, often
+    side by side, so a run of one object is tested once; a `Fraction`'s
+    denominator is positive, so it is in range when 0 <= numerator <=
+    denominator."""
+    values = tuple(values)
+    last = ONE  # in range, so a run of it needs no test
+    for w in values:
+        if w is not last:
+            if not (isinstance(w, Fraction) and 0 <= w.numerator <= w.denominator):
+                return tuple(map(as_weight, values))
+            last = w
+    return values
 
 
 class _Value:
@@ -525,7 +542,7 @@ class Distribution(_Value):
     mapped to an exact degree in [0, 1].
 
     Values are stored positionally in the enumeration order of
-    `interpretations(universe)`.
+    `interpretations(universe)`, read as a table's degrees are (`_degrees`).
     """
 
     __slots__ = _fields = ("universe", "values")
@@ -534,7 +551,7 @@ class Distribution(_Value):
 
     def __init__(self, universe: Iterable[Var], values: Iterable[object]):
         universe = tuple(universe)
-        cooked = tuple(v if isinstance(v, Fraction) else as_weight(v) for v in values)
+        cooked = _degrees(values)
         if len(cooked) != (1 << len(universe)):
             raise DomainError(
                 f"expected {1 << len(universe)} values for {len(universe)} variables,"

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NetworkSchemaError
-from .model import Distribution, Interpretation, Var, _Value, as_weight, interpretations
+from .model import Distribution, Interpretation, Var, _degrees, _Value, interpretations
 
 Assignment = tuple[bool, ...]
 Cell = tuple[Assignment, bool, Fraction]
@@ -44,10 +44,10 @@ class CPT(_Value):
     `pos[i]` = Π(x | u), where column i is the parent assignment u that
     reads i in binary, first parent most significant: the order of
     product((False, True), repeat=len(parents)). Each column must hold
-    2^|parents| degrees; a degree that is not a `Fraction` is read by
-    `as_weight`. The normalization condition is audited separately by
-    `check_normalization` so that imperfect tables can still be loaded and
-    inspected.
+    2^|parents| degrees in [0, 1]; unless every degree of a column is a
+    `Fraction`, each is read by `as_weight`. The normalization condition is
+    audited separately by `check_normalization` so that imperfect tables
+    can still be loaded and inspected.
     """
 
     __slots__ = _fields = ("var", "parents", "neg", "pos")
@@ -65,10 +65,7 @@ class CPT(_Value):
     ) -> None:
         parents = tuple(parents)
         check_parents(var, parents)
-        neg, pos = (
-            tuple(w if isinstance(w, Fraction) else as_weight(w) for w in column)
-            for column in (neg, pos)
-        )
+        neg, pos = _degrees(neg), _degrees(pos)
         if not len(neg) == len(pos) == 1 << len(parents):
             raise DomainError(f"columns of {var} must hold {1 << len(parents)} degrees")
         object.__setattr__(self, "var", var)

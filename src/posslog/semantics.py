@@ -184,10 +184,10 @@ class _ClauseBits:
     orders, decodes and masks the same clauses as one over fewer.
     """
 
-    __slots__ = ("pairs", "literals", "_ranked", "_positive")
+    __slots__ = ("pairs", "literals", "_positive")
 
     def __init__(self, universe: Iterable[Var]):
-        self._ranked = ranked = sorted(universe, key=lambda v: v.name)
+        ranked = sorted(universe, key=lambda v: v.name)
         n = len(ranked)
         # The bit of each variable's positive literal, the lower of its pair.
         self.pairs = {v: 1 << 2 * (n - 1 - i) for i, v in enumerate(ranked)}
@@ -222,15 +222,9 @@ class _ClauseBits:
         return ((c | c >> 1) & self._positive) * 3
 
     def variables(self, mask: int) -> list[Var]:
-        """The variables whose pairs `mask` touches, in name order (highest
-        pair first)."""
-        ranked, n = self._ranked, len(self._ranked)
-        out = []
-        while mask:
-            pair = (mask.bit_length() - 1) >> 1
-            out.append(ranked[n - 1 - pair])
-            mask &= (1 << 2 * pair) - 1
-        return out
+        """The variables whose pairs `mask` touches, in name order: the
+        order of `pairs`, highest pair first."""
+        return [v for v, bit in self.pairs.items() if bit * 3 & mask]
 
     @staticmethod
     def order(c: int) -> tuple[int, int]:
@@ -275,22 +269,36 @@ def _clause_models(c: int, tables: dict[int, int]) -> int:
 
 
 def _cuts(groups: list[list[int]], tables: dict[int, int], full: int) -> list[int]:
-    """The worlds of `full` that satisfy every clause of the first i+1
-    groups, for each i in turn, given the literal tables of a layout keyed
-    as `_literal_tables` keys them. A tautology's models are every world,
-    so it cuts nothing; the list stops at the first empty cut, since every
-    later one is empty too."""
-    cuts = []
-    acc = full
+    """The ladder of cuts: entry i holds the worlds of `full` that satisfy
+    every clause of the first i groups, so entry 0 is `full` itself, and a
+    context's level is the index of the first entry that misses it. The
+    literal tables are those of a layout keyed as `_literal_tables` keys
+    them. A tautology's models are every world, so it cuts nothing; the
+    ladder stops at the first empty cut, since every later one is empty
+    too."""
+    cut = full
+    ladder = [cut]
     for group in groups:
         for c in group:
-            acc &= _clause_models(c, tables)
-            if not acc:
+            cut &= _clause_models(c, tables)
+            if not cut:
                 break
-        cuts.append(acc)
-        if not acc:
+        ladder.append(cut)
+        if not cut:
             break
-    return cuts
+    return ladder
+
+
+def _project(worlds: int, size: int, width: int) -> int:
+    """A set of worlds of a `size`-world layout projected onto its `width`
+    lowest worlds (both powers of two): halving the layout, each time
+    ORing the upper half onto the lower one, forgets its most significant
+    variables, so bit i is set when some world of `worlds` agrees with
+    world i on the variables left."""
+    while size > width:
+        size >>= 1
+        worlds = worlds >> size | worlds & ((1 << size) - 1)
+    return worlds
 
 
 class _World(dict):
@@ -310,12 +318,12 @@ class _Levels:
     the base together with any literal context, or any formula, taken as
     hard facts. Tautologies are dropped.
 
-    Up to `_BITSET_MAX_VARS` variables that the clauses use, level i is
-    the bitset of the worlds that satisfy every clause of the first i+1
-    levels, so the bitsets only shrink; building stops at the first empty
-    one, since every later level is empty too. A context is then the AND
-    of its literals' truth tables, and the degree is the first level
-    weight whose models miss it. Above the cap a question is one
+    Up to `_BITSET_MAX_VARS` variables that the clauses use, the levels
+    are a ladder of bitsets (`_cuts`): entry 0 holds every world, and entry
+    i the worlds that satisfy every clause of the first i levels, so the
+    entries only shrink, and entry i lines up with `degrees[i]`. A context
+    is then the AND of its literals' truth tables, and its level is the
+    index of the first entry that misses it. Above the cap a question is one
     depth-first search (`_search`) over the growing cut, resumed level by
     level, that starts from a literal context's bits (a formula context is
     its CNF as hard clauses instead): a level whose clauses the model in
@@ -342,7 +350,7 @@ class _Levels:
     `column_levels` gives the pair of levels of every column of a CPT, the
     one sweep behind both the CPT and the hidden-parent closure: on the
     bitset path all at once, above the cap lazily, a column at a time. A
-    degree is `degrees[level]`, read off the descending ladder of 1, the
+    degree is `degrees[level]`, read off the descending tuple of 1, the
     level weights and 0, so that callers can memoize on the index.
 
     The codec may span variables that no clause uses, such as one a
@@ -352,8 +360,7 @@ class _Levels:
     """
 
     __slots__ = (
-        "degrees", "_pairs", "_tables", "_models", "_groups", "_unconditioned", "_own",
-        "_false", "_world",
+        "degrees", "_pairs", "_tables", "_models", "_groups", "_own", "_false", "_world",
     )
 
     def __init__(
@@ -379,12 +386,10 @@ class _Levels:
         found = _literal_tables(used)
         if found is None:
             self._tables = self._models = None
-            self._unconditioned = 0
             return
         full, tables = found
         self._tables = tables
         self._models = _cuts(groups, tables, full)
-        self._unconditioned = full
 
     def condition(self, context: Iterable[Literal] = ()):
         """The worlds of a literal context: a bitset, 0 when the context
@@ -393,7 +398,7 @@ class _Levels:
         uses has no bit, so a clash with one is caught by name."""
         pairs, tables = self._pairs, self._tables
         free: set[Literal] = set()
-        ctx = self._unconditioned
+        ctx = 0 if tables is None else self._models[0]
         for lit in context:
             bit = pairs.get(lit.var)
             if bit is None:
@@ -418,9 +423,9 @@ class _Levels:
         bits above those the clauses use, in name order. On the bitset
         path the formula is evaluated to the mask of its models: with k
         such variables, over n + k variables, those k most significant,
-        and its 2**k blocks of 2**n worlds are ORed together, projecting
-        them away. That path is taken when the levels are on it and n + k
-        is within the cap. Otherwise the formula's CNF is the hard clauses
+        and `_project` ORs its 2**k blocks of 2**n worlds together,
+        forgetting them. That path is taken when the levels are on it and
+        n + k is within the cap. Otherwise the formula's CNF is the hard clauses
         of the DPLL level walk, so only that path meets the
         `MAX_CNF_CLAUSES` cap.
         Once `own_level` has kept the own model, the formula is first
@@ -440,18 +445,15 @@ class _Levels:
             place[v] = 1 << (used.bit_length() + 2 * i)
         found = None
         if self._models is not None:
-            found = (self._unconditioned, self._tables)
+            found = (self._models[0], self._tables)
             if free:
                 found = _literal_tables(used | sum(place[v] for v in free))
         if found is not None:
             full, tables = found
             column = {v: tables[bit] for v, bit in place.items()}
             models = _formula_models(f, column, full)
-            size = full.bit_length()
-            while size > self._unconditioned.bit_length():
-                size >>= 1
-                models = (models >> size) | (models & ((1 << size) - 1))
-            return self.level(models)
+            width = self._models[0].bit_length()
+            return self.level(_project(models, full.bit_length(), width))
         return self._refuted([
             sum(place[lit.var] << (not lit.positive) for lit in c.literals)
             for c in cnf_clauses(f)
@@ -460,13 +462,13 @@ class _Levels:
     def level(self, ctx) -> int:
         """The index into `degrees` of the context's degree: 0 (degree 1)
         for a contradictory context; otherwise i for the first level i whose
-        cut has no model of the context, or the last index (degree 0).
+        cut has no model of the context, or the last index (degree 0). On
+        the bitset path that is the first ladder entry that misses the
+        context, and a contradictory context, no world, misses entry 0.
         Above the cap, a context that holds no bit whose negation the own
         model holds is answered by the own level, once it is known."""
         if self._models is not None:
-            if not ctx:
-                return 0
-            for i, models in enumerate(self._models, 1):
+            for i, models in enumerate(self._models):
                 if not models & ctx:
                     return i
             return len(self.degrees) - 1
@@ -491,15 +493,14 @@ class _Levels:
         positive) bits, and a variable that no clause uses has bit 0.
 
         On the bitset path they are read off in one pass, as a list. The
-        cuts are rebuilt over the used variables laid out with the rest
-        most significant, then the parents in parent order, then `var`, so
-        that the low bits of a world number its cell (a parent assignment
-        and a value of `var`). Halving a cut's width r times, each time
-        ORing its upper half onto its lower one, projects away the r
-        variables of the rest and leaves bit c set when the cut meets cell
-        c. Cuts are nested, so a cell meets a prefix of them, and its level
-        is 1 plus their number: the cells' counts are summed for all cells
-        at once, as fields of one integer.
+        ladder of cuts is rebuilt over the used variables laid out with the
+        rest most significant, then the parents in parent order, then
+        `var`, so that the low bits of a world number its cell (a parent
+        assignment and a value of `var`). `_project` forgets the variables
+        of the rest and leaves bit c of an entry set when the entry meets
+        cell c. Entries are nested, so a cell meets a prefix of the ladder,
+        and its level is the number of entries it meets: the cells' counts
+        are summed for all cells at once, as fields of one integer.
 
         A parent or `var` that no clause uses is not laid out: it changes
         no level, so its columns repeat those without it.
@@ -514,22 +515,20 @@ class _Levels:
         front = [*held, var] if var in pairs else held
         rest = [v for v in pairs if v not in front]
         full, tables = _layout([pairs[v] for v in (*rest, *front)])
-        cuts = _cuts(self._groups, tables, full)
+        ladder = _cuts(self._groups, tables, full)
         cells = 1 << len(front)
-        # A cut's binary text has one digit per cell, cell 0 last. Read with
-        # a byte (or, past 255 cuts, four) per digit, the digit's character
-        # code, it is an integer with a field per cell; less the reading of
-        # an all-"0" text, each field is 0 or 1, and the sum of those adds
-        # up every cell's count without a carry between fields.
-        width, code = (1, "latin-1") if len(cuts) < 255 else (4, "utf-32-be")
-        zero = int.from_bytes(("0" * cells).encode(code), "big")
-        total = int.from_bytes(("1" * cells).encode(code), "big") - zero
-        for cut in cuts:
-            size = full.bit_length()
-            while size > cells:
-                size >>= 1
-                cut = cut >> size | cut & ((1 << size) - 1)
-            total += int.from_bytes(f"{cut:0{cells}b}".encode(code), "big") - zero
+        # A projected entry's binary text has one digit per cell, cell 0
+        # last. Read with a byte (or, from 256 entries on, four) per digit,
+        # the digit's character code, it is an integer with a field per
+        # cell; less the reading of an all-"0" text, each field is 0 or 1,
+        # and the sum of those adds up every cell's count without a carry
+        # between fields.
+        width, code = (1, "latin-1") if len(ladder) < 256 else (4, "utf-32-be")
+        size = full.bit_length()
+        total = -len(ladder) * int.from_bytes(("0" * cells).encode(code), "big")
+        for cut in ladder:
+            cut = _project(cut, size, cells)
+            total += int.from_bytes(f"{cut:0{cells}b}".encode(code), "big")
         raw = total.to_bytes(width * cells, "little")  # cell 0 first
         counts = raw if width == 1 else [
             int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
@@ -552,7 +551,7 @@ class _Levels:
         own = self._own
         if own is None:
             if self._models is not None:
-                own = self.level(self._unconditioned)
+                own = self.level(self._models[0])
             else:
                 own, model = self._refuted([], 0)
                 self._false = _negations(model)

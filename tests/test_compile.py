@@ -114,6 +114,25 @@ class TestHiddenParentClosure:
             {A3}
         )
 
+    @pytest.mark.parametrize(
+        "side, pulled",
+        [
+            ("a | z", {"z"}),  # stands where a is false, where x is derivable
+            ("a | !a | z", set()),  # true on every column: stands nowhere
+            ("!a | z | a | w", set()),
+        ],
+    )
+    def test_clause_tautological_on_the_parents_stands_nowhere(
+        self, side, pulled, solver_path
+    ):
+        # x is derivable where a is false, so a clause standing there would
+        # bring its other variables in; one that holds both literals of a
+        # parent is satisfied in every column and brings nothing.
+        b = parse_base(f"1/2: x | a\n1/3: {side}\n")
+        a, x = Var("a"), Var("x")
+        expected = frozenset({a, *map(Var, pulled)})
+        assert hidden_parent_closure(b, x, {a}) == expected
+
     def test_equals_closure_over_hard_unit_contexts(self):
         # Reference: each context is the instantiated base plus the
         # context's literals as hard units. Those units sit on variables
@@ -322,7 +341,8 @@ class TestCptFor:
 
     def test_one_pass_counts_past_a_byte(self):
         # 300 distinct weights, each on a clause that excludes one world of
-        # its own: 300 nested cuts, more than a byte-wide count holds.
+        # its own: a ladder of all worlds and 300 nested cuts, more levels
+        # than a byte-wide count holds.
         variables = tuple(Var(f"x{i}") for i in range(9))
         worlds = random.Random(3).sample(range(1 << 9), 300)
         b = WeightedBase(
@@ -339,7 +359,7 @@ class TestCptFor:
                 mp.setattr(semantics, "_BITSET_MAX_VARS", 0)
                 walked = WeightedBase(b.entries, variables)
                 assert cpt_for(walked, var, parents[:k][::-1]) == one_pass
-        assert len(semantics._levels(b, "test")._models) == 300
+        assert len(semantics._levels(b, "test")._models) == 301
 
     def test_holds_one_context_per_parent(self):
         # 2^13 columns over 2^14 worlds: the breadth-first sweep held every

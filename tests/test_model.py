@@ -1,6 +1,7 @@
 import pickle
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,28 @@ class TestWeights:
     def test_out_of_range(self, bad):
         with pytest.raises(DomainError):
             as_weight(bad)
+
+    @pytest.mark.parametrize("bad", [F(3, 2), "3/2", F(-1), "-1", -1])
+    @pytest.mark.parametrize("build", ["cpt-neg", "cpt-pos", "distribution", "base"])
+    def test_every_constructor_checks_the_range(self, build, bad):
+        # A Fraction is not exempt: it is range-checked as a string is,
+        # also after a run of one shared degree object.
+        half = F(1, 2)
+        constructors = {
+            "cpt-neg": lambda w: CPT(X, (Y, SU), [half, half, w, half], [F(1)] * 4),
+            "cpt-pos": lambda w: CPT(X, (), [F(1)], [w]),
+            "distribution": lambda w: Distribution((X, Y), [F(1), half, half, w]),
+            "base": lambda w: WeightedBase([(clause(pos(X)), w)]),
+        }
+        with pytest.raises(DomainError, match="outside"):
+            constructors[build](bad)
+
+    @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN", "sNaN"])
+    def test_non_finite_decimals_rejected(self, bad):
+        with pytest.raises(DomainError, match="cannot interpret"):
+            as_weight(Decimal(bad))
+        with pytest.raises(DomainError, match="cannot interpret"):
+            WeightedBase([(clause(pos(X)), Decimal(bad))])
 
     @pytest.mark.parametrize("bad", ["1e-999999", "1E-9", "5e-1", " 2e0 "])
     def test_exponent_rejected(self, bad):

@@ -135,6 +135,27 @@ def is_satisfiable(clauses):
     return inconsistency_degree(WeightedBase((c, 1) for c in clauses)) == 0
 
 
+class TestClauseBits:
+    def test_variables_come_in_name_order(self):
+        # Name order is string order: v10, v11 and v12 sort before v2.
+        names = [Var(f"v{i}") for i in range(1, 13)]
+        by_name = sorted(names, key=lambda v: v.name)
+        assert [v.name for v in by_name[:5]] == ["v1", "v10", "v11", "v12", "v2"]
+        rng = random.Random(24)
+        shuffled = names[:]
+        rng.shuffle(shuffled)
+        codec = semantics._ClauseBits(shuffled)
+        assert codec.variables(codec.span(-1)) == by_name
+        for _ in range(200):
+            chosen = rng.sample(names, rng.randint(0, 12))
+            # One or both literals of each chosen variable.
+            polarities = [rng.choice([(True,), (False,), (True, False)]) for _ in chosen]
+            mask = sum(
+                codec.bit(Literal(v, p)) for v, ps in zip(chosen, polarities) for p in ps
+            )
+            assert codec.variables(mask) == [v for v in by_name if v in chosen]
+
+
 class TestSatisfiability:
     def test_empty_set(self):
         assert is_satisfiable([])
