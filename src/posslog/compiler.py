@@ -135,13 +135,19 @@ def _closure(
                 stands |= mask
         if not stands:
             return parents
-        standing = f"{stands:0{full.bit_length()}b}"[::-1]  # column i at i
-        for i, (neg, pos) in enumerate(levels.column_levels(var, names)):
-            if neg != pos and standing[i] == "1":
+        # Only standing columns are read, so above the cap no other column
+        # is asked its levels.
+        columns = levels.column_levels(var, names)
+        standing = f"{stands:b}"[::-1]  # column i at i
+        i = standing.find("1")
+        while i >= 0:
+            neg, pos = columns[i]
+            if neg != pos:
                 for c, mask in candidates:
                     if mask >> i & 1:
                         parents |= codec.span(c)
                 break
+            i = standing.find("1", i + 1)
         else:
             return parents
 
@@ -191,15 +197,16 @@ def conditional_possibility(
 
     h is the degree of the context alone, h' the degree of context plus
     literal, both read off the base's weight levels with the literals as
-    hard facts: the one-column case of `cpt_for`. The base's own level is
-    asked first, so that above the bitset cap its model can answer both.
+    hard facts: the one-column case of `cpt_for`. The levels hand over the
+    pair in one call (`_Levels.conditional_levels`): above the bitset cap
+    the model that answers the context also answers the context with the
+    literal, unless it makes the literal false. The base's own level is
+    asked first, so that above the cap its model can answer both.
     """
     levels = _levels(b, "conditional_possibility")
     levels.own_level()
-    context = tuple(context)
-    return _conditional(
-        levels.inconsistency(context), levels.inconsistency((*context, lit))
-    )
+    h, joint = levels.conditional_levels(tuple(context), lit)
+    return _conditional(levels.degrees[h], levels.degrees[joint])
 
 
 def _cpt(levels: _Levels, var: Var, parents: tuple[Var, ...]) -> CPT:

@@ -347,9 +347,32 @@ def _schema_fail(message: str):
     raise NetworkSchemaError(message)
 
 
+class _Exponent:
+    """A JSON number written with an exponent, kept as its text."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _json_number(text: str) -> Fraction | _Exponent:
+    """A JSON number with a fraction part or an exponent, read from its
+    decimal text, so that `0.30000000000000001` is the `Fraction` its
+    digits spell, as the same digits in a string are, not the nearest
+    binary float. One written with an exponent is kept as an `_Exponent`,
+    which `_cell_weight` refuses, as it refuses a string weight with one."""
+    return _Exponent(text) if "e" in text or "E" in text else Fraction(text)
+
+
 def _cell_weight(weight_text, name: str) -> Fraction:
     """A CPT cell's weight, checked: no exponent, a rational, in [0, 1]."""
-    if isinstance(weight_text, str) and "e" in weight_text.lower():
+    if isinstance(weight_text, _Exponent) or (
+        isinstance(weight_text, str) and "e" in weight_text.lower()
+    ):
         # Fraction("1e-999999999") would build a billion-digit integer.
         _schema_fail(f"weight {weight_text!r} in cpt of {name} has an exponent")
     try:
@@ -369,9 +392,9 @@ def parse_network(text: str) -> Network:
     import json  # here, its one user, so `import posslog` does not load it
 
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_json_number)
     except (ValueError, RecursionError) as exc:
-        # ValueError also covers integers longer than Python converts, and
+        # ValueError also covers numbers longer than Python converts, and
         # RecursionError arrays or objects nested past the recursion limit.
         raise NetworkSchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc:

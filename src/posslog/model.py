@@ -386,9 +386,9 @@ def _formula_models(f: Formula, tables: Mapping[Var, int], full: int) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-# Most clauses any CNF built by `cnf_clauses` may hold, at any step of the
-# expansion. A disjunction of 13 two-literal terms already expands to 8,192
-# clauses.
+# Most clauses any CNF built by `cnf_clauses` (for `to_clausal`) may hold,
+# at any step of the expansion. A disjunction of 13 two-literal terms
+# already expands to 8,192 clauses.
 MAX_CNF_CLAUSES = 4096
 
 
@@ -400,7 +400,8 @@ def cnf_clauses(f: Formula) -> tuple[Clause, ...]:
     downstream). Tautological and strictly redundant clauses are pruned.
     The expansion is exponential in the worst case, so it raises
     `ResourceCapError` before any step would hold more than
-    `MAX_CNF_CLAUSES` clauses.
+    `MAX_CNF_CLAUSES` clauses. `normalize.to_clausal` is its one caller:
+    a query formula is never expanded (see `semantics._gate_clauses`).
     """
     # The expansion's clauses in order, each dropped if a clause kept so far
     # is a subset of it, and otherwise kept in place of the kept clauses it

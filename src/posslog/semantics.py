@@ -24,27 +24,30 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DomainError, InconsistentBaseError
 from .model import (
     ONE,
     ZERO,
+    And,
     Clause,
+    Const,
     Distribution,
     Formula,
     Interpretation,
     Literal,
     Not,
+    Or,
     Var,
     WeightedBase,
     _formula_models,
-    cnf_clauses,
     interpretations,
     negate,
     satisfies,
     vars_of,
 )
+from .model import cnf_clauses  # not called here; bench/tracing.py wraps it here
 
 # Above this many variables the exhaustive bitset path would allocate
 # multi-megabyte integers, so the clause solver switches to DPLL.
@@ -312,6 +315,122 @@ class _World(dict):
         return 0
 
 
+def _gate_clauses(f: Formula, pairs: dict[Var, int], top: int) -> list[int]:
+    """Integer clauses that are satisfiable together with any set of
+    clauses over `pairs` exactly when `f` is: the one-sided Tseitin
+    encoding of Plaisted and Greenbaum, built in one walk of `f` with its
+    negations pushed to the literals. `pairs` holds the positive literal's
+    bit of each variable the clauses use; any other variable of `f`, and
+    each gate, takes the next pair up from the bit `top`, in the order the
+    walk meets them.
+
+    The top-level conjuncts are separate clauses, and a disjunction of
+    literals and gates is one clause. A conjunction below the top with
+    more than one part becomes a fresh gate g, with one clause ¬g ∨ part
+    per part: g only implies its parts, and that is all a disjunction
+    that holds g, only positively, needs. A tautological disjunction is
+    dropped, with the gate clauses made for it, as is a true part of a
+    conjunction; a false part makes its conjunction false, and `false` is
+    the empty clause."""
+    out: list[int] = []
+    free: dict[Var, int] = {}
+    fresh = top
+
+    def bit(lit: Literal, negated: bool) -> int:
+        nonlocal fresh
+        b = pairs.get(lit.var) or free.get(lit.var)
+        if b is None:
+            b = free[lit.var] = fresh
+            fresh <<= 2
+        return b if lit.positive != negated else b << 1
+
+    def clause(g: Formula, negated: bool) -> int | None:
+        """The clause of `g`, negated when `negated`: 0 when it is false,
+        None when it is true."""
+        nonlocal fresh
+        if isinstance(g, Literal):
+            return bit(g, negated)
+        if isinstance(g, Not):
+            return clause(g.operand, not negated)
+        if isinstance(g, Const):
+            return None if g.value != negated else 0
+        if isinstance(g, Clause):
+            parts, conjunctive = g.literals, negated
+        elif isinstance(g, (And, Or)):
+            parts, conjunctive = g.parts, isinstance(g, And) != negated
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        mark = len(out)
+        if not conjunctive:
+            c = 0
+            for p in parts:
+                d = clause(p, negated)
+                if d is None:
+                    del out[mark:]
+                    return None
+                c |= d
+            if c & _negations(c):
+                del out[mark:]
+                return None
+            return c
+        kept = []
+        for p in parts:
+            d = clause(p, negated)
+            if d == 0:
+                del out[mark:]
+                return 0
+            if d is not None:
+                kept.append(d)
+        if len(kept) < 2:
+            return kept[0] if kept else None
+        gate, fresh = fresh, fresh << 2
+        out.extend(d | gate << 1 for d in kept)
+        return gate
+
+    def conjuncts(g: Formula, negated: bool) -> None:
+        if isinstance(g, Not):
+            conjuncts(g.operand, not negated)
+        elif isinstance(g, And) and not negated or isinstance(g, Or) and negated:
+            for p in g.parts:
+                conjuncts(p, negated)
+        elif isinstance(g, Clause) and negated:
+            for lit in g.literals:
+                out.append(bit(lit, True))
+        else:
+            c = clause(g, negated)
+            if c is not None:
+                out.append(c)
+
+    conjuncts(f, False)
+    return out
+
+
+class _SearchedColumns:
+    """`_Levels.column_levels` above the cap: the level pairs of a table's
+    columns, each asked only when it is read, in column order or by index.
+    Column i is the parent context that reads i in binary, one (negative,
+    positive) bit pair per parent, the first most significant."""
+
+    __slots__ = ("_level", "_x", "_bits")
+
+    def __init__(self, level, x: int, bits: list[tuple[int, int]]):
+        self._level, self._x, self._bits = level, x, bits
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return map(self._pair, map(sum, product(*self._bits)))
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        u = 0
+        for neg, pos in reversed(self._bits):  # the last parent is i's lowest bit
+            u |= pos if i & 1 else neg
+            i >>= 1
+        return self._pair(u)
+
+    def _pair(self, u: int) -> tuple[int, int]:
+        level, x = self._level, self._x
+        return level(u | x << 1), level(u | x)
+
+
 class _Levels:
     """A clausal base's integer clauses (`_encoded`) split into weight
     levels, highest first, and then asked for the inconsistency degree of
@@ -326,10 +445,11 @@ class _Levels:
     index of the first entry that misses it. Above the cap a question is one
     depth-first search (`_search`) over the growing cut, resumed level by
     level, that starts from a literal context's bits (a formula context is
-    its CNF as hard clauses instead): a level whose clauses the model in
-    hand satisfies is satisfiable as it stands, and at a level the model
-    misses the search goes on from that model with the branches it left
-    pending, to find the next model or to refute the cut. A cut only adds
+    its gate clauses, `_gate_clauses`, as hard clauses instead): a level
+    whose clauses the model in hand satisfies is satisfiable as it stands,
+    and at a level the model misses the search goes on from that model
+    with the branches it left pending, to find the next model or to refute
+    the cut. A cut only adds
     clauses, so a branch refuted under an earlier cut is refuted under
     every later one, and no level searches again what an earlier one
     refuted. The groups are kept on both paths, since a formula's own
@@ -346,7 +466,9 @@ class _Levels:
 
     A context is built by `condition` and can then be asked its `level`:
     on the bitset path it is the mask of its worlds, above the cap the OR
-    of its literals' bits. `formula_level` asks the same of a formula.
+    of its literals' bits. `formula_level` asks the same of a formula, and
+    `conditional_levels` the levels of a context with and without a
+    literal, which above the cap one search usually answers.
     `column_levels` gives the pair of levels of every column of a CPT, the
     one sweep behind both the CPT and the hidden-parent closure: on the
     bitset path all at once, above the cap lazily, a column at a time. A
@@ -419,45 +541,43 @@ class _Levels:
     def formula_level(self, f: Formula) -> int:
         """`level` with a formula, instead of literals, as the hard context.
 
-        A variable the formula mentions but no clause uses takes a pair of
-        bits above those the clauses use, in name order. On the bitset
-        path the formula is evaluated to the mask of its models: with k
-        such variables, over n + k variables, those k most significant,
-        and `_project` ORs its 2**k blocks of 2**n worlds together,
-        forgetting them. That path is taken when the levels are on it and
-        n + k is within the cap. Otherwise the formula's CNF is the hard clauses
-        of the DPLL level walk, so only that path meets the
-        `MAX_CNF_CLAUSES` cap.
+        On the bitset path the formula is evaluated to the mask of its
+        models. A variable the formula mentions but no clause uses takes a
+        pair of bits above those the clauses use, in name order: with k
+        such variables, the formula is evaluated over n + k variables,
+        those k most significant, and `_project` ORs its 2**k blocks of
+        2**n worlds together, forgetting them. That path is taken when the
+        levels are on it and n + k is within the cap. Otherwise the hard
+        clauses of the search's level walk are the formula's gate clauses
+        (`_gate_clauses`, a linear encoding with no CNF expansion): with any
+        cut they are satisfiable exactly when the formula is, so each level
+        is the formula's own, and their gate bits never leave the walk.
         Once `own_level` has kept the own model, the formula is first
         evaluated once on the model's world; a world that satisfies it
-        answers the own level, with no CNF and no search, so on that path
-        the cap is met only by a formula the world falsifies.
+        answers the own level, with no search.
         A formula context is not a `level` argument, so that `level` keeps
         its literal contexts free of a type dispatch.
         """
         world = self._world
         if world is not None and _formula_models(f, world, 1):
             return self._own
-        place = {v: self._pairs.get(v) for v in vars_of(f)}  # positive bits
-        free = sorted(v for v, bit in place.items() if bit is None)
-        used = sum(self._pairs.values()) * 3  # both bits of each pair
-        for i, v in enumerate(free):
-            place[v] = 1 << (used.bit_length() + 2 * i)
-        found = None
+        pairs = self._pairs
+        used = sum(pairs.values()) * 3  # both bits of each pair
         if self._models is not None:
+            place = {v: pairs.get(v) for v in vars_of(f)}  # positive bits
+            free = sorted(v for v, bit in place.items() if bit is None)
+            for i, v in enumerate(free):
+                place[v] = 1 << (used.bit_length() + 2 * i)
             found = (self._models[0], self._tables)
             if free:
                 found = _literal_tables(used | sum(place[v] for v in free))
-        if found is not None:
-            full, tables = found
-            column = {v: tables[bit] for v, bit in place.items()}
-            models = _formula_models(f, column, full)
-            width = self._models[0].bit_length()
-            return self.level(_project(models, full.bit_length(), width))
-        return self._refuted([
-            sum(place[lit.var] << (not lit.positive) for lit in c.literals)
-            for c in cnf_clauses(f)
-        ], 0)[0]
+            if found is not None:
+                full, tables = found
+                column = {v: tables[bit] for v, bit in place.items()}
+                models = _formula_models(f, column, full)
+                width = self._models[0].bit_length()
+                return self.level(_project(models, full.bit_length(), width))
+        return self._refuted(_gate_clauses(f, pairs, 1 << used.bit_length()), 0)[0]
 
     def level(self, ctx) -> int:
         """The index into `degrees` of the context's degree: 0 (degree 1)
@@ -480,6 +600,27 @@ class _Levels:
             return self._own
         return self._refuted([], ctx)[0]
 
+    def conditional_levels(
+        self, context: tuple[Literal, ...], lit: Literal
+    ) -> tuple[int, int]:
+        """The `level` of a literal context and that of the context with
+        `lit`. On the bitset path these are two `level` calls. Above the cap
+        the context's level walk, or the own model when it admits the
+        context, leaves a model of every cut below the context's level. If
+        that model does not make `lit` false the two levels are equal, and
+        no second search runs: adding `lit` can only lower the level, and
+        the model extended by `lit` shows that it does not."""
+        ctx, joint = self.condition(context), self.condition((*context, lit))
+        if self._models is not None or ctx is None or joint is None:
+            return self.level(ctx), self.level(joint)
+        false = self._false
+        if false is not None and not ctx & false:
+            return self._own, self.level(joint)
+        level, model = self._refuted([], ctx)
+        if _negations(model) & joint:
+            return level, self._refuted([], joint)[0]
+        return level, level
+
     def column_levels(
         self, var: Var, parents: tuple[Var, ...]
     ) -> Iterable[tuple[int, int]]:
@@ -487,10 +628,11 @@ class _Levels:
         (its parent context with ¬var, then with var), in column order:
         False before True, first parent most significant.
 
-        Above the cap the pairs are asked lazily, a column at a time, so a
-        caller that stops early asks no more: a column's context is the OR
-        of one literal bit per parent, the product of their (negative,
-        positive) bits, and a variable that no clause uses has bit 0.
+        Above the cap the pairs are asked lazily (`_SearchedColumns`), a
+        column at a time, when it is read in order or by index, so a caller
+        that stops early or skips columns asks no more: a column's context
+        is the OR of one literal bit per parent, and a variable that no
+        clause uses has bit 0.
 
         On the bitset path they are read off in one pass, as a list. The
         ladder of cuts is rebuilt over the used variables laid out with the
@@ -507,10 +649,8 @@ class _Levels:
         """
         pairs = self._pairs
         if self._models is None:
-            level = self.level
-            x = pairs.get(var, 0)
             bits = [(pairs.get(p, 0) << 1, pairs.get(p, 0)) for p in parents]
-            return ((level(u | x << 1), level(u | x)) for u in map(sum, product(*bits)))
+            return _SearchedColumns(self.level, pairs.get(var, 0), bits)
         held = [p for p in parents if p in pairs]
         front = [*held, var] if var in pairs else held
         rest = [v for v in pairs if v not in front]
@@ -563,17 +703,17 @@ class _Levels:
 
     def _refuted(self, hard: list[int], true: int) -> tuple[int, int | None]:
         """`level` by one resumed `_search` over integer hard clauses (a
-        formula's CNF) from the literal bits `true` (a literal context's),
-        with the model in hand at the deepest satisfiable cut: level 0, and
-        no model, when no model keeps them. Otherwise the cut of each level
-        is appended to the hard clauses in turn; where the model in hand
-        misses one of its clauses, the search resumes from that model with
-        the alternatives it left pending, and the first level where it
-        finds none is the answer, handed back with the last model found, a
-        model of the cut before it (of every cut, at the last index). Cuts
-        only grow, and added clauses only remove models, so an assignment
-        refuted under one cut stays refuted under every later one and is
-        never searched again."""
+        formula's gate clauses) from the literal bits `true` (a literal
+        context's), with the model in hand at the deepest satisfiable cut:
+        level 0, and no model, when no model keeps them. Otherwise the cut
+        of each level is appended to the hard clauses in turn; where the
+        model in hand misses one of its clauses, the search resumes from
+        that model with the alternatives it left pending, and the first
+        level where it finds none is the answer, handed back with the last
+        model found, a model of the cut before it (of every cut, at the
+        last index). Cuts only grow, and added clauses only remove models,
+        so an assignment refuted under one cut stays refuted under every
+        later one and is never searched again."""
         pending: list[tuple[int, int]] = []
         model = _search(hard, true, pending)
         if model is None:

@@ -164,17 +164,30 @@ class TestQuery:
         assert code == 2
         assert captured.err.startswith("error:")
 
+    WIDE_NAMES = " ".join(f"{x}{i}" for i in range(22) for x in "ab")
+    WIDE_DNF = " | ".join(f"(a{i} & b{i})" for i in range(22))
+
     def test_cnf_expansion_cap_exits_2(self, tmp_path, capsys):
-        # (a0 & b0) | ... | (a21 & b21) expands to 2^22 CNF clauses.
-        names = [f"{x}{i}" for i in range(22) for x in "ab"]
+        # (a0 & b0) | ... | (a21 & b21) expands to 2^22 CNF clauses. As a
+        # base entry it is clausalized before any question is asked.
         path = tmp_path / "wide.base"
-        path.write_text(f"vars {' '.join(names)}\n1/2: a0 | b0\n")
-        query = " | ".join(f"(a{i} & b{i})" for i in range(22))
-        code = main(["query", str(path), "pi", query])
+        path.write_text(f"vars {self.WIDE_NAMES}\n1/2: {self.WIDE_DNF}\n")
+        code = main(["query", str(path), "pi", "a0"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
         assert "CNF" in captured.err
+
+    def test_wide_dnf_query_needs_no_cnf(self, tmp_path, capsys):
+        # The same DNF as a query formula over 44 variables, past the
+        # bitset cap: its gate clauses are searched with no CNF, and the
+        # world a0, b0 satisfies both it and the base.
+        path = tmp_path / "wide.base"
+        path.write_text(f"vars {self.WIDE_NAMES}\n1/2: a0 | b0\n")
+        code = main(["query", str(path), "pi", self.WIDE_DNF])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.strip() == "1"
 
     def test_conditional_golden(self, weather_file, capsys):
         code = main(["query", weather_file, "cond", "!se", "--context", "wi & su"])

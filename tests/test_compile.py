@@ -225,6 +225,44 @@ class TestHiddenParentClosure:
         assert hidden_parent_closure(b, A1, seed) == frozenset({A2, A3})
         assert len(asked) == 2
 
+    def test_dpll_round_asks_only_standing_columns(self, monkeypatch):
+        # Above the cap a column is asked its levels only where a candidate
+        # stands: the context makes false each literal, on a parent, of
+        # some clause not on the node that has a variable outside the
+        # parents. The parent sets are those of the bitset path.
+        rng = random.Random(67)
+        asked = []
+        total = 0
+        level = semantics._Levels.level
+
+        def counted(levels, ctx):
+            asked.append(ctx)
+            return level(levels, ctx)
+
+        for _ in range(60):
+            b = random_clausal_base(rng, rng.randint(3, 7), rng.randint(3, 12))
+            seeds = {v: immediate_parents(b, v) for v in b.variables}
+            swept = {v: hidden_parent_closure(b, v, seeds[v]) for v in b.variables}
+            codec, entries, _ = semantics._encoded(b, "test")
+            with monkeypatch.context() as mp:
+                mp.setattr(semantics, "_BITSET_MAX_VARS", 0)
+                mp.setattr(semantics._Levels, "level", counted)
+                for var in b.variables:
+                    del asked[:]
+                    searched = WeightedBase(b.entries, b.variables)
+                    assert hidden_parent_closure(searched, var, seeds[var]) == swept[var]
+                    own = codec.pairs.get(var, 0) * 3
+                    total += len(asked)
+                    for ctx in asked:
+                        u = ctx & ~own
+                        parents = codec.span(u)
+                        false = semantics._negations(u)
+                        assert any(
+                            not c & own and c & ~parents and not c & parents & ~false
+                            for c, _ in entries
+                        )
+        assert total
+
     def test_over_cap_seed_raises_before_sweeping(self):
         # x's clause gives it 40 parents; !y0 | z would make the closure
         # sweep all 2^40 instantiations before it found no hidden parent.

@@ -482,6 +482,32 @@ class TestNetworkJson:
         with pytest.raises(NetworkSchemaError, match="exponent"):
             parse_network(json.dumps(doc))
 
+    @staticmethod
+    def one_node(weight_text):
+        """A one-node network whose positive cell's weight is the JSON
+        text `weight_text`, and whose negative cell weighs 1."""
+        cells = [
+            f'{{"assignment": {{}}, "polarity": {p}, "weight": {w}}}'
+            for p, w in (("false", "1"), ("true", weight_text))
+        ]
+        return f'{{"nodes": [{{"var": "x", "parents": [], "cpt": [{", ".join(cells)}]}}]}}'
+
+    def test_number_weight_is_read_from_its_decimal_text(self):
+        # 0.30000000000000001 is 3/10 once read as a binary float; both
+        # spellings must give the fraction the digits spell.
+        exact = Fraction(30000000000000001, 10**17)
+        for text in ("0.30000000000000001", '"0.30000000000000001"'):
+            assert parse_network(self.one_node(text)).nodes[0].pos == (exact,)
+        assert parse_network(self.one_node("0.5")).nodes[0].pos == (Fraction(1, 2),)
+        assert parse_network(self.one_node("-0.0")).nodes[0].pos == (0,)
+
+    @pytest.mark.parametrize("text", ["1e-9", "5E-1", "1e-999999999", "0.1e+999999999"])
+    def test_number_weight_with_an_exponent_rejected(self, text):
+        # As for a string weight: Fraction("1e-999999999") would build a
+        # billion-digit integer, so no number weight may have an exponent.
+        with pytest.raises(NetworkSchemaError, match="exponent"):
+            parse_network(self.one_node(text))
+
     def test_boolean_weight_rejected_after_equal_numbers(self):
         # Weights are parsed once per distinct string; true == 1, so a
         # cache keyed by value would let the boolean through.

@@ -278,16 +278,19 @@ class TestDpllSearchCounts:
     """The searches a level question runs on 20-variable bases, which stay
     above the bitset cap. Once the own level is known, a question whose
     context the own model admits starts no search; any other starts one
-    search from the root."""
+    search from the root. A conditional possibility searches its context
+    with the literal only where the model that answered the context makes
+    the literal false."""
 
     @pytest.fixture
     def questions(self, monkeypatch):
         """Every `_search` call as (its pending stack, its clauses, the
         assignment it starts from, its result), and each `_Levels._refuted`
-        call as its number of levels and the searches it made. A search
-        from the root is one with a pending stack of its own; a resumed
-        search is handed the stack of an earlier one. `starts` holds each
-        question's hard clauses and start, as `_refuted` was handed them."""
+        call as its number of levels, the searches it made and its result,
+        the level and the last model found. A search from the root is one
+        with a pending stack of its own; a resumed search is handed the
+        stack of an earlier one. `starts` holds each question's hard
+        clauses and start, as `_refuted` was handed them."""
         log = {"questions": [], "searches": [], "starts": []}
         search, refuted = semantics._search, semantics._Levels._refuted
 
@@ -301,7 +304,9 @@ class TestDpllSearchCounts:
             start = len(log["searches"])
             log["starts"].append((list(hard), true))
             found = refuted(levels, hard, true)
-            log["questions"].append((len(levels._groups), log["searches"][start:]))
+            log["questions"].append(
+                (len(levels._groups), log["searches"][start:], found)
+            )
             return found
 
         monkeypatch.setattr(semantics, "_search", counted)
@@ -322,7 +327,12 @@ class TestDpllSearchCounts:
             yield rng, WeightedBase(b.entries, b.variables)
 
     @staticmethod
-    def admits(b, asked):
+    def falsifies(model, levels, lit):
+        """Whether a model, a set of literal bits, makes `lit` false."""
+        return bool(model & (levels._pairs.get(lit.var, 0) << lit.positive))
+
+    @classmethod
+    def admits(cls, b, asked):
         """Whether the own model of `b`'s levels answers a question: for a
         list of literals, when the model makes none of them false; for a
         formula, when the model's world, with every variable the model
@@ -332,11 +342,9 @@ class TestDpllSearchCounts:
         model = semantics._negations(levels._false)
         for group in levels._groups[: levels.own_level() - 1]:
             assert all(c & model for c in group)
-        pairs = levels._pairs
         if isinstance(asked, list):
-            return not any(
-                model & (pairs.get(lit.var, 0) << lit.positive) for lit in asked
-            )
+            return not any(cls.falsifies(model, levels, lit) for lit in asked)
+        pairs = levels._pairs
         world = Interpretation(
             b.variables, tuple(bool(model & pairs.get(v, 0)) for v in b.variables)
         )
@@ -350,9 +358,31 @@ class TestDpllSearchCounts:
             return False
         return not self.admits(b, asked)
 
+    def conditional_contexts(self, b, lit, context, asked):
+        """The contexts that `conditional_possibility(b, lit, context)`
+        searches, given the `_refuted` calls it made: the context, unless
+        `searched` says it is answered without a search, and the context
+        with `lit`, unless that contradicts itself or the model that
+        answered the context leaves `lit` not false. That model is the own
+        model when it admits the context, and otherwise the one the
+        context's search ended with, checked here against the cuts below
+        the level it answered and against the context's bits."""
+        levels = semantics._levels(b, "test")
+        joint = [*context, lit]
+        if not self.searched(b, context):
+            return [joint] if self.searched(b, joint) else []
+        (_, _, (level, model)), *_ = asked
+        assert model & levels.condition(context) == levels.condition(context)
+        for group in levels._groups[: level - 1]:
+            assert all(c & model for c in group)
+        if negate(lit) in context or not self.falsifies(model, levels, lit):
+            return [context]
+        return [context, joint]
+
     def test_own_level_is_searched_once(self, questions):
         searches = questions["searches"]
         answered = {True: 0, False: 0}
+        second = {True: 0, False: 0}  # conditionals with a second search or not
         for rng, b in self.bases():
             inc = inconsistency_degree(b)
             assert len(questions["questions"]) == 1 and self.roots(searches) == 1
@@ -360,17 +390,12 @@ class TestDpllSearchCounts:
             assert inconsistency_degree(b) == inc
             assert len(searches) == before
             # Each question below starts exactly one search from the root
-            # per context the own model does not admit, and none for one
-            # it admits: one context for a certainty degree or a
-            # possibility, two for a conditional possibility (the context
-            # with and without the literal).
+            # per context it searches, and none for one the own model
+            # admits: one context for a certainty degree or a possibility,
+            # one or two for a conditional possibility.
             lit = Literal(rng.choice(b.variables), True)
-            context = [Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)]
             x = Literal(b.variables[0], True)
-            asks = [
-                (lambda: certainty_degree(b, lit), [[negate(lit)]]),
-                (lambda: conditional_possibility(b, x, context), [context, [*context, x]]),
-            ]
+            asks = [(lambda: certainty_degree(b, lit), [[negate(lit)]])]
             if inc == 0:
                 f = random_formula(rng, b.variables)
                 asks.append((lambda: possibility(b, f), [f]))
@@ -381,17 +406,33 @@ class TestDpllSearchCounts:
                 for c in contexts:
                     answered[self.admits(b, c)] += 1
                 assert len(asked) == sum(self.searched(b, c) for c in contexts)
-                assert all(self.roots(s) == 1 for _, s in asked)
+                assert all(self.roots(s) == 1 for _, s, _ in asked)
+            for _ in range(8):
+                context = [
+                    Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)
+                ]
+                start = len(questions["questions"])
+                conditional_possibility(b, x, context)
+                asked = questions["questions"][start:]
+                answered[self.admits(b, context)] += 1
+                contexts = self.conditional_contexts(b, x, context, asked)
+                assert len(asked) == len(contexts)
+                assert all(self.roots(s) == 1 for _, s, _ in asked)
+                if self.searched(b, context):
+                    second[len(contexts) == 2] += 1
             searches.clear()
             questions["questions"].clear()
         assert answered[True] and answered[False]  # hits and misses both
+        assert second[True] and second[False]  # with and without a second search
 
     def test_searches_only_where_the_last_model_misses(self, questions):
         # The literal bits each question starts from: a literal context's
-        # own, with no hard clauses; None for a formula, whose CNF is the
-        # hard clauses and which starts from no bits. A contradictory
-        # literal context, and any context the own model admits, is
-        # answered without a search.
+        # own, with no hard clauses; None for a formula, whose gate clauses
+        # are the hard clauses and which starts from no bits. A
+        # contradictory literal context, and any context the own model
+        # admits, is answered without a search, and a conditional
+        # searches the context with its literal only where
+        # `conditional_contexts` says so.
         expected = []
         for rng, b in self.bases():
             levels = semantics._levels(b, "test")
@@ -402,12 +443,16 @@ class TestDpllSearchCounts:
                 certainty_degree(b, lit)
                 if self.searched(b, [negate(lit)]):
                     expected.append(levels.condition([negate(lit)]))
-            context = [Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)]
             lit = Literal(b.variables[0], True)
-            conditional_possibility(b, lit, context)
-            for asked in (context, [*context, lit]):
-                if self.searched(b, asked):
-                    expected.append(levels.condition(asked))
+            for _ in range(4):
+                context = [
+                    Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)
+                ]
+                start = len(questions["questions"])
+                conditional_possibility(b, lit, context)
+                asked = questions["questions"][start:]
+                for c in self.conditional_contexts(b, lit, context, asked):
+                    expected.append(levels.condition(c))
             if inconsistency_degree(b) == 0:
                 for _ in range(5):
                     f = random_formula(rng, b.variables)
@@ -416,9 +461,9 @@ class TestDpllSearchCounts:
                         expected.append(None)
         asked = questions["questions"]
         assert asked
-        assert len(questions["searches"]) == sum(len(s) for _, s in asked)
+        assert len(questions["searches"]) == sum(len(s) for _, s, _ in asked)
         assert len(asked) == len(questions["starts"]) == len(expected)
-        for (levels, searches), (hard, start), bits in zip(
+        for (levels, searches, _), (hard, start), bits in zip(
             asked, questions["starts"], expected
         ):
             # One search from the root, then one resumed search at most
@@ -584,7 +629,11 @@ class TestOwnModel:
         pairs = list(combinations(lits, 2))
         return Or(tuple(And(pair) for pair in (pairs * 3)[:13]))
 
-    def test_cnf_cap_is_met_only_where_the_model_misses(self, monkeypatch):
+    def test_formulas_past_the_cnf_cap_need_no_cnf(self, monkeypatch):
+        # Both DNFs are past the CNF cap. The one the own model's world
+        # satisfies is answered by the own level with no search; the one it
+        # falsifies by one search over its gate clauses per question. Both
+        # answers are the enumerated ones, and no CNF is built.
         monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
         xs = tuple(Var(f"x{i}") for i in range(4))
         b = WeightedBase(
@@ -604,13 +653,181 @@ class TestOwnModel:
         for f in (hit, miss):
             with pytest.raises(ResourceCapError):
                 cnf_clauses(f)
+        refuted = semantics._Levels._refuted
+        calls = []
+
+        def counted(levels, hard, true):
+            calls.append(1)
+            return refuted(levels, hard, true)
+
+        def no_cnf(f):
+            raise AssertionError("a query built a CNF")
+
+        monkeypatch.setattr(semantics._Levels, "_refuted", counted)
+        monkeypatch.setattr(model, "cnf_clauses", no_cnf)
+        monkeypatch.setattr(semantics, "cnf_clauses", no_cnf)
         worlds = enumerated_worlds(b, ())
-        assert possibility(b, hit) == brute_measures(worlds, hit)[0] == 1
-        assert necessity(b, Not(hit)) == brute_measures(worlds, Not(hit))[1] == 0
-        with pytest.raises(ResourceCapError):
-            possibility(b, miss)
-        with pytest.raises(ResourceCapError):
-            necessity(b, Not(miss))
+        for f, searches in ((hit, 0), (miss, 2)):
+            del calls[:]
+            assert possibility(b, f) == brute_measures(worlds, f)[0]
+            assert necessity(b, Not(f)) == brute_measures(worlds, Not(f))[1]
+            assert len(calls) == searches
+        assert possibility(b, hit) == 1
+
+
+class TestGateClauses:
+    """Above the bitset cap a query formula is searched as its gate
+    clauses (`semantics._gate_clauses`); the same questions with the cap
+    raised above every variable are answered on the bitset path."""
+
+    @staticmethod
+    def formulas(rng, variables):
+        """`query_formulas` (constants, empty `And`/`Or`, a clause, nested
+        negations, a contradiction), then a tautology at the top and one
+        below a conjunction, a tautological clause and a formula whose
+        only non-constant part is a conjunction under a negated
+        disjunction."""
+        x, y, z = rng.sample(variables, 3)
+        out = query_formulas(rng, variables)
+        out += [
+            Or((pos(x), Not(pos(x)))),
+            And((pos(y), Or((neg(z), Not(neg(z)))), Or((pos(x), FALSE)))),
+            Clause((pos(x), neg(x), pos(y))),
+            Not(Or((FALSE, Not(And((pos(x), Not(Not(neg(y))), TRUE)))))),
+        ]
+        return out
+
+    def test_search_path_agrees_with_the_bitset_path(self):
+        # 17-20 variables, all used, consistent and inconsistent bases, and
+        # formulas that reach two variables outside the base. Each
+        # formula's level is compared on both paths, and on a consistent
+        # base also its possibility and necessity.
+        rng = random.Random(59)
+        outside = (Var("o1"), Var("o2"))
+        consistent = set()
+        checked = 0
+        while checked < 10:
+            n = rng.randint(17, 20)
+            b = random_clausal_base(rng, n, rng.randint(n, 2 * n))
+            searched = WeightedBase(b.entries, b.variables)
+            levels = semantics._levels(searched, "test")
+            if len(levels._pairs) < n:
+                continue
+            checked += 1
+            assert levels._models is None
+            inc = inconsistency_degree(searched)
+            consistent.add(inc == 0)
+            fs = [f for _ in range(3) for f in self.formulas(rng, b.variables + outside)]
+
+            def answers(base):
+                levels = semantics._levels(base, "test")
+                out = [levels.degrees[levels.formula_level(f)] for f in fs]
+                if inc == 0:
+                    out += [(possibility(base, f), necessity(base, f)) for f in fs]
+                return out
+
+            by_search = answers(searched)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(semantics, "_BITSET_MAX_VARS", n + len(outside))
+                swept = WeightedBase(b.entries, b.variables)
+                assert semantics._levels(swept, "test")._models is not None
+                assert answers(swept) == by_search
+        assert consistent == {True, False}
+
+    def test_clauses_of_constants_and_tautologies(self):
+        # With no clause over a variable, every variable and gate takes a
+        # pair from the top bit up, in the order the walk meets them.
+        x, y = Var("x"), Var("y")
+        gate_clauses = semantics._gate_clauses
+        assert gate_clauses(TRUE, {}, 1) == []
+        assert gate_clauses(FALSE, {}, 1) == [0]
+        assert gate_clauses(Or((pos(x), neg(x))), {}, 1) == []
+        assert gate_clauses(And((pos(x), neg(y))), {}, 1) == [0b1, 0b1000]
+        assert gate_clauses(Not(Clause((pos(x), pos(y)))), {}, 1) == [0b10, 0b1000]
+        # (x & y) | !x: a gate g at bits 4-5, with !g | x and !g | y.
+        f = Or((And((pos(x), pos(y))), neg(x)))
+        assert gate_clauses(f, {}, 1) == [0b100001, 0b100100, 0b10010]
+        # A tautological disjunction drops the gate clauses made for it.
+        f = Or((And((pos(x), pos(y))), Not(pos(x)), pos(x)))
+        assert gate_clauses(f, {}, 1) == []
+        assert gate_clauses(And((pos(x), FALSE)), {}, 1) == [0b1, 0]
+        assert gate_clauses(Or((And((pos(x), FALSE)), pos(y))), {}, 1) == [0b100]
+
+
+class TestConditionalLevels:
+    """`_Levels.conditional_levels` against two separate `level` calls."""
+
+    @staticmethod
+    def pairs_agree(levels, lit, context):
+        """The pair of `conditional_levels` equals the two `level` calls."""
+        pair = levels.conditional_levels(tuple(context), lit)
+        ctx = levels.level(levels.condition(context))
+        joint = levels.level(levels.condition((*context, lit)))
+        return pair == (ctx, joint)
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=4),
+                st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(1)]),
+            ),
+            max_size=12,
+        ),
+        st.lists(st.tuples(st.integers(0, n + 1), st.booleans()), max_size=4),
+        st.tuples(st.integers(0, n + 1), st.booleans()),
+        st.booleans(),
+    )))
+    # A contradictory context, a literal already in the context, a literal
+    # the context negates, and literals on a declared variable in no clause
+    # (x1) and on one outside the universe (x2).
+    @example((1, [([(0, True)], F(1, 2))], [(0, True), (0, False)], (0, True), True))
+    @example((1, [([(0, True)], F(1, 2))], [(0, False)], (0, False), False))
+    @example((1, [([(0, True)], F(1, 2))], [(0, False)], (0, True), True))
+    @example((1, [([(0, True)], F(1, 2))], [(1, True)], (1, False), True))
+    @example((1, [([(0, True)], F(1, 2))], [(2, False)], (2, True), False))
+    @example((1, [([(0, True)], F(1, 2))], [], (1, True), True))
+    def test_pair_of_levels(self, solver_path, drawn):
+        # Variables x0 .. x(n-1) are drawn into clauses, x(n) is declared
+        # but in no clause, and x(n+1) is outside the universe. The pair is
+        # asked with and without the own model kept.
+        n, raw, raw_context, (x, p), own = drawn
+        variables = tuple(Var(f"x{i}") for i in range(n + 2))
+        entries = [
+            (Clause(Literal(variables[i], q) for i, q in lits), a) for lits, a in raw
+        ]
+        context = [Literal(variables[i], q) for i, q in raw_context]
+        levels = semantics._levels(WeightedBase(entries, variables[: n + 1]), "test")
+        if own:
+            levels.own_level()
+        assert self.pairs_agree(levels, Literal(variables[x], p), context)
+
+    def test_pairs_past_the_bitset_cap(self):
+        # 20 used variables, so every pair is searched; contexts of three
+        # literals, a third of them contradictory, with the literal drawn
+        # from the context, its negation, or any variable.
+        rng = random.Random(61)
+        for _ in range(6):
+            b = random_clausal_base(rng, 20, rng.randint(24, 40))
+            levels = semantics._levels(WeightedBase(b.entries, b.variables), "test")
+            assert levels._models is None
+            for k in range(40):
+                if k == 20:
+                    levels.own_level()
+                context = [
+                    Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)
+                ]
+                if rng.random() < 1 / 3:
+                    context.append(negate(context[0]))
+                lit = rng.choice(
+                    [context[1], negate(context[1]),
+                     Literal(rng.choice(b.variables), rng.random() < 0.5)]
+                )
+                assert self.pairs_agree(levels, lit, context)
 
 
 class TestMaxitivity:
@@ -773,8 +990,9 @@ class TestMeasuresAgainstEnumeration:
     def test_formula_past_the_cnf_cap(self, monkeypatch):
         # A 13-term DNF expands to 8,192 clauses. The base's 8 variables and
         # the formula's 2 outside it fill a bitset cap of 10 exactly: the
-        # bitset path answers without a CNF. With a cap of 9 the query goes
-        # to the DPLL path, which needs the CNF and hits its cap.
+        # bitset path answers. With a cap of 9 the query goes to the DPLL
+        # path, which searches the formula's gate clauses, with no CNF, and
+        # gives the same answers.
         xs = tuple(Var(f"x{i}") for i in range(8))
         o1, o2 = Var("o1"), Var("o2")
         pairs = list(combinations(xs, 2))[::2][:11]
@@ -787,11 +1005,21 @@ class TestMeasuresAgainstEnumeration:
             xs,
         )
         worlds = enumerated_worlds(b, (o1, o2))
+        expected = brute_measures(worlds, f)
         monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 10)
-        assert (possibility(b, f), necessity(b, f)) == brute_measures(worlds, f)
+        assert (possibility(b, f), necessity(b, f)) == expected
         monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 9)
-        with pytest.raises(ResourceCapError):
-            possibility(WeightedBase(b.entries, b.variables), f)
+        searched = []
+        refuted = semantics._Levels._refuted
+
+        def counted(levels, hard, true):
+            searched.append(1)
+            return refuted(levels, hard, true)
+
+        monkeypatch.setattr(semantics._Levels, "_refuted", counted)
+        b = WeightedBase(b.entries, b.variables)
+        assert (possibility(b, f), necessity(b, f)) == expected
+        assert searched
 
     def test_builds_no_weighted_base(self, solver_path, weather, monkeypatch):
         built = []
