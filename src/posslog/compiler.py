@@ -209,19 +209,38 @@ def conditional_possibility(
     return _conditional(levels.degrees[h], levels.degrees[joint])
 
 
-def _cpt(levels: _Levels, var: Var, parents: tuple[Var, ...]) -> CPT:
-    """`cpt_for` on a base's weight levels, with parents already checked."""
-    degrees = levels.degrees
-    cells: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+def _cpt(
+    levels: _Levels,
+    var: Var,
+    parents: tuple[Var, ...],
+    ratios: dict[tuple[int, int], Fraction],
+) -> CPT:
+    """`cpt_for` on a base's weight levels, with parents already checked.
+
+    A column's two levels share a cell tuple with every column of the same
+    pair. A pair of unequal levels needs one division: the lower level's
+    conditional given the context's degree (`_conditional`). `ratios`
+    keeps each such quotient keyed on the two levels' ranks
+    (`_Levels.ranks`), so a caller that passes one dict for levels built
+    from one weight list divides once per pair of weights."""
+    degrees, ranks = levels.degrees, levels.ranks
+    cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     columns = []
     for key in levels.column_levels(var, parents):
         cell = cells.get(key)
         if cell is None:
-            top = max(key)
-            h = degrees[top]
-            cell = cells[key] = tuple(
-                ONE if i == top else _conditional(h, degrees[i]) for i in key
-            )
+            neg, pos = key
+            if neg == pos:
+                cell = (ONE, ONE)
+            else:
+                # The larger level is the context's own: its half is 1.
+                low, top = (neg, pos) if neg < pos else (pos, neg)
+                pair = (ranks[low], ranks[top])
+                ratio = ratios.get(pair)
+                if ratio is None:
+                    ratio = ratios[pair] = _conditional(degrees[top], degrees[low])
+                cell = (ratio, ONE) if neg < pos else (ONE, ratio)
+            cells[key] = cell
         columns.append(cell)
     return CPT(var, parents, *zip(*columns))
 
@@ -242,7 +261,7 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     parents = tuple(parents)
     _check_cells(var, len(parents))
     check_parents(var, parents)
-    return _cpt(_levels(b, "cpt_for"), var, parents)
+    return _cpt(_levels(b, "cpt_for"), var, parents, {})
 
 
 class StageSummary(_Value):
@@ -252,7 +271,10 @@ class StageSummary(_Value):
     product forms; the `_s` fields are `perf_counter` seconds spent on
     the parents (seed, weight levels and closure; stage 0's levels, built
     before the input's consistency check, are timed with that check), on
-    the table and on the marginal, and take no part in equality."""
+    the table and on the marginal, and take no part in equality. A stage
+    whose variable is on no clause does none of that work: its three
+    `_s` fields are 0.0, and its `marginal_entries` equal its
+    `stage_entries`."""
 
     __slots__ = _fields = (
         "index",
@@ -302,9 +324,17 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     The integer clauses are handed from stage to stage through the cores
     of `immediate_parents`, `hidden_parent_closure`, `cpt_for` and
     `marginal_base`; no base is built and nothing is kept on `b`, so a
-    stage costs nothing per universe variable that no clause mentions. A
-    stage whose variable is on no clause passes its clauses on as they
-    are: crossed with itself, a reduced stage reduces back to itself.
+    stage costs nothing per universe variable that no clause mentions.
+
+    A stage whose variable is on no current clause builds no weight
+    levels, runs no closure and sweeps no table: its seed is empty, and
+    the closure's one column gives ¬var and var the same level, so no
+    parent joins and both cells are 1. It yields the table (1, 1) with no
+    parents and passes its clauses on as they are: crossed with itself, a
+    reduced stage reduces back to itself. Stage 0's levels are built
+    whatever its variable, for the consistency check. One memo of
+    conditional degrees, keyed on weight ranks, serves every stage's
+    table (`_cpt`).
     """
     ordering = Ordering.of(ordering)
     ordering.validate_for(b.variables)
@@ -316,20 +346,22 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     if inc != 0:
         raise InconsistentBaseError(inc)
     position = {v: i for i, v in enumerate(ordering.sequence)}
+    ratios: dict[tuple[int, int], Fraction] = {}
     for i, var in enumerate(ordering.sequence):
+        own = codec.pairs.get(var, 0) * 3  # both bits of var's pair
+        if not (own and any(c & own for c, _ in entries)):
+            n = len(entries)
+            yield StageSummary(i, n, CPT(var, (), (ONE,), (ONE,)), n, 0, 0.0, 0.0, 0.0)
+            continue
         if i:
             start = perf_counter()
             levels = _Levels(codec, entries, weights)
         parents = _closure(codec, entries, levels, var, _seed(codec, entries, var))
         closed = perf_counter()
         names = sorted(codec.variables(parents), key=position.__getitem__)
-        cpt = _cpt(levels, var, tuple(names))
+        cpt = _cpt(levels, var, tuple(names), ratios)
         tabled = perf_counter()
-        own = codec.pairs.get(var, 0) * 3  # both bits of var's pair
-        if any(c & own for c, _ in entries):
-            marginal, cross = _marginal(codec, entries, var)
-        else:
-            marginal, cross = entries, 0
+        marginal, cross = _marginal(codec, entries, var)
         yield StageSummary(
             index=i,
             stage_entries=len(entries),

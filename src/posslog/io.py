@@ -37,10 +37,19 @@ from .model import (
 )
 from .network import CPT, Network, _column, check_normalization
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+/\d+|\d*\.\d+|\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<op>[!&|():]))"
+_NUM = r"\d+/\d+|\d*\.\d+|\d+"
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<num>{_NUM})|(?P<name>{_NAME})|(?P<op>[!&|():]))")
+
+# A clausal entry line, `WEIGHT: LITERAL | ... | LITERAL`, spaced as the
+# tokenizer allows: the weight and the body, whose literals `_LITERAL_RE`
+# finds as (bang, name) pairs. Each token here is one the tokenizer would
+# read whole, so the line means what the general parser makes of it.
+_LITERAL = rf"!?\s*{_NAME}"
+_CLAUSE_LINE_RE = re.compile(
+    rf"\s*({_NUM})\s*:\s*({_LITERAL}(?:\s*\|\s*{_LITERAL})*)\s*"
 )
+_LITERAL_RE = re.compile(rf"(!?)\s*({_NAME})")
 
 # Deepest `(`/`!` nesting a formula may have. The parser and every later
 # walk over the formula tree recurse once per level, so the cap keeps them
@@ -161,13 +170,66 @@ def parse_formula(text: str) -> Formula:
     return _FormulaParser(tokens, 1, len(text)).parse()
 
 
+def _clause_entry(
+    match: re.Match,
+    weights: dict[str, Fraction],
+    literals: dict[tuple[str, str], Literal],
+    declared: set[str] | None,
+) -> tuple[Clause, Fraction] | None:
+    """The entry of a line `_CLAUSE_LINE_RE` matched, read off the match,
+    with each weight text and each signed name looked up in the parse's
+    tables and added on first sight. None when the general parser must
+    read the line: a weight outside (0, 1] or not a rational, or a name
+    that is reserved (`true`, `false` and `vars` are not literals) or
+    missing from the declared names. That parser then raises the line's
+    error, or reads the constants."""
+    weight_text, body = match.groups()
+    weight = weights.get(weight_text)
+    if weight is None:
+        try:
+            weight = Fraction(weight_text)
+        except (ValueError, ZeroDivisionError):
+            return None
+        if not 0 < weight.numerator <= weight.denominator:
+            return None
+        weights[weight_text] = weight
+    found = []
+    for signed in _LITERAL_RE.findall(body):
+        lit = literals.get(signed)
+        if lit is None:
+            bang, name = signed
+            if name in RESERVED_NAMES or declared is not None and name not in declared:
+                return None
+            lit = literals[signed] = Literal(Var(name), not bang)
+        found.append(lit)
+    return Clause(found), weight
+
+
 def parse_base(text: str) -> WeightedBase:
-    """Parse the base grammar described in the module docstring."""
+    """Parse the base grammar described in the module docstring.
+
+    A line that is a clause, `WEIGHT: LITERAL | ... | LITERAL` however
+    spaced, is read by one match (`_CLAUSE_LINE_RE`) and `_clause_entry`,
+    which parses each distinct weight text, and builds each distinct
+    literal, once per call. Every other line, and a clausal one that
+    names a constant, `vars` or an undeclared variable or has a weight
+    outside (0, 1], goes to the tokenizer and the recursive-descent
+    parser, which give the same entry or the same `ParseError`, with its
+    line and column, as for any line."""
     declared: tuple[Var, ...] | None = None
+    declared_names: set[str] | None = None
     entries = []
+    weights: dict[str, Fraction] = {}
+    literals: dict[tuple[str, str], Literal] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         hash_at = raw.find("#")
         line = raw if hash_at < 0 else raw[:hash_at]
+        clausal = _CLAUSE_LINE_RE.fullmatch(line)
+        if clausal is not None:
+            entry = _clause_entry(clausal, weights, literals, declared_names)
+            if entry is not None:
+                entries.append(entry)
+                continue
         if not line.strip():
             continue
         tokens = _tokenize(line, lineno)
@@ -190,7 +252,7 @@ def parse_base(text: str) -> WeightedBase:
             if len(set(names)) != len(names):
                 raise ParseError("vars line repeats a variable", lineno, tokens[0][2])
             declared = tuple(Var(n) for n in names)
-            known = set(declared)
+            declared_names = set(names)
             continue
         kind, weight_text, col = tokens[0]
         if kind != "num":
@@ -208,10 +270,10 @@ def parse_base(text: str) -> WeightedBase:
             raise ParseError("entry has no formula", lineno, len(line) + 1)
         formula = _FormulaParser(body, lineno, len(line)).parse()
         formula = _as_clause_if_flat(formula)
-        if declared is not None:
-            extra = vars_of(formula) - known
+        if declared_names is not None:
+            extra = {v.name for v in vars_of(formula)} - declared_names
             if extra:
-                names = ", ".join(sorted(v.name for v in extra))
+                names = ", ".join(sorted(extra))
                 raise ParseError(f"undeclared variable(s): {names}", lineno, body[0][2])
         entries.append((formula, weight))
     try:

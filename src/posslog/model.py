@@ -468,9 +468,11 @@ Entry = tuple[Formula, Fraction]
 class WeightedBase(_Value):
     """A multiset of weighted formulas over an ordered variable universe.
 
-    Weight-0 entries are vacuous and dropped on construction. Duplicate
-    entries (same formula, several weights) are legal; only the maximum
-    weight is semantically effective, and the normalize pass merges them.
+    Weights are coerced by `as_weight` unless already a `Fraction`, and
+    range-checked on the numerator and denominator. Weight-0 entries are
+    vacuous and dropped on construction. Duplicate entries (same formula,
+    several weights) are legal; only the maximum weight is semantically
+    effective, and the normalize pass merges them.
     """
 
     _fields = ("entries", "variables")
@@ -488,9 +490,12 @@ class WeightedBase(_Value):
         cooked: list[Entry] = []
         for f, w in entries:
             weight = w if isinstance(w, Fraction) else as_weight(w)
-            if not ZERO <= weight <= ONE:
+            # A `Fraction`'s denominator is positive, so integer tests
+            # suffice: no `Fraction` comparison runs.
+            top = weight.numerator
+            if not 0 <= top <= weight.denominator:
                 raise DomainError(f"weight {weight} outside [0, 1]")
-            if weight == 0:
+            if not top:
                 continue
             cooked.append((f, weight))
         if variables is None:

@@ -473,7 +473,10 @@ class _Levels:
     one sweep behind both the CPT and the hidden-parent closure: on the
     bitset path all at once, above the cap lazily, a column at a time. A
     degree is `degrees[level]`, read off the descending tuple of 1, the
-    level weights and 0, so that callers can memoize on the index.
+    level weights and 0, so that callers can memoize on the index. Levels
+    built from one weight list, as a compile's stages are, also share
+    `ranks[level]`, the degree's rank in that list, to memoize on across
+    them.
 
     The codec may span variables that no clause uses, such as one a
     marginal base forgot. A context literal on such a variable, or on one
@@ -482,7 +485,8 @@ class _Levels:
     """
 
     __slots__ = (
-        "degrees", "_pairs", "_tables", "_models", "_groups", "_own", "_false", "_world",
+        "degrees", "ranks", "_pairs", "_tables", "_models", "_groups", "_own", "_false",
+        "_world", "_columns",
     )
 
     def __init__(
@@ -496,6 +500,9 @@ class _Levels:
                 used |= c
         ranks = sorted(by_rank, reverse=True)
         self.degrees = (ONE, *(weights[r] for r in ranks), ZERO)
+        # Level i's degree is `weights[ranks[i]]`; level 0, degree 1, takes
+        # the rank past the last weight's, and the last level rank 0.
+        self.ranks = (len(weights), *ranks, 0)
         # The positive literal's bit of each variable that some clause uses.
         self._pairs = {v: bit for v, bit in codec.pairs.items() if bit * 3 & used}
         self._groups = groups = [by_rank[r] for r in ranks]
@@ -504,6 +511,9 @@ class _Levels:
         # above the cap only, so None means there is no model to consult.
         self._false: int | None = None
         self._world: _World | None = None
+        # Each used variable's truth table, keyed by the variable: built
+        # by the first `formula_level` on the bitset path.
+        self._columns: dict[Var, int] | None = None
 
         found = _literal_tables(used)
         if found is None:
@@ -542,9 +552,11 @@ class _Levels:
         """`level` with a formula, instead of literals, as the hard context.
 
         On the bitset path the formula is evaluated to the mask of its
-        models. A variable the formula mentions but no clause uses takes a
-        pair of bits above those the clauses use, in name order: with k
-        such variables, the formula is evaluated over n + k variables,
+        models, in one walk with the used variables' truth tables. Only
+        when that walk meets a variable that no clause uses is the formula
+        walked again, for its variables. Each such variable takes a pair
+        of bits above those the clauses use, in name order: with k such
+        variables, the formula is evaluated over n + k variables,
         those k most significant, and `_project` ORs its 2**k blocks of
         2**n worlds together, forgetting them. That path is taken when the
         levels are on it and n + k is within the cap. Otherwise the hard
@@ -564,13 +576,19 @@ class _Levels:
         pairs = self._pairs
         used = sum(pairs.values()) * 3  # both bits of each pair
         if self._models is not None:
+            columns = self._columns
+            if columns is None:
+                tables = self._tables
+                columns = self._columns = {v: tables[bit] for v, bit in pairs.items()}
+            try:
+                return self.level(_formula_models(f, columns, self._models[0]))
+            except KeyError:  # f mentions a variable that no clause uses
+                pass
             place = {v: pairs.get(v) for v in vars_of(f)}  # positive bits
             free = sorted(v for v, bit in place.items() if bit is None)
             for i, v in enumerate(free):
                 place[v] = 1 << (used.bit_length() + 2 * i)
-            found = (self._models[0], self._tables)
-            if free:
-                found = _literal_tables(used | sum(place[v] for v in free))
+            found = _literal_tables(used | sum(place[v] for v in free))
             if found is not None:
                 full, tables = found
                 column = {v: tables[bit] for v, bit in place.items()}

@@ -415,6 +415,17 @@ class TestCptFor:
         assert peak < 4 << 20
 
 
+def _on_clause(b: WeightedBase, order) -> list[bool]:
+    """Whether each stage's variable is on a clause of its stage's base,
+    read off the public functions: the cleaned input, then each marginal."""
+    stage = remove_subsumed(remove_tautologies(to_clausal(b)))
+    out = []
+    for var in order:
+        out.append(any(var in c.variables for c, _ in stage.entries))
+        stage = marginal_base(stage, var)
+    return out
+
+
 class TestCompileNetwork:
     def test_weather_network_golden(self, weather):
         net = compile_network(weather, (SE, WI, SU))
@@ -519,7 +530,8 @@ class TestCompileNetwork:
 
     def test_one_level_build_per_stage(self, monkeypatch):
         # Stage 0's levels also answer the consistency check, and each
-        # later stage builds its own from the marginal.
+        # later stage whose variable is on a clause builds its own from the
+        # marginal; a later stage on no clause builds none.
         built = []
         init = semantics._Levels.__init__
 
@@ -528,18 +540,46 @@ class TestCompileNetwork:
             init(self, *args)
 
         monkeypatch.setattr(semantics._Levels, "__init__", counting)
+        spare = Var("spare")
+        skipped = 0
         for n in (1, 3, 6):
             drawn = oracle.random_base(n, n, 2 * n)
-            for b in (drawn, WeightedBase(drawn.entries, (*drawn.variables, Var("spare")))):
+            for b in (
+                drawn,
+                WeightedBase(drawn.entries, (spare, *drawn.variables)),
+                WeightedBase(drawn.entries, (*drawn.variables, spare)),
+            ):
+                on_clause = _on_clause(b, b.variables)
                 built.clear()
                 compile_network(b, b.variables)
-                assert len(built) == len(b.variables)
+                assert len(built) == 1 + sum(on_clause[1:])
+                skipped += on_clause[1:].count(False)
+        assert skipped >= 3
 
     def test_every_ordering_of_a_small_base(self, support):
         for order in permutations(support.variables):
             net = compile_network(support, order)
             assert verify_compilation(support, net).ok
             assert check_normalization(net) == ()
+
+    def test_one_division_per_pair_of_weights(self, monkeypatch):
+        # The stages' tables share one memo of conditional degrees, keyed
+        # on weight ranks, so no pair of degrees is divided twice in a
+        # compile. The weights stay below 1: the degree 1 of level 0 has a
+        # rank of its own, apart from a weight 1's.
+        calls = []
+        conditional = compiler._conditional
+        monkeypatch.setattr(
+            compiler, "_conditional", lambda *pair: calls.append(pair) or conditional(*pair)
+        )
+        pool = [w for w in oracle.DEFAULT_WEIGHT_POOL if w < 1]
+        rng = random.Random(3)
+        for _ in range(20):
+            b = oracle.random_base(rng.randrange(1000), 6, 12, weight_pool=pool)
+            calls.clear()
+            net = compile_network(b, b.variables)
+            assert len(calls) == len(set(calls))
+            assert verify_compilation(b, net).ok
 
     def test_compile_stages(self, weather):
         stages = list(compile_stages(weather, (SE, WI, SU)))
@@ -658,6 +698,44 @@ class TestCompileNetwork:
             assert stage.cpt == CPT(var, (), (ONE,), (ONE,))
         alone = compile_network(b, b.variables)
         assert Network(s.cpt for s in stages[len(extra) :]) == alone
+
+    def test_stages_on_no_clause(self, solver_path):
+        # Spare vars entries placed first, in the middle and last, and
+        # variables whose clauses an earlier marginal drops: eliminating a
+        # (or v) leaves the other on no clause, since c | d (1/3) and
+        # !c | !d (2/3) subsume the resolvents, and eliminating c (or d)
+        # leaves only the tautology d | !d.
+        b = parse_base("vars s1 a v c d s2 s3\n1/2: a | v\n1/3: c | d\n2/3: !c | !d\n")
+        s1, a, v, c, d, s2, s3 = b.variables
+        cases = [
+            (b, (s1, a, v, s2, c, d, s3), {s1, v, s2, d, s3}),
+            (b, (a, s3, v, d, s1, c, s2), {s3, v, s1, c, s2}),
+            (b, (v, s2, a, c, s1, d, s3), {s2, a, s1, d, s3}),
+        ]
+        rng = random.Random(5)
+        for _ in range(30):
+            drawn = oracle.random_base(rng.randrange(1000), rng.randint(1, 6), rng.randint(1, 8))
+            spares = tuple(Var(f"spare{i}") for i in range(rng.randint(0, 3)))
+            universe = list(drawn.variables + spares)
+            rng.shuffle(universe)
+            order = universe[:]
+            rng.shuffle(order)
+            cases.append((WeightedBase(drawn.entries, universe), tuple(order), None))
+        for base, order, expected in cases:
+            on_clause = _on_clause(base, order)
+            free = {var for var, on in zip(order, on_clause) if not on}
+            if expected is not None:
+                assert free == expected
+            stages = list(compile_stages(base, order))
+            for stage in stages:
+                var = stage.cpt.var
+                if var in free:
+                    assert stage.cpt == CPT(var, (), (ONE,), (ONE,))
+                    assert stage.cross_clauses == 0
+                    assert stage.marginal_entries == stage.stage_entries
+                    assert (stage.closure_s, stage.cpt_s, stage.marginal_s) == (0, 0, 0)
+            net = Network(s.cpt for s in stages)
+            assert verify_compilation(base, net).ok
 
     def test_stage_records(self, weather):
         for stage in compile_stages(weather, (SE, WI, SU)):

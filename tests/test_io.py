@@ -32,6 +32,7 @@ from posslog import (
     serialize_network,
 )
 from posslog import compiler, model
+from posslog import io as base_io
 from posslog.io import MAX_NESTING, NormalizationWarning, network_pieces, render_formula
 
 import helpers
@@ -175,6 +176,99 @@ class TestParseBase:
 
 
 BASE_NAMES = ("x", "y", "B", "a1")
+SPACING = st.sampled_from(["", " ", "  ", "\t", " \t "])
+WEIGHT_TEXTS = st.sampled_from(["1", "1/2", ".4", "2/3", "007/10", "10/20"])
+
+
+@st.composite
+def clausal_lines(draw):
+    """The lines of a base text of clausal entries, each as the text
+    before its clause body, the body (None on a line with no entry) and
+    the text after: a vars line or none, then entries, comments and blank
+    lines. Entries repeat literals and hold both polarities of a variable,
+    spaced anywhere the tokenizer allows."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append((draw(SPACING) + "vars " + " ".join(BASE_NAMES), None, draw(SPACING)))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["entry", "entry", "entry", "comment", "blank"]))
+        if kind == "blank":
+            lines.append((draw(SPACING), None, ""))
+        elif kind == "comment":
+            lines.append((draw(SPACING) + "# 1/2: x | y", None, ""))
+        else:
+            head = draw(SPACING) + draw(WEIGHT_TEXTS) + draw(SPACING) + ":" + draw(SPACING)
+            signed = draw(
+                st.lists(st.tuples(st.booleans(), st.sampled_from(BASE_NAMES)), min_size=1, max_size=6)
+            )
+            body = ""
+            for k, (negative, name) in enumerate(signed):
+                if k:
+                    body += draw(SPACING) + "|" + draw(SPACING)
+                body += ("!" + draw(SPACING) if negative else "") + name
+            tail = draw(SPACING) + draw(st.sampled_from(["", "# 1/2: z", "#)|"]))
+            lines.append((head, body, tail))
+    return lines
+
+
+def _base_text(lines, wrap=str) -> str:
+    return "".join(
+        head + ("" if body is None else wrap(body)) + tail + "\n" for head, body, tail in lines
+    )
+
+
+class TestClausalLines:
+    """A clausal line is read by one match; a clause body in parentheses
+    is read by the recursive-descent parser, and must give the same base."""
+
+    @given(clausal_lines())
+    @settings(max_examples=200, deadline=None)
+    @example([("1/2:", "x|!x|x", ""), (" .4 :\t", "! y | B |!y", "  # c")])
+    def test_same_base_as_the_parser(self, lines):
+        b = parse_base(_base_text(lines))
+        assert b == parse_base(_base_text(lines, lambda body: f"({body})"))
+        assert b.is_clausal
+
+    def test_clausal_lines_skip_the_parser(self, weather, monkeypatch):
+        # Each distinct weight text is parsed once; the vars line and the
+        # comment are tokenized, and no entry reaches the parser.
+        parsed = []
+        monkeypatch.setattr(base_io, "Fraction", lambda text: parsed.append(text) or F(text))
+
+        def refuse(parser):
+            raise AssertionError("a clausal line reached the parser")
+
+        monkeypatch.setattr(base_io._FormulaParser, "parse", refuse)
+        assert parse_base(WEATHER_TEXT) == weather
+        assert parsed == ["2/3", "1/3"]
+
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            ("1/2: a | true\n1/2: b | vars\n", "'vars' is reserved", 2, 10),
+            ("1/2: a | b\n1/2: !vars\n", "'vars' is reserved", 2, 7),
+            ("vars a b\n1/2: a | !c\n", "undeclared variable(s): c", 2, 6),
+            ("vars a b\n1/3: b\n 1/2 :\t!a | zz | !yy\n", "undeclared variable(s): yy, zz", 3, 8),
+            ("1/2: a\n0: b\n", "weight 0 outside (0, 1]", 2, 1),
+            ("1/2: a | b\n1/2: c\n0/1: b\n", "weight 0/1 outside (0, 1]", 3, 1),
+            ("3/2: a\n", "weight 3/2 outside (0, 1]", 1, 1),
+            ("1/2: a\n  1/0 : !a\n", "bad weight '1/0'", 2, 3),
+            ("1.: a\n", "unexpected character '.'", 1, 2),
+        ],
+    )
+    def test_errors_keep_message_and_position(self, text, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_base(text)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_constants_go_to_the_parser(self):
+        b = parse_base("1/2: true\n1/2: false | a\n1/3: a | b\n")
+        assert b.entries == (
+            (Const(True), F(1, 2)),
+            (Or((Const(False), pos(Var("a")))), F(1, 2)),
+            (clause(pos(Var("a")), pos(Var("b"))), F(1, 3)),
+        )
 
 
 def formulas(variables):

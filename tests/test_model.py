@@ -445,6 +445,20 @@ class TestWeightedBase:
     def test_zero_weight_entries_dropped(self):
         b = WeightedBase([(clause(pos(X)), F(0)), (clause(pos(Y)), F(1, 2))])
         assert len(b.entries) == 1
+        b = WeightedBase([(clause(pos(X)), F(0)), (clause(pos(Y)), F(1))])
+        assert b.entries == ((clause(pos(Y)), F(1)),)
+        assert b.variables == (Y,)
+
+    @pytest.mark.parametrize("bad", [F(-1, 2), F(3, 2)])
+    def test_fraction_weight_out_of_range_refused(self, bad):
+        # Range-checked on its numerator and denominator, with the message
+        # `as_weight` gives for the same value.
+        with pytest.raises(DomainError) as err:
+            WeightedBase([(clause(pos(X)), F(1, 2)), (clause(pos(Y)), bad)])
+        assert str(err.value) == f"weight {bad} outside [0, 1]"
+        with pytest.raises(DomainError) as coerced:
+            as_weight(str(bad))
+        assert str(coerced.value) == str(err.value)
 
     def test_duplicate_entries_are_legal(self):
         b = WeightedBase([(clause(pos(X)), F(1, 3)), (clause(pos(X)), F(2, 3))])

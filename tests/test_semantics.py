@@ -950,6 +950,21 @@ class TestPossibility:
         for f in (pos(SE), pos(WI), And((pos(SU), pos(WI)))):
             assert max(possibility(weather, f), possibility(weather, Not(f))) == 1
 
+    def test_bitset_formula_is_walked_once(self, weather, monkeypatch):
+        # A formula over used variables is evaluated in one walk; only one
+        # that meets a variable no clause uses is walked for its variables.
+        walked = []
+        vars_of = model.vars_of
+        monkeypatch.setattr(semantics, "vars_of", lambda f: walked.append(f) or vars_of(f))
+        f = Or((And((neg(SE), pos(WI))), Not(pos(SU))))
+        g = Or((pos(SU), And((neg(WI), pos(SE)))))
+        assert (possibility(weather, f), necessity(weather, f)) == (F(2, 3), 0)
+        assert (possibility(weather, g), necessity(weather, g)) == (1, F(1, 3))
+        assert walked == []
+        h = And((pos(SU), pos(Var("zz"))))
+        assert (possibility(weather, h), necessity(weather, h)) == (1, 0)
+        assert len(walked) == 2
+
 
 class TestMeasuresAgainstEnumeration:
     def test_random_bases_and_formulas(self, solver_path):
