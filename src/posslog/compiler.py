@@ -209,21 +209,14 @@ def conditional_possibility(
     return _conditional(levels.degrees[h], levels.degrees[joint])
 
 
-def _cpt(
-    levels: _Levels,
-    var: Var,
-    parents: tuple[Var, ...],
-    ratios: dict[tuple[int, int], Fraction],
-) -> CPT:
+def _cpt(levels: _Levels, var: Var, parents: tuple[Var, ...]) -> CPT:
     """`cpt_for` on a base's weight levels, with parents already checked.
 
     A column's two levels share a cell tuple with every column of the same
-    pair. A pair of unequal levels needs one division: the lower level's
-    conditional given the context's degree (`_conditional`). `ratios`
-    keeps each such quotient keyed on the two levels' ranks
-    (`_Levels.ranks`), so a caller that passes one dict for levels built
-    from one weight list divides once per pair of weights."""
-    degrees, ranks = levels.degrees, levels.ranks
+    pair, so a pair of unequal levels costs one division per table: the
+    lower level's conditional given the context's degree (`_conditional`).
+    The context's own level, the larger of the two, gets 1."""
+    degrees = levels.degrees
     cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     columns = []
     for key in levels.column_levels(var, parents):
@@ -232,14 +225,10 @@ def _cpt(
             neg, pos = key
             if neg == pos:
                 cell = (ONE, ONE)
+            elif neg < pos:
+                cell = (_conditional(degrees[pos], degrees[neg]), ONE)
             else:
-                # The larger level is the context's own: its half is 1.
-                low, top = (neg, pos) if neg < pos else (pos, neg)
-                pair = (ranks[low], ranks[top])
-                ratio = ratios.get(pair)
-                if ratio is None:
-                    ratio = ratios[pair] = _conditional(degrees[top], degrees[low])
-                cell = (ratio, ONE) if neg < pos else (ONE, ratio)
+                cell = (ONE, _conditional(degrees[neg], degrees[pos]))
             cells[key] = cell
         columns.append(cell)
     return CPT(var, parents, *zip(*columns))
@@ -261,7 +250,7 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     parents = tuple(parents)
     _check_cells(var, len(parents))
     check_parents(var, parents)
-    return _cpt(_levels(b, "cpt_for"), var, parents, {})
+    return _cpt(_levels(b, "cpt_for"), var, parents)
 
 
 class StageSummary(_Value):
@@ -332,9 +321,7 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     parent joins and both cells are 1. It yields the table (1, 1) with no
     parents and passes its clauses on as they are: crossed with itself, a
     reduced stage reduces back to itself. Stage 0's levels are built
-    whatever its variable, for the consistency check. One memo of
-    conditional degrees, keyed on weight ranks, serves every stage's
-    table (`_cpt`).
+    whatever its variable, for the consistency check.
     """
     ordering = Ordering.of(ordering)
     ordering.validate_for(b.variables)
@@ -346,7 +333,6 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     if inc != 0:
         raise InconsistentBaseError(inc)
     position = {v: i for i, v in enumerate(ordering.sequence)}
-    ratios: dict[tuple[int, int], Fraction] = {}
     for i, var in enumerate(ordering.sequence):
         own = codec.pairs.get(var, 0) * 3  # both bits of var's pair
         if not (own and any(c & own for c, _ in entries)):
@@ -359,7 +345,7 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
         parents = _closure(codec, entries, levels, var, _seed(codec, entries, var))
         closed = perf_counter()
         names = sorted(codec.variables(parents), key=position.__getitem__)
-        cpt = _cpt(levels, var, tuple(names), ratios)
+        cpt = _cpt(levels, var, tuple(names))
         tabled = perf_counter()
         marginal, cross = _marginal(codec, entries, var)
         yield StageSummary(

@@ -44,8 +44,11 @@ _TOKEN_RE = re.compile(rf"\s*(?:(?P<num>{_NUM})|(?P<name>{_NAME})|(?P<op>[!&|():
 # A clausal entry line, `WEIGHT: LITERAL | ... | LITERAL`, spaced as the
 # tokenizer allows: the weight and the body, whose literals `_LITERAL_RE`
 # finds as (bang, name) pairs. Each token here is one the tokenizer would
-# read whole, so the line means what the general parser makes of it.
-_LITERAL = rf"!?\s*{_NAME}"
+# read whole, so the line means what the general parser makes of it. Each
+# run of whitespace has one place in the pattern (the space after a `!` is
+# taken only with the `!`), so a line that fails to match fails in time
+# linear in its length, not after trying every split of its spaces.
+_LITERAL = rf"(?:!\s*)?{_NAME}"
 _CLAUSE_LINE_RE = re.compile(
     rf"\s*({_NUM})\s*:\s*({_LITERAL}(?:\s*\|\s*{_LITERAL})*)\s*"
 )
@@ -170,38 +173,63 @@ def parse_formula(text: str) -> Formula:
     return _FormulaParser(tokens, 1, len(text)).parse()
 
 
+def _entry_weight(
+    text: str, weights: dict[str, Fraction], lineno: int, col: int
+) -> Fraction:
+    """The weight an entry's weight text gives: looked up in the parse's
+    table, or parsed, checked to lie in (0, 1] and added on first sight.
+    Both readers of an entry call it, so they raise one error for it."""
+    weight = weights.get(text)
+    if weight is None:
+        try:
+            weight = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad weight {text!r}", lineno, col) from None
+        # A `Fraction`'s denominator is positive.
+        if not 0 < weight.numerator <= weight.denominator:
+            raise ParseError(f"weight {text} outside (0, 1]", lineno, col)
+        weights[text] = weight
+    return weight
+
+
+def _check_declared(names: set[str], declared: set[str], lineno: int, col: int) -> None:
+    """Refuse an entry, whose body starts at `col`, that names a variable
+    the vars line does not list."""
+    extra = names - declared
+    if extra:
+        listed = ", ".join(sorted(extra))
+        raise ParseError(f"undeclared variable(s): {listed}", lineno, col)
+
+
 def _clause_entry(
     match: re.Match,
+    lineno: int,
     weights: dict[str, Fraction],
     literals: dict[tuple[str, str], Literal],
     declared: set[str] | None,
 ) -> tuple[Clause, Fraction] | None:
     """The entry of a line `_CLAUSE_LINE_RE` matched, read off the match,
-    with each weight text and each signed name looked up in the parse's
-    tables and added on first sight. None when the general parser must
-    read the line: a weight outside (0, 1] or not a rational, or a name
-    that is reserved (`true`, `false` and `vars` are not literals) or
-    missing from the declared names. That parser then raises the line's
-    error, or reads the constants."""
+    with each signed name looked up in the parse's table and added on
+    first sight. None when a name is reserved: `true` and `false` are
+    constants, not literals, and `vars` is refused, so the general parser
+    must read the line."""
     weight_text, body = match.groups()
-    weight = weights.get(weight_text)
-    if weight is None:
-        try:
-            weight = Fraction(weight_text)
-        except (ValueError, ZeroDivisionError):
-            return None
-        if not 0 < weight.numerator <= weight.denominator:
-            return None
-        weights[weight_text] = weight
+    weight = _entry_weight(weight_text, weights, lineno, match.start(1) + 1)
     found = []
+    new = False
     for signed in _LITERAL_RE.findall(body):
         lit = literals.get(signed)
         if lit is None:
             bang, name = signed
-            if name in RESERVED_NAMES or declared is not None and name not in declared:
+            if name in RESERVED_NAMES:
                 return None
             lit = literals[signed] = Literal(Var(name), not bang)
+            new = True
         found.append(lit)
+    # A literal met on an earlier line passed this check there: a vars
+    # line after an entry is refused.
+    if new and declared is not None:
+        _check_declared({lit.var.name for lit in found}, declared, lineno, match.start(2) + 1)
     return Clause(found), weight
 
 
@@ -210,12 +238,13 @@ def parse_base(text: str) -> WeightedBase:
 
     A line that is a clause, `WEIGHT: LITERAL | ... | LITERAL` however
     spaced, is read by one match (`_CLAUSE_LINE_RE`) and `_clause_entry`,
-    which parses each distinct weight text, and builds each distinct
-    literal, once per call. Every other line, and a clausal one that
-    names a constant, `vars` or an undeclared variable or has a weight
-    outside (0, 1], goes to the tokenizer and the recursive-descent
-    parser, which give the same entry or the same `ParseError`, with its
-    line and column, as for any line."""
+    which builds each distinct literal once per call. Every other line,
+    and a clausal one that names a constant or `vars`, goes to the
+    tokenizer and the recursive-descent parser. Both readers take the
+    weight from `_entry_weight`, which parses each distinct weight text
+    once per call, and check names with `_check_declared`, so a line gives
+    the same entry or the same `ParseError`, with its line and column,
+    whichever reads it."""
     declared: tuple[Var, ...] | None = None
     declared_names: set[str] | None = None
     entries = []
@@ -226,7 +255,7 @@ def parse_base(text: str) -> WeightedBase:
         line = raw if hash_at < 0 else raw[:hash_at]
         clausal = _CLAUSE_LINE_RE.fullmatch(line)
         if clausal is not None:
-            entry = _clause_entry(clausal, weights, literals, declared_names)
+            entry = _clause_entry(clausal, lineno, weights, literals, declared_names)
             if entry is not None:
                 entries.append(entry)
                 continue
@@ -259,22 +288,15 @@ def parse_base(text: str) -> WeightedBase:
             raise ParseError("entry must start with a weight", lineno, col)
         if len(tokens) < 2 or tokens[1][1] != ":":
             raise ParseError("expected ':' after the weight", lineno, col + len(weight_text))
-        try:
-            weight = Fraction(weight_text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad weight {weight_text!r}", lineno, col) from None
-        if not 0 < weight <= 1:
-            raise ParseError(f"weight {weight_text} outside (0, 1]", lineno, col)
+        weight = _entry_weight(weight_text, weights, lineno, col)
         body = tokens[2:]
         if not body:
             raise ParseError("entry has no formula", lineno, len(line) + 1)
         formula = _FormulaParser(body, lineno, len(line)).parse()
         formula = _as_clause_if_flat(formula)
         if declared_names is not None:
-            extra = {v.name for v in vars_of(formula)} - declared_names
-            if extra:
-                names = ", ".join(sorted(extra))
-                raise ParseError(f"undeclared variable(s): {names}", lineno, body[0][2])
+            names = {v.name for v in vars_of(formula)}
+            _check_declared(names, declared_names, lineno, body[0][2])
         entries.append((formula, weight))
     try:
         return WeightedBase(entries, declared)

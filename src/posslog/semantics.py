@@ -473,10 +473,7 @@ class _Levels:
     one sweep behind both the CPT and the hidden-parent closure: on the
     bitset path all at once, above the cap lazily, a column at a time. A
     degree is `degrees[level]`, read off the descending tuple of 1, the
-    level weights and 0, so that callers can memoize on the index. Levels
-    built from one weight list, as a compile's stages are, also share
-    `ranks[level]`, the degree's rank in that list, to memoize on across
-    them.
+    level weights and 0, so that callers can memoize on the index.
 
     The codec may span variables that no clause uses, such as one a
     marginal base forgot. A context literal on such a variable, or on one
@@ -485,7 +482,7 @@ class _Levels:
     """
 
     __slots__ = (
-        "degrees", "ranks", "_pairs", "_tables", "_models", "_groups", "_own", "_false",
+        "degrees", "_pairs", "_tables", "_models", "_groups", "_own", "_false",
         "_world", "_columns",
     )
 
@@ -500,9 +497,6 @@ class _Levels:
                 used |= c
         ranks = sorted(by_rank, reverse=True)
         self.degrees = (ONE, *(weights[r] for r in ranks), ZERO)
-        # Level i's degree is `weights[ranks[i]]`; level 0, degree 1, takes
-        # the rank past the last weight's, and the last level rank 0.
-        self.ranks = (len(weights), *ranks, 0)
         # The positive literal's bit of each variable that some clause uses.
         self._pairs = {v: bit for v, bit in codec.pairs.items() if bit * 3 & used}
         self._groups = groups = [by_rank[r] for r in ranks]

@@ -562,25 +562,6 @@ class TestCompileNetwork:
             assert verify_compilation(support, net).ok
             assert check_normalization(net) == ()
 
-    def test_one_division_per_pair_of_weights(self, monkeypatch):
-        # The stages' tables share one memo of conditional degrees, keyed
-        # on weight ranks, so no pair of degrees is divided twice in a
-        # compile. The weights stay below 1: the degree 1 of level 0 has a
-        # rank of its own, apart from a weight 1's.
-        calls = []
-        conditional = compiler._conditional
-        monkeypatch.setattr(
-            compiler, "_conditional", lambda *pair: calls.append(pair) or conditional(*pair)
-        )
-        pool = [w for w in oracle.DEFAULT_WEIGHT_POOL if w < 1]
-        rng = random.Random(3)
-        for _ in range(20):
-            b = oracle.random_base(rng.randrange(1000), 6, 12, weight_pool=pool)
-            calls.clear()
-            net = compile_network(b, b.variables)
-            assert len(calls) == len(set(calls))
-            assert verify_compilation(b, net).ok
-
     def test_compile_stages(self, weather):
         stages = list(compile_stages(weather, (SE, WI, SU)))
         assert [s.cpt.var for s in stages] == [SE, WI, SU]

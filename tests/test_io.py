@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import signal
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -269,6 +270,40 @@ class TestClausalLines:
             (Or((Const(False), pos(Var("a")))), F(1, 2)),
             (clause(pos(Var("a")), pos(Var("b"))), F(1, 3)),
         )
+
+    @pytest.mark.parametrize(
+        "tail,message,column",
+        [
+            (" | (y & z)", None, None),
+            (" |", "formula ends unexpectedly", 1),
+            (" ;", "unexpected character ';'", 0),
+            (" | x0 ;", "unexpected character ';'", 0),
+        ],
+    )
+    def test_long_lines_off_the_clausal_shape_parse_in_linear_time(self, tail, message, column):
+        # 60 spaced literals, then a part that no clausal line has: the
+        # match must fail at once, not after trying each split of the
+        # spaces around every `|` (2**60 of them), and the parser then
+        # reads the line or refuses it at its end.
+        body = " | ".join(f"x{i}" for i in range(60)) + tail
+        line = "1/2: " + body
+
+        def too_slow(signum, frame):
+            raise AssertionError("a 60-literal line took over 2 s to parse")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            if message is None:
+                assert parse_base(line).entries == ((parse_formula(body), F(1, 2)),)
+            else:
+                with pytest.raises(ParseError) as err:
+                    parse_base(line)
+                assert (err.value.line, err.value.column) == (1, len(line) + column)
+                assert str(err.value).endswith(message)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def formulas(variables):
