@@ -238,11 +238,12 @@ def cpt_for(b: WeightedBase, var: Var, parents: Sequence[Var]) -> CPT:
     """The full conditional table of `var` given `parents`, one column per
     parent instantiation, both polarities per column.
 
-    Column i is the parent instantiation u that reads i in binary. h' is
-    asked once per polarity and h not at all: Π(u) = max(Π(u ∧ ¬x),
-    Π(u ∧ x)), so u's level is the larger of the two. The weight levels
-    hand over each column's pair of levels in column order
-    (`_Levels.column_levels`). The answers are level indices, and the few
+    Column i is the parent instantiation u that reads i in binary, and its
+    cells are read off the levels h' of its halves, u ∧ ¬x and u ∧ x:
+    Π(u) = max(Π(u ∧ ¬x), Π(u ∧ x)), so u's level h is the larger of the
+    two. The weight levels hand over each column's pair of levels in
+    column order (`_Levels.column_levels`); above the bitset cap one walk
+    of u usually answers both. The answers are level indices, and the few
     distinct pairs of them share one column each. The half at u's own
     level has degree 1, Π(u ∧ x) / Π(u) with equal terms, so a column needs
     one division at most.
@@ -258,12 +259,13 @@ class StageSummary(_Value):
     node and its parents, in ordering order, are `cpt.var` and
     `cpt.parents`. `cross_clauses` counts the pairs the marginal's cross
     product forms; the `_s` fields are `perf_counter` seconds spent on
-    the parents (seed, weight levels and closure; stage 0's levels, built
-    before the input's consistency check, are timed with that check), on
-    the table and on the marginal, and take no part in equality. A stage
-    whose variable is on no clause does none of that work: its three
-    `_s` fields are 0.0, and its `marginal_entries` equal its
-    `stage_entries`."""
+    the parents (seed, weight levels and closure), on the table and on the
+    marginal, and take no part in equality. The levels built for the
+    input's consistency check are timed with that check, in the
+    `closure_s` of the first stage whose variable is on a clause, which
+    reads them. A stage whose variable is on no clause does none of that
+    work: its three `_s` fields are 0.0, and its `marginal_entries`
+    equal its `stage_entries`."""
 
     __slots__ = _fields = (
         "index",
@@ -303,7 +305,7 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     The base is clausalized, encoded once (`semantics._encoded`) and
     reduced (`semantics._reduce`: no tautology, duplicate or subsumed
     entry). An inconsistent input is rejected when iteration starts, with
-    the degree of the first stage's weight levels: reducing drops only
+    the degree of the reduced entries' weight levels: reducing drops only
     entailed entries, so it is the input's own. Each stage computes the
     node's parents and table from the current clauses, on one set of
     weight levels, then forgets the variable. A node whose table would
@@ -320,8 +322,10 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     the closure's one column gives ¬var and var the same level, so no
     parent joins and both cells are 1. It yields the table (1, 1) with no
     parents and passes its clauses on as they are: crossed with itself, a
-    reduced stage reduces back to itself. Stage 0's levels are built
-    whatever its variable, for the consistency check.
+    reduced stage reduces back to itself. The levels are kept until the
+    clauses change, so those built for the consistency check serve the
+    first stage whose variable is on a clause, and each later such stage
+    builds its own from the marginal before it.
     """
     ordering = Ordering.of(ordering)
     ordering.validate_for(b.variables)
@@ -332,6 +336,8 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
     inc = levels.degrees[levels.own_level()]
     if inc != 0:
         raise InconsistentBaseError(inc)
+    # The levels' build and the check, timed with the first stage that reads them.
+    built = perf_counter() - start
     position = {v: i for i, v in enumerate(ordering.sequence)}
     for i, var in enumerate(ordering.sequence):
         own = codec.pairs.get(var, 0) * 3  # both bits of var's pair
@@ -339,8 +345,8 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
             n = len(entries)
             yield StageSummary(i, n, CPT(var, (), (ONE,), (ONE,)), n, 0, 0.0, 0.0, 0.0)
             continue
-        if i:
-            start = perf_counter()
+        start = perf_counter() - built
+        if levels is None:
             levels = _Levels(codec, entries, weights)
         parents = _closure(codec, entries, levels, var, _seed(codec, entries, var))
         closed = perf_counter()
@@ -358,7 +364,7 @@ def compile_stages(b: WeightedBase, ordering) -> Iterator[StageSummary]:
             cpt_s=tabled - closed,
             marginal_s=perf_counter() - tabled,
         )
-        entries = marginal
+        entries, levels, built = marginal, None, 0.0
 
 
 def compile_network(b: WeightedBase, ordering) -> Network:

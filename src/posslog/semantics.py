@@ -408,13 +408,19 @@ def _gate_clauses(f: Formula, pairs: dict[Var, int], top: int) -> list[int]:
 class _SearchedColumns:
     """`_Levels.column_levels` above the cap: the level pairs of a table's
     columns, each asked only when it is read, in column order or by index.
-    Column i is the parent context that reads i in binary, one (negative,
-    positive) bit pair per parent, the first most significant."""
+    Column i is the parent context u that reads i in binary, one (negative,
+    positive) bit pair per parent, the first most significant.
 
-    __slots__ = ("_level", "_x", "_bits")
+    A column is one level walk of u (`_Levels._walk`). u's level is the
+    larger of its halves' levels, u ∧ ¬x and u ∧ x, and the model the walk
+    leaves satisfies every cut below that level, so the half whose literal
+    the model does not make false has u's level. Only the other half, if
+    the model assigns x at all, is walked again."""
 
-    def __init__(self, level, x: int, bits: list[tuple[int, int]]):
-        self._level, self._x, self._bits = level, x, bits
+    __slots__ = ("_levels", "_x", "_bits")
+
+    def __init__(self, levels: _Levels, x: int, bits: list[tuple[int, int]]):
+        self._levels, self._x, self._bits = levels, x, bits
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return map(self._pair, map(sum, product(*self._bits)))
@@ -427,8 +433,10 @@ class _SearchedColumns:
         return self._pair(u)
 
     def _pair(self, u: int) -> tuple[int, int]:
-        level, x = self._level, self._x
-        return level(u | x << 1), level(u | x)
+        walk, x = self._levels._walk, self._x
+        level, false = walk(u)
+        neg = walk(u | x << 1)[0] if false & x << 1 else level
+        return neg, walk(u | x)[0] if false & x else level
 
 
 class _Levels:
@@ -455,25 +463,34 @@ class _Levels:
     refuted. The groups are kept on both paths, since a formula's own
     variables can take a question past the cap.
 
+    Above the cap every literal context is asked through one primitive,
+    `_walk`: the context's level and the negations of the model its walk
+    leaves, a model of every cut below that level. The model settles
+    more than the context: adding a literal it does not make false leaves
+    the level as it is, since a literal only removes models and the model
+    extended by it shows the level is not lower. So a context with one
+    more literal, the question of a conditional and of each half of a
+    table's column, is walked again only where the model makes that
+    literal false.
+
     The level of the empty context, the base's own inconsistency, is
     asked by every query and so is computed once, by `own_level`. Above
-    the cap that search also leaves the own model: the literal bits in
-    hand at the deepest satisfiable cut, a model of every level of a
-    consistent base. Once it is kept, a question whose context the model
-    admits is answered by the own level with no search: a context only
-    removes models, so its level is at most the own level, and the model
-    shows it is at least that. Bitset-path levels keep no model.
+    the cap its walk's model, the own model, is kept: a model of every
+    level of a consistent base. Once it is kept, `_walk` answers a context
+    the model admits with the own level and that model, with no search.
+    Bitset-path levels keep no model.
 
     A context is built by `condition` and can then be asked its `level`:
     on the bitset path it is the mask of its worlds, above the cap the OR
     of its literals' bits. `formula_level` asks the same of a formula, and
     `conditional_levels` the levels of a context with and without a
-    literal, which above the cap one search usually answers.
+    literal, which above the cap one walk usually answers.
     `column_levels` gives the pair of levels of every column of a CPT, the
     one sweep behind both the CPT and the hidden-parent closure: on the
-    bitset path all at once, above the cap lazily, a column at a time. A
-    degree is `degrees[level]`, read off the descending tuple of 1, the
-    level weights and 0, so that callers can memoize on the index.
+    bitset path all at once, above the cap lazily, a column at a time,
+    each usually one walk. A degree is `degrees[level]`, read off the
+    descending tuple of 1, the level weights and 0, so that callers can
+    memoize on the index.
 
     The codec may span variables that no clause uses, such as one a
     marginal base forgot. A context literal on such a variable, or on one
@@ -482,8 +499,8 @@ class _Levels:
     """
 
     __slots__ = (
-        "degrees", "_pairs", "_tables", "_models", "_groups", "_own", "_false",
-        "_world", "_columns",
+        "degrees", "_pairs", "_tables", "_models", "_groups", "_own", "_kept",
+        "_false", "_world", "_columns",
     )
 
     def __init__(
@@ -501,10 +518,11 @@ class _Levels:
         self._pairs = {v: bit for v, bit in codec.pairs.items() if bit * 3 & used}
         self._groups = groups = [by_rank[r] for r in ranks]
         self._own: int | None = None
-        # The own model's negations, and its world: set by `own_level`
-        # above the cap only, so None means there is no model to consult.
-        self._false: int | None = None
-        self._world: _World | None = None
+        # Set by `own_level` above the cap only, so None means there is no
+        # model to consult: the own walk's answer, kept whole so that
+        # `_walk` hands it over with nothing built, its model's negations
+        # and the model's world.
+        self._kept = self._false = self._world = None
         # Each used variable's truth table, keyed by the variable: built
         # by the first `formula_level` on the bitset path.
         self._columns: dict[Var, int] | None = None
@@ -597,8 +615,7 @@ class _Levels:
         cut has no model of the context, or the last index (degree 0). On
         the bitset path that is the first ladder entry that misses the
         context, and a contradictory context, no world, misses entry 0.
-        Above the cap, a context that holds no bit whose negation the own
-        model holds is answered by the own level, once it is known."""
+        Above the cap it is the level of the context's walk (`_walk`)."""
         if self._models is not None:
             for i, models in enumerate(self._models):
                 if not models & ctx:
@@ -607,31 +624,22 @@ class _Levels:
 
         if ctx is None:
             return 0
-        false = self._false
-        if false is not None and not ctx & false:
-            return self._own
-        return self._refuted([], ctx)[0]
+        return self._walk(ctx)[0]
 
     def conditional_levels(
         self, context: tuple[Literal, ...], lit: Literal
     ) -> tuple[int, int]:
         """The `level` of a literal context and that of the context with
         `lit`. On the bitset path these are two `level` calls. Above the cap
-        the context's level walk, or the own model when it admits the
-        context, leaves a model of every cut below the context's level. If
-        that model does not make `lit` false the two levels are equal, and
-        no second search runs: adding `lit` can only lower the level, and
-        the model extended by `lit` shows that it does not."""
+        they are one walk of the context (`_walk`, which the own model
+        answers when it admits the context), and a second of the context
+        with `lit` only where the walk's model makes `lit` false: otherwise
+        the two levels are equal."""
         ctx, joint = self.condition(context), self.condition((*context, lit))
         if self._models is not None or ctx is None or joint is None:
             return self.level(ctx), self.level(joint)
-        false = self._false
-        if false is not None and not ctx & false:
-            return self._own, self.level(joint)
-        level, model = self._refuted([], ctx)
-        if _negations(model) & joint:
-            return level, self._refuted([], joint)[0]
-        return level, level
+        level, false = self._walk(ctx)
+        return level, self._walk(joint)[0] if false & joint else level
 
     def column_levels(
         self, var: Var, parents: tuple[Var, ...]
@@ -644,7 +652,9 @@ class _Levels:
         column at a time, when it is read in order or by index, so a caller
         that stops early or skips columns asks no more: a column's context
         is the OR of one literal bit per parent, and a variable that no
-        clause uses has bit 0.
+        clause uses has bit 0. A column is one walk of its parent context,
+        and a second only for the half whose literal that walk's model
+        makes false.
 
         On the bitset path they are read off in one pass, as a list. The
         ladder of cuts is rebuilt over the used variables laid out with the
@@ -662,7 +672,7 @@ class _Levels:
         pairs = self._pairs
         if self._models is None:
             bits = [(pairs.get(p, 0) << 1, pairs.get(p, 0)) for p in parents]
-            return _SearchedColumns(self.level, pairs.get(var, 0), bits)
+            return _SearchedColumns(self, pairs.get(var, 0), bits)
         held = [p for p in parents if p in pairs]
         front = [*held, var] if var in pairs else held
         rest = [v for v in pairs if v not in front]
@@ -698,20 +708,32 @@ class _Levels:
 
     def own_level(self) -> int:
         """`level` of the empty context, computed on the first call. Above
-        the cap the search's last model is kept as the own model: its
-        negations for `level` and its world for `formula_level`."""
+        the cap its walk's answer is kept, with the own model's negations
+        for `_walk` and its world for `formula_level`."""
         own = self._own
         if own is None:
             if self._models is not None:
                 own = self.level(self._models[0])
             else:
-                own, model = self._refuted([], 0)
-                self._false = _negations(model)
+                own, self._false = self._kept = self._walk(0)
                 self._world = _World(
-                    {v: 1 for v, bit in self._pairs.items() if model & bit}
+                    {v: 1 for v, bit in self._pairs.items() if self._false & bit << 1}
                 )
             self._own = own
         return own
+
+    def _walk(self, ctx: int) -> tuple[int, int]:
+        """Above the cap, the `level` of a literal context's bits (not a
+        contradictory one), with the negations of the model its walk
+        leaves: a model of every cut below that level that holds the
+        context's bits. Once the own model is kept, a context it admits is
+        answered by the kept pair, the own level and that model, with no
+        search."""
+        false = self._false
+        if false is not None and not ctx & false:
+            return self._kept
+        level, model = self._refuted([], ctx)
+        return level, _negations(model)
 
     def _refuted(self, hard: list[int], true: int) -> tuple[int, int | None]:
         """`level` by one resumed `_search` over integer hard clauses (a

@@ -209,35 +209,41 @@ class TestHiddenParentClosure:
 
     def test_dpll_round_stops_at_its_first_hit(self, monkeypatch):
         # Above the cap the columns are asked lazily: support's first
-        # column is derivable with a3's clause standing, so the closure
-        # asks its two halves and nothing more.
+        # column, !a2, is derivable with a3's clause standing, so the
+        # closure walks that column and nothing more. Its walk's model must
+        # set a1 to satisfy a2 | a1, so the !a1 half is walked again, and
+        # the a1 half takes the column's level: two walks.
         monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
-        asked = []
-        level = semantics._Levels.level
+        walked = []
+        refuted = semantics._Levels._refuted
 
-        def counted(levels, ctx):
-            asked.append(ctx)
-            return level(levels, ctx)
+        def counted(levels, hard, true):
+            walked.append(true)
+            return refuted(levels, hard, true)
 
-        monkeypatch.setattr(semantics._Levels, "level", counted)
+        monkeypatch.setattr(semantics._Levels, "_refuted", counted)
         b = helpers.support_base()
         seed = immediate_parents(b, A1)
         assert hidden_parent_closure(b, A1, seed) == frozenset({A2, A3})
-        assert len(asked) == 2
+        levels = semantics._levels(b, "test")
+        assert walked == [
+            levels.condition([neg(A2)]), levels.condition([neg(A2), neg(A1)])
+        ]
 
     def test_dpll_round_asks_only_standing_columns(self, monkeypatch):
-        # Above the cap a column is asked its levels only where a candidate
-        # stands: the context makes false each literal, on a parent, of
-        # some clause not on the node that has a variable outside the
-        # parents. The parent sets are those of the bitset path.
+        # Above the cap a column is walked only where a candidate stands:
+        # the context makes false each literal, on a parent, of some clause
+        # not on the node that has a variable outside the parents. Every
+        # context the search path is asked, a column's or one of its
+        # halves', is checked. The parent sets are those of the bitset path.
         rng = random.Random(67)
         asked = []
         total = 0
-        level = semantics._Levels.level
+        walk = semantics._Levels._walk
 
         def counted(levels, ctx):
             asked.append(ctx)
-            return level(levels, ctx)
+            return walk(levels, ctx)
 
         for _ in range(60):
             b = random_clausal_base(rng, rng.randint(3, 7), rng.randint(3, 12))
@@ -246,7 +252,7 @@ class TestHiddenParentClosure:
             codec, entries, _ = semantics._encoded(b, "test")
             with monkeypatch.context() as mp:
                 mp.setattr(semantics, "_BITSET_MAX_VARS", 0)
-                mp.setattr(semantics._Levels, "level", counted)
+                mp.setattr(semantics._Levels, "_walk", counted)
                 for var in b.variables:
                     del asked[:]
                     searched = WeightedBase(b.entries, b.variables)
@@ -330,23 +336,46 @@ class TestCptFor:
             cpt_for(WeightedBase(weather.entries, (*weather.variables, X)), SE, (X, X))
 
     def test_asks_two_level_questions_per_column(self, solver_path, monkeypatch):
-        # A column's context degree is the larger of its two cells'
-        # degrees, so it is never asked. On the bitset path the whole
-        # table is read off the weight levels in one pass, asking none.
-        asked = []
-        level = semantics._Levels.level
+        # A column's two levels are handed over as a pair, and no `level`
+        # is asked. On the bitset path the whole table is read off the
+        # weight levels in one pass, with no walk. Above the cap a column
+        # is one walk of its parent context u: the context's level is the
+        # larger of its halves', so the half whose literal the walk's
+        # model does not make false has it. Only the other half, where the
+        # model assigns var, is walked again. 2^k columns here cost fewer
+        # than 2 * 2^k walks from k = 4 on.
+        asked, walks = [], []
+        level, refuted = semantics._Levels.level, semantics._Levels._refuted
 
         def counted(levels, ctx):
             asked.append(ctx)
             return level(levels, ctx)
 
+        def walked(levels, hard, true):
+            found = refuted(levels, hard, true)
+            walks.append((true, found[1]))
+            return found
+
         monkeypatch.setattr(semantics._Levels, "level", counted)
+        monkeypatch.setattr(semantics._Levels, "_refuted", walked)
         b = oracle.random_base(5, 6, 10, require_consistent=False)
         var, *rest = b.variables
-        for k in range(len(rest) + 1):
+        pair = semantics._levels(b, "test")._pairs[var] * 3  # both bits of var's
+        expected = [2, 4, 8, 16, 30, 60] if solver_path == "dpll" else [0] * 6
+        for k, count in enumerate(expected):
             asked.clear()
+            walks.clear()
             cpt_for(b, var, rest[:k])
-            assert len(asked) == (2 * 2**k if solver_path == "dpll" else 0)
+            assert asked == [] and len(walks) == count
+            columns = []
+            while walks:
+                (u, model), *walks = walks
+                assert not u & pair
+                columns.append(u)
+                if model & pair:  # the half whose literal the model makes false
+                    (half, _), *walks = walks
+                    assert half == u | semantics._negations(model) & pair
+            assert len(columns) == (1 << k if solver_path == "dpll" else 0)
 
     # A random base over v1 .. vn, declared with one more variable, `free`,
     # that no clause uses; `order` puts the node first, then the parents,
@@ -376,6 +405,11 @@ class TestCptFor:
             assert cpt_for(walked, var, parents) == one_pass
             # The DPLL path, unless no clause uses a variable.
             assert walked._levels._models is None or not walked._levels._pairs
+            # With the own level asked first, the columns the own model
+            # admits are answered by it.
+            kept = WeightedBase(b.entries, variables)
+            certainty_degree(kept, Literal(var, True))
+            assert cpt_for(kept, var, parents) == one_pass
 
     def test_one_pass_counts_past_a_byte(self):
         # 300 distinct weights, each on a clause that excludes one world of
@@ -529,9 +563,11 @@ class TestCompileNetwork:
         assert b._levels is None
 
     def test_one_level_build_per_stage(self, monkeypatch):
-        # Stage 0's levels also answer the consistency check, and each
-        # later stage whose variable is on a clause builds its own from the
-        # marginal; a later stage on no clause builds none.
+        # The levels built for the consistency check serve the first stage
+        # whose variable is on a clause, whatever its index; each later
+        # stage on a clause builds its own from the marginal, and a stage
+        # on no clause builds none. A base with no clause builds only the
+        # check's.
         built = []
         init = semantics._Levels.__init__
 
@@ -541,20 +577,23 @@ class TestCompileNetwork:
 
         monkeypatch.setattr(semantics._Levels, "__init__", counting)
         spare = Var("spare")
-        skipped = 0
+        skipped = first_skipped = 0
+        bases = [WeightedBase([], (spare,))]
         for n in (1, 3, 6):
             drawn = oracle.random_base(n, n, 2 * n)
-            for b in (
+            bases += [
                 drawn,
                 WeightedBase(drawn.entries, (spare, *drawn.variables)),
                 WeightedBase(drawn.entries, (*drawn.variables, spare)),
-            ):
-                on_clause = _on_clause(b, b.variables)
-                built.clear()
-                compile_network(b, b.variables)
-                assert len(built) == 1 + sum(on_clause[1:])
-                skipped += on_clause[1:].count(False)
-        assert skipped >= 3
+            ]
+        for b in bases:
+            on_clause = _on_clause(b, b.variables)
+            built.clear()
+            compile_network(b, b.variables)
+            assert len(built) == max(1, sum(on_clause))
+            skipped += on_clause.count(False)
+            first_skipped += not on_clause[0]
+        assert skipped >= 4 and first_skipped >= 4
 
     def test_every_ordering_of_a_small_base(self, support):
         for order in permutations(support.variables):
