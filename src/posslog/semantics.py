@@ -94,10 +94,13 @@ def _truth_tables(n: int) -> tuple[int, ...]:
     return tuple(tables)
 
 
-def _search(clauses: list[int], true: int, pending: list[tuple[int, int]]) -> int | None:
+def _search(
+    clauses: list[int], true: int, false: int, pending: list[tuple[int, int]]
+) -> tuple[int, int] | None:
     """Depth-first search with unit propagation on integer clauses
     (`_ClauseBits`), from the partial assignment `true` (literal bits, no
-    pair with both) and the alternatives left on `pending`. A clause is
+    pair with both), whose negations are `false`, and the alternatives left
+    on `pending`, each such a pair. A clause is
     satisfied when it has a bit in `true`, and its free bits are those
     whose negation is not in `true`: none is a conflict, one is a unit,
     which is set. When no clause is a unit, the search sets the lowest
@@ -105,14 +108,13 @@ def _search(clauses: list[int], true: int, pending: list[tuple[int, int]]) -> in
     assignment with its negation instead onto `pending`; on a conflict it
     resumes from the last one pushed.
 
-    The result is a model, the `true` it reached with every clause
-    satisfied and every start bit kept (0 for no clauses from no start, so
-    test it against None), or None once `pending` is empty. A model leaves
-    the alternatives not yet tried on `pending`, so a caller that appends
-    clauses can resume the search from the model (as `_Levels._refuted`
-    does): an assignment that conflicted with fewer clauses conflicts with
-    more, so a resumed search still covers every assignment not refuted."""
-    false = _negations(true)
+    The result is a model with its negations, the `true` it reached with
+    every clause satisfied and every start bit kept and its `false`, or
+    None once `pending` is empty. A model leaves the alternatives not yet
+    tried on `pending`, so a caller that appends clauses can resume the
+    search from the model and its negations (as `_Levels._refuted` does):
+    an assignment that conflicted with fewer clauses conflicts with more,
+    so a resumed search still covers every assignment not refuted."""
     while True:
         first = 0  # the free bits of the first clause not yet satisfied
         units = False
@@ -134,7 +136,7 @@ def _search(clauses: list[int], true: int, pending: list[tuple[int, int]]) -> in
             if units:
                 continue  # a late unit can make an earlier clause a unit or a conflict
             if not first:
-                return true
+                return true, false
             lit = first & -first
             negation = _negation(lit)
             pending.append((true | negation, false | lit))
@@ -454,30 +456,33 @@ class _Levels:
     depth-first search (`_search`) over the growing cut, resumed level by
     level, that starts from a literal context's bits (a formula context is
     its gate clauses, `_gate_clauses`, as hard clauses instead): a level
-    whose clauses the model in hand satisfies is satisfiable as it stands,
-    and at a level the model misses the search goes on from that model
-    with the branches it left pending, to find the next model or to refute
-    the cut. A cut only adds
+    whose clauses the witness in hand satisfies is satisfiable as it
+    stands, and at a level the witness misses the search goes on from the
+    last searched model with the branches it left pending, to find the
+    next model or to refute the cut. A cut only adds
     clauses, so a branch refuted under an earlier cut is refuted under
     every later one, and no level searches again what an earlier one
     refuted. The groups are kept on both paths, since a formula's own
     variables can take a question past the cap.
 
     Above the cap every literal context is asked through one primitive,
-    `_walk`: the context's level and the negations of the model its walk
-    leaves, a model of every cut below that level. The model settles
+    `_walk`: the context's level and the negations of its walk's last
+    witness, a model of every cut below that level. The witness settles
     more than the context: adding a literal it does not make false leaves
-    the level as it is, since a literal only removes models and the model
-    extended by it shows the level is not lower. So a context with one
-    more literal, the question of a conditional and of each half of a
-    table's column, is walked again only where the model makes that
+    the level as it is, since a literal only removes models and the
+    witness extended by it shows the level is not lower. So a context with
+    one more literal, the question of a conditional and of each half of a
+    table's column, is walked again only where the witness makes that
     literal false.
 
     The level of the empty context, the base's own inconsistency, is
     asked by every query and so is computed once, by `own_level`. Above
-    the cap its walk's model, the own model, is kept: a model of every
+    the cap its walk's witness, the own model, is kept: a model of every
     level of a consistent base. Once it is kept, `_walk` answers a context
-    the model admits with the own level and that model, with no search.
+    the model admits with the own level and that model, with no search,
+    and any other walk completes each model it searches with the own
+    model's literals before it searches a level (`_refuted`): the
+    completion often passes the levels that the searched model misses.
     Bitset-path levels keep no model.
 
     A context is built by `condition` and can then be asked its `level`:
@@ -500,7 +505,7 @@ class _Levels:
 
     __slots__ = (
         "degrees", "_pairs", "_tables", "_models", "_groups", "_own", "_kept",
-        "_false", "_world", "_columns",
+        "_true", "_false", "_world", "_columns",
     )
 
     def __init__(
@@ -520,9 +525,9 @@ class _Levels:
         self._own: int | None = None
         # Set by `own_level` above the cap only, so None means there is no
         # model to consult: the own walk's answer, kept whole so that
-        # `_walk` hands it over with nothing built, its model's negations
-        # and the model's world.
-        self._kept = self._false = self._world = None
+        # `_walk` hands it over with nothing built, its model, the model's
+        # negations and its world.
+        self._kept = self._true = self._false = self._world = None
         # Each used variable's truth table, keyed by the variable: built
         # by the first `formula_level` on the bitset path.
         self._columns: dict[Var, int] | None = None
@@ -708,14 +713,16 @@ class _Levels:
 
     def own_level(self) -> int:
         """`level` of the empty context, computed on the first call. Above
-        the cap its walk's answer is kept, with the own model's negations
-        for `_walk` and its world for `formula_level`."""
+        the cap its walk's answer is kept: the own model, which `_refuted`
+        completes other walks' models with, its negations for `_walk` and
+        its world for `formula_level`."""
         own = self._own
         if own is None:
             if self._models is not None:
                 own = self.level(self._models[0])
             else:
-                own, self._false = self._kept = self._walk(0)
+                own, self._true, self._false = self._refuted([], 0)
+                self._kept = own, self._false
                 self._world = _World(
                     {v: 1 for v, bit in self._pairs.items() if self._false & bit << 1}
                 )
@@ -724,43 +731,65 @@ class _Levels:
 
     def _walk(self, ctx: int) -> tuple[int, int]:
         """Above the cap, the `level` of a literal context's bits (not a
-        contradictory one), with the negations of the model its walk
-        leaves: a model of every cut below that level that holds the
+        contradictory one), with the negations of its walk's last witness
+        (`_refuted`): a model of every cut below that level that holds the
         context's bits. Once the own model is kept, a context it admits is
         answered by the kept pair, the own level and that model, with no
         search."""
         false = self._false
         if false is not None and not ctx & false:
             return self._kept
-        level, model = self._refuted([], ctx)
-        return level, _negations(model)
+        level, _, false = self._refuted([], ctx)
+        return level, false
 
-    def _refuted(self, hard: list[int], true: int) -> tuple[int, int | None]:
+    def _refuted(self, hard: list[int], true: int) -> tuple[int, int | None, int | None]:
         """`level` by one resumed `_search` over integer hard clauses (a
         formula's gate clauses) from the literal bits `true` (a literal
-        context's), with the model in hand at the deepest satisfiable cut:
-        level 0, and no model, when no model keeps them. Otherwise the cut
-        of each level is appended to the hard clauses in turn; where the
-        model in hand misses one of its clauses, the search resumes from
-        that model with the alternatives it left pending, and the first
-        level where it finds none is the answer, handed back with the last
-        model found, a model of the cut before it (of every cut, at the
-        last index). Cuts only grow, and added clauses only remove models,
-        so an assignment refuted under one cut stays refuted under every
-        later one and is never searched again."""
+        context's), handed back with the walk's last witness and its
+        negations: level 0, with no witness, when no model keeps the hard
+        clauses. Otherwise the cut of each level is appended to the hard
+        clauses in turn, and a level whose clauses the witness in hand
+        satisfies is satisfiable as it stands.
+
+        Where the witness misses one, and the own model is kept, the
+        completion of the last searched model is tried first: the model
+        plus every literal of the own model whose negation the model does
+        not hold, one OR and consistent. It extends the model, so it
+        satisfies every clause the model does; if it also satisfies the
+        level's, it is the new witness, with no search. Otherwise the
+        search resumes from the last searched model, not its completion,
+        with the alternatives it left pending; its model is the new
+        witness, and the first level where it finds none is the answer.
+        The witness then in hand holds `true` and is a model of the cut
+        before it (of every cut, at the last index).
+
+        Cuts only grow, and added clauses only remove models, so an
+        assignment refuted under one cut stays refuted under every later
+        one and is never searched again. A completion changes no search
+        state, so the search stays complete and every level exact."""
         pending: list[tuple[int, int]] = []
-        model = _search(hard, true, pending)
-        if model is None:
-            return 0, None
+        found = _search(hard, true, _negations(true), pending)
+        if found is None:
+            return 0, None, None
+        model, false = witness, mask = found
+        own = self._true
+        tried = own is None  # whether the completion of `model` was tried
         for i, group in enumerate(self._groups, 1):
             hard.extend(group)
-            if all(c & model for c in group):
+            if all(c & witness for c in group):
                 continue
-            found = _search(hard, model, pending)
+            if not tried:
+                tried = True
+                completion = model | own & ~false
+                if all(c & completion for c in group):
+                    witness, mask = completion, false | self._false & ~model
+                    continue
+            found = _search(hard, model, false, pending)
             if found is None:
-                return i, model
-            model = found
-        return len(self.degrees) - 1, model
+                return i, witness, mask
+            model, false = witness, mask = found
+            tried = own is None
+        return len(self.degrees) - 1, witness, mask
 
     def inconsistency(self, context: Iterable[Literal]) -> Fraction:
         """1 when the context contradicts itself; otherwise the weight of
@@ -811,9 +840,10 @@ def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
                 if alive[j] and j != k and w >= weight
             ]
             # Kept unless the premises have no model from the entry's
-            # negated literals; a tautology has none to start from.
+            # negated literals, whose negations are the entry itself; a
+            # tautology has none to start from.
             n = _negations(clause)
-            alive[k] = not (n & clause) and _search(premises, n, []) is not None
+            alive[k] = not (n & clause) and _search(premises, n, clause, []) is not None
     else:
         full, tables = found
         models = [_clause_models(c, tables) for c, _ in entries]

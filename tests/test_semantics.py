@@ -25,6 +25,7 @@ from posslog import (
     certainty_degree,
     conditional_possibility,
     cnf_clauses,
+    cpt_for,
     distribution_of_base,
     enumerate_distribution,
     inconsistency_degree,
@@ -244,9 +245,11 @@ class TestDpllKernel:
         # Clauses over at most 6 variables, tautologies and the empty
         # clause among them.
         n, clauses = drawn
-        model = semantics._search(clauses, 0, [])
-        assert (model is not None) == brute_sat(clauses, n)
-        if model is not None:
+        found = semantics._search(clauses, 0, 0, [])
+        assert (found is not None) == brute_sat(clauses, n)
+        if found is not None:
+            model, false = found
+            assert false == semantics._negations(model)
             assert all(c & model for c in clauses)
             assert not model & (model >> 1) & 0x555  # no pair with both bits
 
@@ -263,15 +266,17 @@ class TestDpllKernel:
         n, clauses, literals = drawn
         start = sum({j: (1 if p else 2) << 2 * j for j, p in literals}.values())
         units = [start & (3 << 2 * j) for j in range(n) if start & (3 << 2 * j)]
-        model = semantics._search(clauses, start, [])
-        assert (model is not None) == brute_sat(clauses + units, n)
-        if model is not None:
+        found = semantics._search(clauses, start, semantics._negations(start), [])
+        assert (found is not None) == brute_sat(clauses + units, n)
+        if found is not None:
+            model, false = found
+            assert false == semantics._negations(model)
             assert model & start == start
             assert all(c & model for c in clauses)
             assert not model & (model >> 1) & 0x555
 
     def test_no_clauses_have_the_empty_model(self):
-        assert semantics._search([], 0, []) == 0
+        assert semantics._search([], 0, 0, []) == (0, 0)
 
 
 class TestDpllSearchCounts:
@@ -279,34 +284,37 @@ class TestDpllSearchCounts:
     above the bitset cap. Once the own level is known, a question whose
     context the own model admits starts no search; any other starts one
     search from the root. A conditional possibility searches its context
-    with the literal only where the model that answered the context makes
+    with the literal only where the witness that answered the context makes
     the literal false."""
 
     @pytest.fixture
     def questions(self, monkeypatch):
         """Every `_search` call as (its pending stack, its clauses, the
-        assignment it starts from, its result), and each `_Levels._refuted`
-        call as its number of levels, the searches it made and its result,
-        the level and the last model found. A search from the root is one
-        with a pending stack of its own; a resumed search is handed the
-        stack of an earlier one. `starts` holds each question's hard
-        clauses and start, as `_refuted` was handed them."""
+        assignment it starts from, its result: a model and its negations,
+        or None), each checked to be handed its start's negations, and each
+        `_Levels._refuted` call as its levels, the own model kept when it
+        was called (None before `own_level` keeps one), the searches it
+        made and its result: the level, the last witness and its
+        negations. A search from the root is one with a pending stack of
+        its own; a resumed search is handed the stack of an earlier one.
+        `starts` holds each question's hard clauses and start, as
+        `_refuted` was handed them."""
         log = {"questions": [], "searches": [], "starts": []}
         search, refuted = semantics._search, semantics._Levels._refuted
 
-        def counted(clauses, true, pending):
+        def counted(clauses, true, false, pending):
+            assert false == semantics._negations(true)
             entry = [pending, list(clauses), true, None]
             log["searches"].append(entry)
-            entry[3] = search(clauses, true, pending)
+            entry[3] = search(clauses, true, false, pending)
             return entry[3]
 
         def logged(levels, hard, true):
             start = len(log["searches"])
             log["starts"].append((list(hard), true))
+            own = levels._true
             found = refuted(levels, hard, true)
-            log["questions"].append(
-                (len(levels._groups), log["searches"][start:], found)
-            )
+            log["questions"].append((levels, own, log["searches"][start:], found))
             return found
 
         monkeypatch.setattr(semantics, "_search", counted)
@@ -327,6 +335,15 @@ class TestDpllSearchCounts:
             yield rng, WeightedBase(b.entries, b.variables)
 
     @staticmethod
+    def completion(model, own):
+        """A searched model with every literal of the own model `own` whose
+        negation it does not hold; the model itself when no own model is
+        kept."""
+        if own is None:
+            return model
+        return model | own & ~semantics._negations(model)
+
+    @staticmethod
     def falsifies(model, levels, lit):
         """Whether a model, a set of literal bits, makes `lit` false."""
         return bool(model & (levels._pairs.get(lit.var, 0) << lit.positive))
@@ -339,7 +356,8 @@ class TestDpllSearchCounts:
         leaves unassigned false, satisfies it. The model is first checked
         to satisfy every cut below the own level."""
         levels = semantics._levels(b, "test")
-        model = semantics._negations(levels._false)
+        model = levels._true
+        assert levels._false == semantics._negations(model)
         for group in levels._groups[: levels.own_level() - 1]:
             assert all(c & model for c in group)
         if isinstance(asked, list):
@@ -364,14 +382,15 @@ class TestDpllSearchCounts:
         `searched` says it is answered without a search, and the context
         with `lit`, unless that contradicts itself or the model that
         answered the context leaves `lit` not false. That model is the own
-        model when it admits the context, and otherwise the one the
-        context's search ended with, checked here against the cuts below
-        the level it answered and against the context's bits."""
+        model when it admits the context, and otherwise the last witness of
+        the context's walk, checked here against the cuts below the level
+        it answered and against the context's bits."""
         levels = semantics._levels(b, "test")
         joint = [*context, lit]
         if not self.searched(b, context):
             return [joint] if self.searched(b, joint) else []
-        (_, _, (level, model)), *_ = asked
+        level, model, false = asked[0][3]
+        assert false == semantics._negations(model)
         assert model & levels.condition(context) == levels.condition(context)
         for group in levels._groups[: level - 1]:
             assert all(c & model for c in group)
@@ -406,7 +425,7 @@ class TestDpllSearchCounts:
                 for c in contexts:
                     answered[self.admits(b, c)] += 1
                 assert len(asked) == sum(self.searched(b, c) for c in contexts)
-                assert all(self.roots(s) == 1 for _, s, _ in asked)
+                assert all(self.roots(s) == 1 for *_, s, _ in asked)
             for _ in range(8):
                 context = [
                     Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)
@@ -417,7 +436,7 @@ class TestDpllSearchCounts:
                 answered[self.admits(b, context)] += 1
                 contexts = self.conditional_contexts(b, x, context, asked)
                 assert len(asked) == len(contexts)
-                assert all(self.roots(s) == 1 for _, s, _ in asked)
+                assert all(self.roots(s) == 1 for *_, s, _ in asked)
                 if self.searched(b, context):
                     second[len(contexts) == 2] += 1
             searches.clear()
@@ -461,25 +480,86 @@ class TestDpllSearchCounts:
                         expected.append(None)
         asked = questions["questions"]
         assert asked
-        assert len(questions["searches"]) == sum(len(s) for _, s, _ in asked)
+        assert len(questions["searches"]) == sum(len(s) for *_, s, _ in asked)
         assert len(asked) == len(questions["starts"]) == len(expected)
-        for (levels, searches, _), (hard, start), bits in zip(
+        completed = 0  # levels a completion passed that its model missed
+        for (levels, own, searches, result), (hard, start), bits in zip(
             asked, questions["starts"], expected
         ):
             # One search from the root, then one resumed search at most
-            # per level, each from the last model and only where it
-            # misses a clause.
-            assert 1 <= len(searches) <= 1 + levels and self.roots(searches) == 1
-            (_, clauses, true, model), *resumed = searches
+            # per level, each from the last searched model and only at a
+            # level with a clause that neither that model nor its
+            # completion satisfies; the levels in between pass with the
+            # completion.
+            groups = levels._groups
+            ends = list(itertools.accumulate(map(len, groups)))
+            assert 1 <= len(searches) <= 1 + len(groups) and self.roots(searches) == 1
+            (_, clauses, true, found), *resumed = searches
             assert clauses == hard and true == start
             if bits is None:
                 assert start == 0
             else:
                 assert hard == [] and start == bits
-            for _, clauses, true, found in resumed:
-                assert model is not None and true == model
-                assert any(not c & true for c in clauses)
-                model = found
+            level = 0  # the level of the last search
+            for _, clauses, true, next_found in resumed:
+                assert found is not None and true == found[0]
+                searched = ends.index(len(clauses) - len(hard)) + 1
+                witness = self.completion(true, own)
+                for group in groups[level : searched - 1]:
+                    assert all(c & witness for c in group)
+                    completed += not all(c & true for c in group)
+                for model in (true, witness):
+                    assert any(not c & model for c in groups[searched - 1])
+                level, found = searched, next_found
+            # The answer is the level of the last search that found no
+            # model, or the last index when the completion of the last
+            # model passes every level left; the walk hands back its last
+            # witness, which holds the start and passes every level below
+            # its answer.
+            answer, witness, false = result
+            if found is None:
+                assert answer == level
+            else:
+                for group in groups[level:]:
+                    assert all(c & self.completion(found[0], own) for c in group)
+                assert answer == len(groups) + 1
+            if witness is not None:
+                assert false == semantics._negations(witness)
+                assert witness & start == start
+                for group in groups[: answer - 1]:
+                    assert all(c & witness for c in group)
+        assert completed
+
+    def test_a_completion_that_passes_every_level_ends_the_walk(
+        self, questions, monkeypatch
+    ):
+        # The own walk meets a | b first and sets b, its lowest free bit,
+        # then the unit a: the own model is {a, b}. The context !b flips
+        # its b. Its walk's search from the root, with no clauses yet,
+        # ends at once with the model {!b}, which misses a | b. Before the
+        # own model is kept, the search resumes there and sets a. Once it
+        # is kept, the completion {a, !b} passes both levels, so the walk
+        # makes its one search from the root and no other.
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
+        a, b = Var("a"), Var("b")
+        base = WeightedBase(
+            [(clause(pos(a), pos(b)), F(1, 2)), (clause(pos(a)), F(1, 3))], (a, b)
+        )
+        levels = semantics._levels(base, "test")
+        assert levels._models is None
+        ctx = levels.condition([neg(b)])
+        a_bit, b_bit = levels.condition([pos(a)]), levels.condition([pos(b)])
+        assert levels._walk(ctx) == (3, semantics._negations(a_bit | ctx))
+        (_, own, searches, _), = questions["questions"]
+        assert own is None and len(searches) == 2 and self.roots(searches) == 1
+
+        assert levels.own_level() == 3 and levels._true == a_bit | b_bit
+        questions["questions"].clear()
+        assert certainty_degree(base, pos(b)) == 0
+        (_, own, searches, result), = questions["questions"]
+        assert own == a_bit | b_bit
+        assert len(searches) == 1 and self.roots(searches) == 1
+        assert result == (3, a_bit | ctx, semantics._negations(a_bit | ctx))
 
 
 class TestDpllLevelWalk:
@@ -618,6 +698,53 @@ class TestOwnModel:
             assert by_search == by_sweep
         assert consistent == {True, False}  # consistent and inconsistent bases
         assert answered[True] and answered[False]  # model hits and misses
+
+    def test_completed_walks_agree_with_the_bitset_path(self, monkeypatch):
+        # 20-variable bases, every variable used, three consistent and
+        # three inconsistent. Once the own level is kept, a walk tries the
+        # completion of its searched model by the own model before it
+        # searches a level. On an inconsistent base the own model passes
+        # only the cuts below the own level, so from there on a completion
+        # can fail, and each completion check matters. The four query
+        # kinds, and a table's columns walked with the own model kept,
+        # answer as they do on the bitset path.
+        rng = random.Random(71)
+        drawn = {True: 0, False: 0}  # bases checked, by consistency
+        while min(drawn.values()) < 3:
+            b = random_clausal_base(rng, 20, rng.randint(20, 40))
+            searched = WeightedBase(b.entries, b.variables)
+            if len(semantics._levels(searched, "test")._pairs) < 20:
+                continue
+            consistent = inconsistency_degree(searched) == 0
+            if drawn[consistent] == 3:
+                continue
+            drawn[consistent] += 1
+            assert semantics._levels(searched, "test")._true is not None
+            questions = []
+            for _ in range(10):
+                f = random_formula(rng, b.variables)
+                lit = Literal(rng.choice(b.variables), rng.random() < 0.5)
+                context = tuple(
+                    Literal(v, rng.random() < 0.5) for v in rng.sample(b.variables, 3)
+                )
+                questions += [
+                    ("possibility", (f,)),
+                    ("necessity", (f,)),
+                    ("certainty", (lit,)),
+                    ("conditional", (lit, context)),
+                ]
+            var, *parents = rng.sample(b.variables, 6)
+
+            def answers(base):
+                out = [self.answer(base, kind, args) for kind, args in questions]
+                return out + [cpt_for(base, var, tuple(parents))]
+
+            by_search = answers(searched)
+            with monkeypatch.context() as mp:
+                mp.setattr(semantics, "_BITSET_MAX_VARS", 20)
+                swept = WeightedBase(b.entries, b.variables)
+                assert semantics._levels(swept, "test")._models is not None
+                assert answers(swept) == by_search
 
     @staticmethod
     def world_terms(levels, variables, agree):
