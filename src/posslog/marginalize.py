@@ -77,17 +77,13 @@ def _marginal(
     """`marginal_base` on integer clauses with weight ranks (see
     `semantics._encoded`): the reduced entries of the marginal, and the
     number of pairs the cross product forms, one per clause without `var`
-    times one per clause without `¬var`."""
+    times one per clause without `¬var`. The pairs go to `_reduce` as they
+    are formed, which merges them and drops the tautologies among them."""
     x = codec.bit(Literal(var, True))
     not_x = codec.bit(Literal(var, False))
     pos = _condition(entries, x, not_x)
     neg = _condition(entries, not_x, x)
-    cross = []
-    for c1, r1 in pos:
-        for c2, r2 in neg:
-            c = c1 | c2
-            if not codec.is_tautology(c):
-                cross.append((c, r1 if r1 < r2 else r2))
+    cross = ((c1 | c2, r1 if r1 < r2 else r2) for c1, r1 in pos for c2, r2 in neg)
     return _reduce(cross), len(pos) * len(neg)
 
 
@@ -96,11 +92,11 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
     max-marginal of the input's distribution over `var`.
 
     Built as all pairwise disjunctions of the two instantiation bases with
-    min-combined weights, then canonicalized: tautologies dropped, then
-    `remove_subsumed`'s duplicate merge and subsumption removal. The
-    cross-product blowup is accepted; the cleanup runs immediately after.
-    Every step works on integer clauses (`_marginal`), and only the result
-    is decoded into a base.
+    min-combined weights, then canonicalized by `remove_subsumed`'s core,
+    `semantics._reduce` alone: tautologies dropped and duplicates merged as
+    the pairs are formed, then subsumed entries removed. Every step works
+    on integer clauses (`_marginal`), and only the result is decoded into a
+    base.
     """
     codec, encoded, weights = _encoded(b, "marginal_base")
     try:

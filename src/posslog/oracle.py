@@ -153,7 +153,9 @@ def random_base(
     distinct variables (so no tautologies), weights drawn from the pool.
     With `require_consistent`, redraws until the inconsistency degree is 0,
     up to 500 times, and refuses a universe the oracle cannot enumerate. A
-    negative clause count or one over `MAX_RANDOM_CLAUSES` is refused too."""
+    negative clause count or one over `MAX_RANDOM_CLAUSES` is refused too,
+    and so is a pool weight outside (0, 1], as the base grammar refuses it:
+    a weight-0 entry would vanish from the base."""
     if n_vars < 1:
         raise DomainError("need at least one variable")
     if n_clauses < 0:
@@ -170,6 +172,8 @@ def random_base(
     pool = [as_weight(w) for w in weight_pool]
     if not pool:
         raise DomainError("empty weight pool")
+    if not all(pool):
+        raise DomainError("weight 0 outside (0, 1]")
     for _ in range(500):
         entries = []
         for _ in range(n_clauses):

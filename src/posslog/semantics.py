@@ -45,7 +45,6 @@ from .model import (
     interpretations,
     negate,
     satisfies,
-    vars_of,
 )
 from .model import cnf_clauses  # not called here; bench/tracing.py wraps it here
 
@@ -299,7 +298,8 @@ def _project(worlds: int, size: int, width: int) -> int:
     lowest worlds (both powers of two): halving the layout, each time
     ORing the upper half onto the lower one, forgets its most significant
     variables, so bit i is set when some world of `worlds` agrees with
-    world i on the variables left."""
+    world i on the variables left. The column sweep
+    (`_Levels.column_levels`) folds each cut onto its cells this way."""
     while size > width:
         size >>= 1
         worlds = worlds >> size | worlds & ((1 << size) - 1)
@@ -462,8 +462,8 @@ class _Levels:
     next model or to refute the cut. A cut only adds
     clauses, so a branch refuted under an earlier cut is refuted under
     every later one, and no level searches again what an earlier one
-    refuted. The groups are kept on both paths, since a formula's own
-    variables can take a question past the cap.
+    refuted. The groups are kept on both paths, since a formula on a
+    variable that no clause uses is asked by that walk on either.
 
     Above the cap every literal context is asked through one primitive,
     `_walk`: the context's level and the negations of its walk's last
@@ -569,18 +569,13 @@ class _Levels:
         """`level` with a formula, instead of literals, as the hard context.
 
         On the bitset path the formula is evaluated to the mask of its
-        models, in one walk with the used variables' truth tables. Only
-        when that walk meets a variable that no clause uses is the formula
-        walked again, for its variables. Each such variable takes a pair
-        of bits above those the clauses use, in name order: with k such
-        variables, the formula is evaluated over n + k variables,
-        those k most significant, and `_project` ORs its 2**k blocks of
-        2**n worlds together, forgetting them. That path is taken when the
-        levels are on it and n + k is within the cap. Otherwise the hard
-        clauses of the search's level walk are the formula's gate clauses
-        (`_gate_clauses`, a linear encoding with no CNF expansion): with any
-        cut they are satisfiable exactly when the formula is, so each level
-        is the formula's own, and their gate bits never leave the walk.
+        models, in one walk with the used variables' truth tables. A
+        formula that names a variable no clause uses, and every formula
+        above the cap, is instead asked by the search's level walk, with
+        the formula's gate clauses as its hard clauses (`_gate_clauses`, a
+        linear encoding with no CNF expansion): with any cut they are
+        satisfiable exactly when the formula is, so each level is the
+        formula's own, and their gate bits never leave the walk.
         Once `own_level` has kept the own model, the formula is first
         evaluated once on the model's world; a world that satisfies it
         answers the own level, with no search.
@@ -591,7 +586,6 @@ class _Levels:
         if world is not None and _formula_models(f, world, 1):
             return self._own
         pairs = self._pairs
-        used = sum(pairs.values()) * 3  # both bits of each pair
         if self._models is not None:
             columns = self._columns
             if columns is None:
@@ -601,17 +595,7 @@ class _Levels:
                 return self.level(_formula_models(f, columns, self._models[0]))
             except KeyError:  # f mentions a variable that no clause uses
                 pass
-            place = {v: pairs.get(v) for v in vars_of(f)}  # positive bits
-            free = sorted(v for v, bit in place.items() if bit is None)
-            for i, v in enumerate(free):
-                place[v] = 1 << (used.bit_length() + 2 * i)
-            found = _literal_tables(used | sum(place[v] for v in free))
-            if found is not None:
-                full, tables = found
-                column = {v: tables[bit] for v, bit in place.items()}
-                models = _formula_models(f, column, full)
-                width = self._models[0].bit_length()
-                return self.level(_project(models, full.bit_length(), width))
+        used = sum(pairs.values()) * 3  # both bits of each pair
         return self._refuted(_gate_clauses(f, pairs, 1 << used.bit_length()), 0)[0]
 
     def level(self, ctx) -> int:
@@ -800,71 +784,61 @@ class _Levels:
 def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """`normalize.remove_subsumed` on integer clauses (`_ClauseBits`) with
     weight ranks (see `_encoded`): the merged entries that survive, in
-    first-occurrence order. A tautology never survives, since it follows
-    from no premises at all, so the result is free of them too.
+    first-occurrence order. The merge keeps each distinct clause at its
+    largest rank and skips tautologies, which follow from no premises at
+    all, so the result is free of them too.
 
-    Entries are tested by weight, then clause length, then sorted literals.
-    One pass reaches the fixpoint: dropping a premise only weakens
-    entailment, so an entry kept once is never redundant later.
+    Entries are tested lightest first, by weight, then clause length, then
+    sorted literals. One pass reaches the fixpoint: dropping a premise only
+    weakens entailment, so an entry kept once is never redundant later.
 
-    Each clause is encoded once into its models over the variables the
-    clauses mention. Every entry weighing more than the one under test is
-    tested later, so it is still present: the premises are the AND of all
-    heavier entries, of the kept entries of equal weight tested before, and
-    of those of equal weight still to come. The entry is redundant when
-    they have no model outside its own. A lighter entry is never a premise,
-    so the weight groups can be worked through heaviest first. Above the
-    bitset cap each test is a DPLL search over the entries still present
-    that starts from the entry's negated literals.
+    So every heavier entry is still present at a test, and a lighter one
+    is never a premise: the weight groups can be walked heaviest first,
+    each in `_ClauseBits.order`, and an entry's premises are every clause
+    of a greater weight, the kept clauses of its group tested before it,
+    and the rest of its group. The entry is redundant when they have no
+    model outside its own. Up to the bitset cap each clause is encoded
+    once into its models over the variables the clauses mention, and the
+    test is an AND of models; above it the test is a DPLL search of the
+    premises from the entry's negated literals, whose negations are the
+    entry itself.
     """
     best: dict[int, int] = {}  # each distinct clause's largest rank
     for c, r in entries:
-        if r > best.get(c, 0):
+        if r > best.get(c, 0) and not c & _negations(c):
             best[c] = r
-    entries = list(best.items())
-    order = sorted(
-        range(len(entries)),
-        key=lambda k: (entries[k][1], *_ClauseBits.order(entries[k][0])),
-    )
-    alive = [True] * len(entries)
+    by_rank: dict[int, list[int]] = {}
     used = 0
-    for c, _ in entries:
+    for c, r in best.items():
+        by_rank.setdefault(r, []).append(c)
         used |= c
     found = _literal_tables(used)
-    if found is None:
-        for k in order:
-            clause, weight = entries[k]
-            premises = [
-                c
-                for j, (c, w) in enumerate(entries)
-                if alive[j] and j != k and w >= weight
-            ]
-            # Kept unless the premises have no model from the entry's
-            # negated literals, whose negations are the entry itself; a
-            # tautology has none to start from.
-            n = _negations(clause)
-            alive[k] = not (n & clause) and _search(premises, n, clause, []) is not None
-    else:
+    if found is not None:
         full, tables = found
-        models = [_clause_models(c, tables) for c, _ in entries]
-        by_weight: dict[int, list[int]] = {}
-        for k in order:
-            by_weight.setdefault(entries[k][1], []).append(k)
-        heavier = full  # the models of every entry of a greater weight
-        for group in reversed(by_weight.values()):
-            # rest[t]: heavier entries and the group's entries from t on.
-            rest = [heavier]
-            for k in reversed(group):
-                rest.append(rest[-1] & models[k])
+        below = full  # the models of every clause of a greater weight
+    heavier: list[int] = []  # every clause of a greater weight
+    kept: set[int] = set()
+    for r in sorted(by_rank, reverse=True):
+        group = sorted(by_rank[r], key=_ClauseBits.order)
+        if found is not None:
+            models = [_clause_models(c, tables) for c in group]
+            # rest[t]: the models of every heavier clause and of group[t:].
+            rest = [below]
+            for m in reversed(models):
+                rest.append(rest[-1] & m)
             rest.reverse()
-            kept = full
-            for t, k in enumerate(group):
-                if kept & rest[t + 1] & ~models[k]:
-                    kept &= models[k]
-                else:
-                    alive[k] = False
-            heavier = rest[0]
-    return [e for e, keep in zip(entries, alive) if keep]
+            below, mine_models = rest[0], full
+        mine: list[int] = []  # the group's kept clauses so far
+        for t, c in enumerate(group):
+            if found is None:
+                if _search(heavier + mine + group[t + 1 :], _negations(c), c, []) is not None:
+                    mine.append(c)
+            elif mine_models & rest[t + 1] & ~models[t]:
+                mine_models &= models[t]
+                mine.append(c)
+        heavier += group
+        kept.update(mine)
+    return [(c, r) for c, r in best.items() if c in kept]
 
 
 def _encoded(b: WeightedBase, op: str) -> tuple[_ClauseBits, list[tuple[int, int]], list]:

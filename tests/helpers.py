@@ -138,6 +138,43 @@ def random_messy_base(rng: random.Random) -> WeightedBase:
     return WeightedBase(entries, variables)
 
 
+def planted_base(rng: random.Random, n_vars: int, n_clauses: int, size: int) -> WeightedBase:
+    """`n_clauses` distinct clauses of `size` literals over `n_vars`
+    variables, all satisfied by one hidden world, with weights k/10 for k
+    from 1 to 9: a clause-heavy base, consistent by construction. A clause
+    that the world falsifies has one literal flipped to the world's value.
+    There must be that many distinct clauses to draw."""
+    variables = tuple(Var(f"v{i + 1:02d}") for i in range(n_vars))
+    hidden = {v: rng.random() < 0.5 for v in variables}
+    weights: dict[Clause, Fraction] = {}
+    while len(weights) < n_clauses:
+        chosen = rng.sample(variables, size)
+        values = [rng.random() < 0.5 for _ in chosen]
+        if not any(hidden[v] == value for v, value in zip(chosen, values)):
+            i = rng.randrange(size)
+            values[i] = hidden[chosen[i]]
+        c = Clause(Literal(v, value) for v, value in zip(chosen, values))
+        weights.setdefault(c, F(rng.randint(1, 9), 10))
+    return WeightedBase(list(weights.items()), variables)
+
+
+def random_planted_base(rng: random.Random) -> WeightedBase:
+    """A small `planted_base` (6-9 variables, 2-4 literals a clause) with
+    some clauses repeated at other weights and 1-3 tautologies added,
+    shuffled: the clause-heavy input of the differential tests."""
+    b = planted_base(rng, rng.randint(6, 9), rng.randint(4, 24), rng.randint(2, 4))
+    pool = [F(k, 10) for k in range(1, 10)]
+    entries = list(b.entries)
+    entries += [(c, rng.choice(pool)) for c, _ in b.entries if rng.random() < 0.3]
+    for _ in range(rng.randint(1, 3)):
+        v, *rest = rng.sample(b.variables, rng.randint(1, 3))
+        lits = [Literal(v, True), Literal(v, False)]
+        lits += [Literal(u, rng.random() < 0.5) for u in rest]
+        entries.append((Clause(lits), rng.choice(pool)))
+    rng.shuffle(entries)
+    return WeightedBase(entries, b.variables)
+
+
 def assert_value_type(cls, fields: dict, compared: int | None = None) -> None:
     """`cls(*fields.values())` behaves as an immutable value: two equal
     constructions are equal and hash as the tuple of their compared fields

@@ -446,9 +446,11 @@ class TestRejectedArguments:
             (["parents", "{base}", "zz"], "unknown variable 'zz'"),
             (["gen", "--weights", "abc"], "cannot interpret 'abc'"),
             (["gen", "--weights", " , "], "empty weight pool"),
+            (["gen", "--weights", "1/2,0"], "weight 0 outside (0, 1]"),
         ],
         ids=[
             "order", "output", "world", "cond-formula", "parents", "weight", "no-weight",
+            "zero-weight",
         ],
     )
     def test_exits_2_with_message(self, weather_file, tmp_path, capsys, argv, message):

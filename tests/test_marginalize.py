@@ -31,6 +31,7 @@ from helpers import (
     pos,
     random_clausal_base,
     random_messy_base,
+    random_planted_base,
 )
 
 F = Fraction
@@ -213,9 +214,10 @@ class TestMatchesClauseReference:
             self.assert_answers_as_rebuilt(got, literals[0].var)
 
     def test_marginal_base(self, solver_path):
+        # Messy bases, then clause-heavy planted ones.
         rng = random.Random(67)
-        for _ in range(300):
-            b = random_messy_base(rng)
+        for k in range(320):
+            b = random_messy_base(rng) if k < 300 else random_planted_base(rng)
             var = rng.choice(b.variables)
             got = marginal_base(b, var)
             want = clause_reference.marginal_base(b, var)

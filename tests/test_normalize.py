@@ -12,6 +12,7 @@ from posslog import (
     distribution_of_base,
     remove_subsumed,
     remove_tautologies,
+    semantics,
     to_clausal,
     vars_of,
 )
@@ -28,6 +29,7 @@ from helpers import (
     random_clausal_base,
     random_formula,
     random_messy_base,
+    random_planted_base,
 )
 
 F = Fraction
@@ -184,10 +186,48 @@ class TestRemoveSubsumed:
 
     def test_equals_clause_reference(self, solver_path):
         # Same entries in the same order, so the same equivalent clause
-        # survives a tie.
+        # survives a tie. Messy bases, then clause-heavy planted ones.
         rng = random.Random(71)
-        for _ in range(300):
-            b = random_messy_base(rng)
+        bases = [random_messy_base(rng) for _ in range(300)]
+        bases += [random_planted_base(rng) for _ in range(40)]
+        for b in bases:
             got = remove_subsumed(b)
             want = clause_reference.remove_subsumed(b)
             assert (got.entries, got.variables) == (want.entries, want.variables), b
+
+    def test_search_path_premises(self, monkeypatch):
+        # Above the cap each distinct clause that is no tautology is tested
+        # once, heaviest weight first, then in clause order, by one search
+        # from its negated literals. Its premises are every clause of a
+        # greater weight, the kept clauses of its weight tested before it,
+        # and every clause of its weight tested after it.
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
+        calls = []
+        search = semantics._search
+
+        def logged(clauses, true, false, pending):
+            calls.append((sorted(clauses), true, false))
+            return search(clauses, true, false, pending)
+
+        monkeypatch.setattr(semantics, "_search", logged)
+        order = semantics._ClauseBits.order
+        rng = random.Random(73)
+        for _ in range(30):
+            codec, entries, _ = semantics._encoded(random_planted_base(rng), "test")
+            rank: dict[int, int] = {}
+            for c, r in entries:
+                if not codec.is_tautology(c):
+                    rank[c] = max(rank.get(c, 0), r)
+            calls.clear()
+            kept = {c for c, _ in semantics._reduce(entries)}
+            tested = sorted(rank, key=lambda c: (-rank[c], *order(c)))
+            assert [call[1:] for call in calls] == [
+                (semantics._negations(c), c) for c in tested
+            ]
+            for (premises, _, _), c in zip(calls, tested):
+                assert premises == sorted(
+                    d
+                    for d in rank
+                    if rank[d] > rank[c]
+                    or rank[d] == rank[c] and (order(d) > order(c) or d in kept and d != c)
+                )

@@ -126,6 +126,21 @@ class TestRandomBase:
         b = random_base(7, 4, 8, weight_pool=pool)
         assert {w for _, w in b.entries} <= set(pool)
 
+    @pytest.mark.parametrize(
+        "pool, message",
+        [
+            ((F(0),), "weight 0 outside (0, 1]"),
+            ((F(1, 2), "0"), "weight 0 outside (0, 1]"),
+            ((F(3, 2),), "weight 3/2 outside [0, 1]"),
+        ],
+    )
+    def test_weight_outside_the_grammar_refused(self, pool, message):
+        # A weight-0 entry would vanish from the base, and the base grammar
+        # refuses to read one.
+        with pytest.raises(DomainError) as caught:
+            random_base(1, 3, 3, weight_pool=pool)
+        assert str(caught.value) == message
+
     def test_requires_positive_variable_count(self):
         with pytest.raises(DomainError):
             random_base(1, 0, 3)

@@ -1078,11 +1078,17 @@ class TestPossibility:
             assert max(possibility(weather, f), possibility(weather, Not(f))) == 1
 
     def test_bitset_formula_is_walked_once(self, weather, monkeypatch):
-        # A formula over used variables is evaluated in one walk; only one
-        # that meets a variable no clause uses is walked for its variables.
+        # A formula over used variables is evaluated in one walk of the
+        # truth tables, with no search; one that meets a variable no clause
+        # uses is asked by one level walk of its gate clauses.
         walked = []
-        vars_of = model.vars_of
-        monkeypatch.setattr(semantics, "vars_of", lambda f: walked.append(f) or vars_of(f))
+        refuted = semantics._Levels._refuted
+
+        def counted(levels, hard, true):
+            walked.append(hard)
+            return refuted(levels, hard, true)
+
+        monkeypatch.setattr(semantics._Levels, "_refuted", counted)
         f = Or((And((neg(SE), pos(WI))), Not(pos(SU))))
         g = Or((pos(SU), And((neg(WI), pos(SE)))))
         assert (possibility(weather, f), necessity(weather, f)) == (F(2, 3), 0)
@@ -1130,11 +1136,11 @@ class TestMeasuresAgainstEnumeration:
                 assert (possibility(b, f), necessity(b, f)) == brute_measures(worlds, f), f
 
     def test_formula_past_the_cnf_cap(self, monkeypatch):
-        # A 13-term DNF expands to 8,192 clauses. The base's 8 variables and
-        # the formula's 2 outside it fill a bitset cap of 10 exactly: the
-        # bitset path answers. With a cap of 9 the query goes to the DPLL
-        # path, which searches the formula's gate clauses, with no CNF, and
-        # gives the same answers.
+        # A 13-term DNF expands to 8,192 clauses. The formula names 2
+        # variables outside the base, so it is asked by the level walk over
+        # its gate clauses, with no CNF: at a cap of 10, where the base's
+        # 8 variables are bitsets, and at a cap of 0, where the levels are
+        # searched too. Both give the enumerated answers.
         xs = tuple(Var(f"x{i}") for i in range(8))
         o1, o2 = Var("o1"), Var("o2")
         pairs = list(combinations(xs, 2))[::2][:11]
@@ -1148,20 +1154,21 @@ class TestMeasuresAgainstEnumeration:
         )
         worlds = enumerated_worlds(b, (o1, o2))
         expected = brute_measures(worlds, f)
-        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 10)
-        assert (possibility(b, f), necessity(b, f)) == expected
-        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 9)
         searched = []
         refuted = semantics._Levels._refuted
 
         def counted(levels, hard, true):
-            searched.append(1)
+            searched.append(levels._models is None)
             return refuted(levels, hard, true)
 
         monkeypatch.setattr(semantics._Levels, "_refuted", counted)
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 10)
+        assert (possibility(b, f), necessity(b, f)) == expected
+        assert searched == [False, False]
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
         b = WeightedBase(b.entries, b.variables)
         assert (possibility(b, f), necessity(b, f)) == expected
-        assert searched
+        assert searched[2:] and all(searched[2:])
 
     def test_builds_no_weighted_base(self, solver_path, weather, monkeypatch):
         built = []
