@@ -120,6 +120,8 @@ class _FormulaParser:
         while (tok := self._peek()) and tok[1] == "&":
             self.pos += 1
             parts.append(self._unary())
+        # `a & (b & c)` reads as `a & b & c`, as it is written back.
+        parts = [q for p in parts for q in (p.parts if isinstance(p, And) else (p,))]
         return parts[0] if len(parts) == 1 else And(parts)
 
     def _unary(self) -> Formula:

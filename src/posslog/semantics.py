@@ -218,9 +218,6 @@ class _ClauseBits:
                 literals[bit], literals[bit << 1] = Literal(v, True), Literal(v, False)
         return Clause([literals[bit] for bit in reversed(_literal_bits(c))])
 
-    def is_tautology(self, c: int) -> bool:
-        return bool(c & (c >> 1) & self._positive)
-
     def span(self, c: int) -> int:
         """Both bits of each pair that `c` touches: a mask of variables."""
         return ((c | c >> 1) & self._positive) * 3
@@ -317,41 +314,40 @@ class _World(dict):
         return 0
 
 
-def _gate_clauses(f: Formula, pairs: dict[Var, int], top: int) -> list[int]:
+def _gate_clauses(f: Formula, pairs: dict[Var, int]) -> list[int]:
     """Integer clauses that are satisfiable together with any set of
     clauses over `pairs` exactly when `f` is: the one-sided Tseitin
     encoding of Plaisted and Greenbaum, built in one walk of `f` with its
     negations pushed to the literals. `pairs` holds the positive literal's
     bit of each variable the clauses use; any other variable of `f`, and
-    each gate, takes the next pair up from the bit `top`, in the order the
-    walk meets them.
+    each gate, takes the next pair above the highest of `pairs`, in the
+    order the walk meets them: a conjunction's gate before its parts.
 
-    The top-level conjuncts are separate clauses, and a disjunction of
-    literals and gates is one clause. A conjunction below the top with
-    more than one part becomes a fresh gate g, with one clause ¬g ∨ part
-    per part: g only implies its parts, and that is all a disjunction
-    that holds g, only positively, needs. A tautological disjunction is
-    dropped, with the gate clauses made for it, as is a true part of a
-    conjunction; a false part makes its conjunction false, and `false` is
-    the empty clause."""
+    A disjunction is the OR of its parts' literals and gates. Each
+    conjunction is a fresh gate g, with one clause ¬g ∨ part per part
+    that is not true (the unit ¬g for a false part): g only implies its
+    parts, and that is all a disjunction that holds g, only positively,
+    needs. The walk's result at the top is one more clause, so a
+    top-level conjunction is its gate's clauses and the unit g, which
+    unit propagation sets before any branch. `false` is the empty clause.
+    Every clause the walk makes is kept: a tautological clause holds
+    under every assignment, and the clauses of a part whose disjunction
+    turned out true name gates that nothing else names, so setting those
+    gates false satisfies them."""
     out: list[int] = []
-    free: dict[Var, int] = {}
-    fresh = top
-
-    def bit(lit: Literal, negated: bool) -> int:
-        nonlocal fresh
-        b = pairs.get(lit.var) or free.get(lit.var)
-        if b is None:
-            b = free[lit.var] = fresh
-            fresh <<= 2
-        return b if lit.positive != negated else b << 1
+    bits = dict(pairs)  # and then each variable of `f` outside `pairs`
+    fresh = max(pairs.values(), default=0) << 2 or 1
 
     def clause(g: Formula, negated: bool) -> int | None:
-        """The clause of `g`, negated when `negated`: 0 when it is false,
-        None when it is true."""
+        """A literal bit or clause that implies `g`, negated when
+        `negated`: 0 when `g` is false, None when it is true."""
         nonlocal fresh
         if isinstance(g, Literal):
-            return bit(g, negated)
+            b = bits.get(g.var)
+            if b is None:
+                b = bits[g.var] = fresh
+                fresh <<= 2
+            return b if g.positive != negated else b << 1
         if isinstance(g, Not):
             return clause(g.operand, not negated)
         if isinstance(g, Const):
@@ -362,48 +358,24 @@ def _gate_clauses(f: Formula, pairs: dict[Var, int], top: int) -> list[int]:
             parts, conjunctive = g.parts, isinstance(g, And) != negated
         else:
             raise TypeError(f"not a formula: {g!r}")
-        mark = len(out)
-        if not conjunctive:
-            c = 0
+        if conjunctive:
+            gate, fresh = fresh, fresh << 2
             for p in parts:
                 d = clause(p, negated)
-                if d is None:
-                    del out[mark:]
-                    return None
-                c |= d
-            if c & _negations(c):
-                del out[mark:]
-                return None
-            return c
-        kept = []
+                if d is not None:
+                    out.append(d | gate << 1)
+            return gate
+        c = 0
         for p in parts:
             d = clause(p, negated)
-            if d == 0:
-                del out[mark:]
-                return 0
-            if d is not None:
-                kept.append(d)
-        if len(kept) < 2:
-            return kept[0] if kept else None
-        gate, fresh = fresh, fresh << 2
-        out.extend(d | gate << 1 for d in kept)
-        return gate
+            if d is None:
+                return None
+            c |= d
+        return c
 
-    def conjuncts(g: Formula, negated: bool) -> None:
-        if isinstance(g, Not):
-            conjuncts(g.operand, not negated)
-        elif isinstance(g, And) and not negated or isinstance(g, Or) and negated:
-            for p in g.parts:
-                conjuncts(p, negated)
-        elif isinstance(g, Clause) and negated:
-            for lit in g.literals:
-                out.append(bit(lit, True))
-        else:
-            c = clause(g, negated)
-            if c is not None:
-                out.append(c)
-
-    conjuncts(f, False)
+    c = clause(f, False)
+    if c is not None:
+        out.append(c)
     return out
 
 
@@ -445,7 +417,8 @@ class _Levels:
     """A clausal base's integer clauses (`_encoded`) split into weight
     levels, highest first, and then asked for the inconsistency degree of
     the base together with any literal context, or any formula, taken as
-    hard facts. Tautologies are dropped.
+    hard facts. Tautologies, clauses with both bits of a pair, are
+    dropped.
 
     Up to `_BITSET_MAX_VARS` variables that the clauses use, the levels
     are a ladder of bitsets (`_cuts`): entry 0 holds every world, and entry
@@ -455,7 +428,9 @@ class _Levels:
     index of the first entry that misses it. Above the cap a question is one
     depth-first search (`_search`) over the growing cut, resumed level by
     level, that starts from a literal context's bits (a formula context is
-    its gate clauses, `_gate_clauses`, as hard clauses instead): a level
+    its gate clauses instead, `_gate_clauses`, hard clauses searched from
+    the empty assignment, whose units, the top conjunction's gate among
+    them, are set before any branch): a level
     whose clauses the witness in hand satisfies is satisfiable as it
     stands, and at a level the witness misses the search goes on from the
     last searched model with the branches it left pending, to find the
@@ -514,7 +489,7 @@ class _Levels:
         by_rank: dict[int, list[int]] = {}
         used = 0
         for c, r in entries:
-            if not codec.is_tautology(c):
+            if not c & _negations(c):
                 by_rank.setdefault(r, []).append(c)
                 used |= c
         ranks = sorted(by_rank, reverse=True)
@@ -573,9 +548,11 @@ class _Levels:
         formula that names a variable no clause uses, and every formula
         above the cap, is instead asked by the search's level walk, with
         the formula's gate clauses as its hard clauses (`_gate_clauses`, a
-        linear encoding with no CNF expansion): with any cut they are
-        satisfiable exactly when the formula is, so each level is the
-        formula's own, and their gate bits never leave the walk.
+        linear encoding with no CNF expansion, a gate per conjunction):
+        with any cut they are satisfiable exactly when the formula is, so
+        each level is the formula's own. Their gates, and the variables
+        that no clause uses, take pairs above every pair the clauses use,
+        so their bits never leave the walk.
         Once `own_level` has kept the own model, the formula is first
         evaluated once on the model's world; a world that satisfies it
         answers the own level, with no search.
@@ -595,8 +572,7 @@ class _Levels:
                 return self.level(_formula_models(f, columns, self._models[0]))
             except KeyError:  # f mentions a variable that no clause uses
                 pass
-        used = sum(pairs.values()) * 3  # both bits of each pair
-        return self._refuted(_gate_clauses(f, pairs, 1 << used.bit_length()), 0)[0]
+        return self._refuted(_gate_clauses(f, pairs), 0)[0]
 
     def level(self, ctx) -> int:
         """The index into `degrees` of the context's degree: 0 (degree 1)

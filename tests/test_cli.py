@@ -195,6 +195,14 @@ class TestQuery:
         assert code == 0
         assert captured.out.strip() == "2/3"
 
+    def test_nested_conjunction_context(self, weather_file, capsys):
+        # A nested conjunction parses flat, so it is a literal context too.
+        for context in ("wi & !se & wi", "wi & (!se & wi)", "(wi & !se) & wi"):
+            code = main(["query", weather_file, "cond", "!su", "--context", context])
+            captured = capsys.readouterr()
+            assert code == 0, context
+            assert captured.out.strip() == "1/2"
+
     def test_possibility_of_tautology(self, weather_file, capsys):
         code = main(["query", weather_file, "pi", "se | !se"])
         captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import re
 import signal
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -361,15 +362,20 @@ class TestSerializeBase:
     @example(
         WeightedBase([(Or((neg(X), And((clause(neg(X), pos(X)),)))), F(1, 60))], (X,))
     )
+    # Written `x & (y & x)`: the nested conjunction parses flat.
+    @example(WeightedBase([(And((pos(X), Or((And((pos(Y), pos(X))),)))), F(1, 2))]))
     def test_round_trip_hypothesis(self, b):
         text = serialize_base(b)
         again = parse_base(text)
         assert again.variables == b.variables
         assert distribution_of_base(again) == distribution_of_base(b)
-        # Parsing folds some shapes (double negations, nested disjunctions,
-        # one-part conjunctions), so the text is a fixpoint after one round.
+        # Parsing folds some shapes (double negations, nested conjunctions
+        # and disjunctions, one-part conjunctions), so the text is a
+        # fixpoint after one round, and a parsed base reads back as itself
+        # up to the order of its entries.
         settled = serialize_base(again)
         assert serialize_base(parse_base(settled)) == settled
+        assert Counter(parse_base(settled).entries) == Counter(again.entries)
         if all(isinstance(f, Clause) and f.literals for f, _ in b.entries):
             assert settled == text
 

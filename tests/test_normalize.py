@@ -216,7 +216,7 @@ class TestRemoveSubsumed:
             codec, entries, _ = semantics._encoded(random_planted_base(rng), "test")
             rank: dict[int, int] = {}
             for c, r in entries:
-                if not codec.is_tautology(c):
+                if not c & semantics._negations(c):
                     rank[c] = max(rank.get(c, 0), r)
             calls.clear()
             kept = {c for c, _ in semantics._reduce(entries)}

@@ -863,22 +863,30 @@ class TestGateClauses:
 
     def test_clauses_of_constants_and_tautologies(self):
         # With no clause over a variable, every variable and gate takes a
-        # pair from the top bit up, in the order the walk meets them.
+        # pair from bit 0 up, in the order the walk meets them: a
+        # conjunction's gate before its parts.
         x, y = Var("x"), Var("y")
         gate_clauses = semantics._gate_clauses
-        assert gate_clauses(TRUE, {}, 1) == []
-        assert gate_clauses(FALSE, {}, 1) == [0]
-        assert gate_clauses(Or((pos(x), neg(x))), {}, 1) == []
-        assert gate_clauses(And((pos(x), neg(y))), {}, 1) == [0b1, 0b1000]
-        assert gate_clauses(Not(Clause((pos(x), pos(y)))), {}, 1) == [0b10, 0b1000]
-        # (x & y) | !x: a gate g at bits 4-5, with !g | x and !g | y.
+        assert gate_clauses(TRUE, {}) == []
+        assert gate_clauses(FALSE, {}) == [0]
+        # A tautological clause is kept: every assignment satisfies it.
+        assert gate_clauses(Or((pos(x), neg(x))), {}) == [0b11]
+        # A top-level conjunction is its gate g (bits 0-1), a clause ¬g ∨
+        # part per part, and the unit g.
+        assert gate_clauses(And((pos(x), neg(y))), {}) == [0b110, 0b100010, 0b1]
+        assert gate_clauses(Not(Clause((pos(x), pos(y)))), {}) == [0b1010, 0b100010, 0b1]
+        # (x & y) | !x: ¬g ∨ x, ¬g ∨ y and g ∨ ¬x.
         f = Or((And((pos(x), pos(y))), neg(x)))
-        assert gate_clauses(f, {}, 1) == [0b100001, 0b100100, 0b10010]
-        # A tautological disjunction drops the gate clauses made for it.
+        assert gate_clauses(f, {}) == [0b110, 0b10010, 0b1001]
+        # A tautological disjunction keeps the gate clauses made for it.
         f = Or((And((pos(x), pos(y))), Not(pos(x)), pos(x)))
-        assert gate_clauses(f, {}, 1) == []
-        assert gate_clauses(And((pos(x), FALSE)), {}, 1) == [0b1, 0]
-        assert gate_clauses(Or((And((pos(x), FALSE)), pos(y))), {}, 1) == [0b100]
+        assert gate_clauses(f, {}) == [0b110, 0b10010, 0b1101]
+        # A false part of a conjunction is the unit ¬g.
+        assert gate_clauses(And((pos(x), FALSE)), {}) == [0b110, 0b10, 0b1]
+        assert gate_clauses(Or((And((pos(x), FALSE)), pos(y))), {}) == [0b110, 0b10, 0b10001]
+        # Above a clause's variable x (bits 2-3), the gate takes bits 4-5.
+        f = And((pos(x), pos(y)))
+        assert gate_clauses(f, {x: 0b100}) == [0b100100, 0b1100000, 0b10000]
 
 
 class TestConditionalLevels:
@@ -1102,7 +1110,8 @@ class TestPossibility:
 class TestMeasuresAgainstEnumeration:
     def test_random_bases_and_formulas(self, solver_path):
         # Weight-1 clauses are in the pool; the universe has a variable no
-        # clause mentions and the formulas two variables outside it.
+        # clause mentions and the formulas two variables outside it. The
+        # formulas hold the gate-clause shapes of `TestGateClauses`.
         rng = random.Random(43)
         outside = (Var("o1"), Var("o2"))
         pool = [F(1, 4), F(1, 2), F(3, 4), F(1)]
@@ -1115,7 +1124,7 @@ class TestMeasuresAgainstEnumeration:
                 continue
             checked += 1
             worlds = enumerated_worlds(b, outside)
-            for f in query_formulas(rng, b.variables + outside):
+            for f in TestGateClauses.formulas(rng, b.variables + outside):
                 assert (possibility(b, f), necessity(b, f)) == brute_measures(worlds, f), f
 
     def test_free_variables_past_the_bitset_cap(self, monkeypatch):
