@@ -19,7 +19,7 @@ from . import io as formats
 from .compiler import Ordering, compile_stages, conditional_possibility
 from .errors import InconsistentBaseError, PosslogError
 from .marginalize import marginal_base
-from .model import And, Literal, Var, WeightedBase, Interpretation
+from .model import And, Const, Literal, Not, Or, Var, WeightedBase, Interpretation, negate
 from .network import Network
 from .normalize import to_clausal
 from .oracle import DEFAULT_WEIGHT_POOL, random_base, verify_compilation
@@ -134,15 +134,40 @@ def _parse_world(text: str, base: WeightedBase) -> Interpretation:
     return Interpretation.from_assignment(base.variables, assignment)
 
 
-def _context_literals(text: str) -> list[Literal]:
-    f = formats.parse_formula(text)
-    parts = list(f.parts) if isinstance(f, And) else [f]
-    literals = []
-    for p in parts:
-        if not isinstance(p, Literal):
-            raise _UsageError("context must be a conjunction of literals")
-        literals.append(p)
-    return literals
+def _context_literals(text: str, lit: Literal) -> list[Literal]:
+    """The literals of a `cond` context, which must be a conjunction of
+    literals once its negations are pushed down to the literals
+    (`_conjunction`). A context that is false contradicts itself: it is
+    handed over as `lit` with its negation, as `a & !a` is."""
+    literals = _conjunction(formats.parse_formula(text), False)
+    return [lit, negate(lit)] if literals is None else literals
+
+
+def _conjunction(f, negated: bool) -> list[Literal] | None:
+    """The literals whose conjunction is `f`, negated when `negated`, with
+    negations pushed down to the literals: [] when it is true, None when
+    it is false. A conjunction drops its true parts and is false when one
+    part is; a disjunction is true when one part is, and otherwise its
+    one part that is not false. Any other disjunction is refused."""
+    if isinstance(f, Literal):
+        return [negate(f) if negated else f]
+    if isinstance(f, Not):
+        return _conjunction(f.operand, not negated)
+    if isinstance(f, Const):
+        return None if f.value == negated else []
+    if not isinstance(f, (And, Or)):
+        raise _UsageError("context must be a conjunction of literals")
+    parts = [_conjunction(p, negated) for p in f.parts]
+    if isinstance(f, And) != negated:
+        if None in parts:
+            return None
+        return [p for part in parts for p in part]
+    held = [part for part in parts if part is not None]
+    if [] in held:
+        return []
+    if len(held) > 1:
+        raise _UsageError("context must be a conjunction of literals")
+    return held[0] if held else None
 
 
 def _print_value(value: Fraction, decimal: bool) -> None:
@@ -188,7 +213,8 @@ def cmd_query(args) -> int:
             raise _UsageError("cond mode requires --context")
         if not isinstance(formula, Literal):
             raise _UsageError("cond mode expects a single literal to condition")
-        value = conditional_possibility(base, formula, _context_literals(args.context))
+        context = _context_literals(args.context, formula)
+        value = conditional_possibility(base, formula, context)
     _print_value(value, args.decimal)
     return EXIT_OK
 

@@ -183,13 +183,6 @@ def hidden_parent_closure(
     return frozenset(free.union(codec.variables(closed)))
 
 
-def _conditional(context_degree: Fraction, joint_degree: Fraction) -> Fraction:
-    """Π(x | c) = Π(c ∧ x) / Π(c) from the inconsistency degrees of c and
-    of c ∧ x; an impossible context makes x fully possible by convention."""
-    h = ONE - context_degree
-    return ONE if h == 0 else (ONE - joint_degree) / h
-
-
 def conditional_possibility(
     b: WeightedBase, lit: Literal, context: Iterable[Literal]
 ) -> Fraction:
@@ -201,22 +194,25 @@ def conditional_possibility(
     pair in one call (`_Levels.conditional_levels`): above the bitset cap
     the model that answers the context also answers the context with the
     literal, unless it makes the literal false. The base's own level is
-    asked first, so that above the cap its model can answer both.
+    asked first, so that above the cap its model can answer both. The
+    degree Π(c ∧ x) / Π(c) is read from the levels' memo of the pair
+    (`_Levels.conditional`); an impossible context makes x fully possible
+    by convention.
     """
     levels = _levels(b, "conditional_possibility")
     levels.own_level()
     h, joint = levels.conditional_levels(tuple(context), lit)
-    return _conditional(levels.degrees[h], levels.degrees[joint])
+    return levels.conditional(h, joint)
 
 
 def _cpt(levels: _Levels, var: Var, parents: tuple[Var, ...]) -> CPT:
     """`cpt_for` on a base's weight levels, with parents already checked.
 
     A column's two levels share a cell tuple with every column of the same
-    pair, so a pair of unequal levels costs one division per table: the
-    lower level's conditional given the context's degree (`_conditional`).
-    The context's own level, the larger of the two, gets 1."""
-    degrees = levels.degrees
+    pair, so that columns share degree objects: the lower level's
+    conditional given the context's level, read from the levels' memo
+    (`_Levels.conditional`), which divides once per pair of levels. The
+    context's own level, the larger of the two, gets 1."""
     cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     columns = []
     for key in levels.column_levels(var, parents):
@@ -226,9 +222,9 @@ def _cpt(levels: _Levels, var: Var, parents: tuple[Var, ...]) -> CPT:
             if neg == pos:
                 cell = (ONE, ONE)
             elif neg < pos:
-                cell = (_conditional(degrees[pos], degrees[neg]), ONE)
+                cell = (levels.conditional(pos, neg), ONE)
             else:
-                cell = (ONE, _conditional(degrees[neg], degrees[pos]))
+                cell = (ONE, levels.conditional(neg, pos))
             cells[key] = cell
         columns.append(cell)
     return CPT(var, parents, *zip(*columns))

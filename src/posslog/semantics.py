@@ -389,12 +389,15 @@ class _SearchedColumns:
     larger of its halves' levels, u ∧ ¬x and u ∧ x, and the model the walk
     leaves satisfies every cut below that level, so the half whose literal
     the model does not make false has u's level. Only the other half, if
-    the model assigns x at all, is walked again."""
+    the model assigns x at all, is walked again. A column's negations are
+    its bits XOR both bits of every parent's pair, so no walk negates its
+    start."""
 
-    __slots__ = ("_levels", "_x", "_bits")
+    __slots__ = ("_levels", "_x", "_bits", "_span")
 
     def __init__(self, levels: _Levels, x: int, bits: list[tuple[int, int]]):
         self._levels, self._x, self._bits = levels, x, bits
+        self._span = sum(neg | pos for neg, pos in bits)  # both bits of each parent
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return map(self._pair, map(sum, product(*self._bits)))
@@ -408,9 +411,10 @@ class _SearchedColumns:
 
     def _pair(self, u: int) -> tuple[int, int]:
         walk, x = self._levels._walk, self._x
-        level, false = walk(u)
-        neg = walk(u | x << 1)[0] if false & x << 1 else level
-        return neg, walk(u | x)[0] if false & x else level
+        negations = u ^ self._span
+        level, false = walk(u, negations)
+        neg = walk(u | x << 1, negations | x)[0] if false & x << 1 else level
+        return neg, walk(u | x, negations | x << 1)[0] if false & x else level
 
 
 class _Levels:
@@ -462,15 +466,26 @@ class _Levels:
 
     A context is built by `condition` and can then be asked its `level`:
     on the bitset path it is the mask of its worlds, above the cap the OR
-    of its literals' bits. `formula_level` asks the same of a formula, and
-    `conditional_levels` the levels of a context with and without a
-    literal, which above the cap one walk usually answers.
+    of its literals' bits with the OR of their negations, built bit by bit
+    beside them, so that no walk negates its start. `formula_level` asks
+    the same of a formula, and `conditional_levels` the levels of a
+    context with and without a literal from one `condition` of the
+    context: the literal's table is ANDed in, or its bit ORed in, and
+    above the cap one walk usually answers both.
     `column_levels` gives the pair of levels of every column of a CPT, the
     one sweep behind both the CPT and the hidden-parent closure: on the
     bitset path all at once, above the cap lazily, a column at a time,
     each usually one walk. A degree is `degrees[level]`, read off the
     descending tuple of 1, the level weights and 0, so that callers can
     memoize on the index.
+
+    Every product-based degree is a ratio of the complements of two of
+    them, Π(x | u) = (1 − Inc(Σ ∧ u ∧ x)) / (1 − Inc(Σ ∧ u)), and Π(φ)
+    is the conditional given the own level of a consistent base, whose
+    degree is 0. So the levels keep one memo, `conditional(h, joint)`,
+    keyed by the pair of level indices and never by the question: a
+    pair's ratio is one exact division (`_ratio`) the first time the pair
+    is met, and a lookup after.
 
     The codec may span variables that no clause uses, such as one a
     marginal base forgot. A context literal on such a variable, or on one
@@ -480,7 +495,7 @@ class _Levels:
 
     __slots__ = (
         "degrees", "_pairs", "_tables", "_models", "_groups", "_own", "_kept",
-        "_true", "_false", "_world", "_columns",
+        "_true", "_false", "_world", "_columns", "_ratios",
     )
 
     def __init__(
@@ -506,6 +521,8 @@ class _Levels:
         # Each used variable's truth table, keyed by the variable: built
         # by the first `formula_level` on the bitset path.
         self._columns: dict[Var, int] | None = None
+        # `conditional`'s memo: the ratio of each pair of level indices met.
+        self._ratios: dict[tuple[int, int], Fraction] = {}
 
         found = _literal_tables(used)
         if found is None:
@@ -517,28 +534,39 @@ class _Levels:
 
     def condition(self, context: Iterable[Literal] = ()):
         """The worlds of a literal context: a bitset, 0 when the context
-        contradicts itself; above the cap the OR of its literals' bits,
-        None when it contradicts itself. A literal on a variable no clause
-        uses has no bit, so a clash with one is caught by name."""
+        contradicts itself; above the cap the OR of its literals' bits and
+        the OR of their negations, None when it contradicts itself. A
+        literal on a variable no clause uses has no bit, so a clash with
+        one is caught by name."""
         pairs, tables = self._pairs, self._tables
         free: set[Literal] = set()
-        ctx = 0 if tables is None else self._models[0]
+        if tables is not None:
+            ctx = self._models[0]
+            for lit in context:
+                bit = pairs.get(lit.var)
+                if bit is not None:
+                    ctx &= tables[bit if lit.positive else bit << 1]
+                elif negate(lit) in free:
+                    return 0
+                else:
+                    free.add(lit)
+            return ctx
+        true = false = 0
         for lit in context:
             bit = pairs.get(lit.var)
             if bit is None:
                 if negate(lit) in free:
-                    return 0 if tables is not None else None
+                    return None
                 free.add(lit)
                 continue
+            neg = bit << 1
             if not lit.positive:
-                bit <<= 1
-            if tables is not None:
-                ctx &= tables[bit]
-            elif ctx & _negation(bit):
+                bit, neg = neg, bit
+            if false & bit:
                 return None
-            else:
-                ctx |= bit
-        return ctx
+            true |= bit
+            false |= neg
+        return true, false
 
     def formula_level(self, f: Formula) -> int:
         """`level` with a formula, instead of literals, as the hard context.
@@ -572,7 +600,7 @@ class _Levels:
                 return self.level(_formula_models(f, columns, self._models[0]))
             except KeyError:  # f mentions a variable that no clause uses
                 pass
-        return self._refuted(_gate_clauses(f, pairs), 0)[0]
+        return self._refuted(_gate_clauses(f, pairs), 0, 0)[0]
 
     def level(self, ctx) -> int:
         """The index into `degrees` of the context's degree: 0 (degree 1)
@@ -589,22 +617,50 @@ class _Levels:
 
         if ctx is None:
             return 0
-        return self._walk(ctx)[0]
+        return self._walk(*ctx)[0]
 
     def conditional_levels(
         self, context: tuple[Literal, ...], lit: Literal
     ) -> tuple[int, int]:
         """The `level` of a literal context and that of the context with
-        `lit`. On the bitset path these are two `level` calls. Above the cap
-        they are one walk of the context (`_walk`, which the own model
-        answers when it admits the context), and a second of the context
-        with `lit` only where the walk's model makes `lit` false: otherwise
-        the two levels are equal."""
-        ctx, joint = self.condition(context), self.condition((*context, lit))
-        if self._models is not None or ctx is None or joint is None:
-            return self.level(ctx), self.level(joint)
-        level, false = self._walk(ctx)
-        return level, self._walk(joint)[0] if false & joint else level
+        `lit`, from one `condition` of the context. A `lit` on a variable
+        that no clause uses leaves the level as it is, unless the context
+        holds its negation. On the bitset path the joint context is the
+        context's worlds ANDed with `lit`'s table, and each is asked its
+        `level`. Above the cap it is the context with `lit`'s bit ORed in,
+        and the two are one walk of the context (`_walk`, which the own
+        model answers when it admits the context), and a second of the
+        joint context only where the walk's model makes `lit` false:
+        otherwise the two levels are equal."""
+        ctx = self.condition(context)
+        bit = self._pairs.get(lit.var)
+        if bit is None:
+            level = self.level(ctx)
+            return level, 0 if negate(lit) in context else level
+        neg = bit << 1
+        if not lit.positive:
+            bit, neg = neg, bit
+        if self._models is not None:
+            return self.level(ctx), self.level(ctx & self._tables[bit])
+        if ctx is None:
+            return 0, 0
+        true, false = ctx
+        level, missed = self._walk(true, false)  # the negations of its witness
+        if false & bit:  # the context holds the negation of `lit`
+            return level, 0
+        return level, self._walk(true | bit, false | neg)[0] if missed & bit else level
+
+    def conditional(self, h: int, joint: int) -> Fraction:
+        """The ratio (1 − degrees[joint]) / (1 − degrees[h]), or 1 when
+        degrees[h] is 1 (an impossible context): Π(x | u) with h the level
+        of u and `joint` that of u ∧ x. Memoized by the pair of indices,
+        so each pair is divided once (`_ratio`)."""
+        ratios = self._ratios
+        ratio = ratios.get((h, joint))
+        if ratio is None:
+            degrees = self.degrees
+            ratio = ratios[h, joint] = _ratio(degrees[h], degrees[joint])
+        return ratio
 
     def column_levels(
         self, var: Var, parents: tuple[Var, ...]
@@ -681,7 +737,7 @@ class _Levels:
             if self._models is not None:
                 own = self.level(self._models[0])
             else:
-                own, self._true, self._false = self._refuted([], 0)
+                own, self._true, self._false = self._refuted([], 0, 0)
                 self._kept = own, self._false
                 self._world = _World(
                     {v: 1 for v, bit in self._pairs.items() if self._false & bit << 1}
@@ -689,27 +745,29 @@ class _Levels:
             self._own = own
         return own
 
-    def _walk(self, ctx: int) -> tuple[int, int]:
-        """Above the cap, the `level` of a literal context's bits (not a
-        contradictory one), with the negations of its walk's last witness
-        (`_refuted`): a model of every cut below that level that holds the
-        context's bits. Once the own model is kept, a context it admits is
-        answered by the kept pair, the own level and that model, with no
-        search."""
-        false = self._false
-        if false is not None and not ctx & false:
+    def _walk(self, true: int, false: int) -> tuple[int, int]:
+        """Above the cap, the `level` of a literal context's bits `true`
+        (not a contradictory context), whose negations are `false`, with
+        the negations of its walk's last witness (`_refuted`): a model of
+        every cut below that level that holds the context's bits. Once the
+        own model is kept, a context it admits is answered by the kept
+        pair, the own level and that model, with no search."""
+        own = self._false
+        if own is not None and not true & own:
             return self._kept
-        level, _, false = self._refuted([], ctx)
+        level, _, false = self._refuted([], true, false)
         return level, false
 
-    def _refuted(self, hard: list[int], true: int) -> tuple[int, int | None, int | None]:
+    def _refuted(
+        self, hard: list[int], true: int, false: int
+    ) -> tuple[int, int | None, int | None]:
         """`level` by one resumed `_search` over integer hard clauses (a
         formula's gate clauses) from the literal bits `true` (a literal
-        context's), handed back with the walk's last witness and its
-        negations: level 0, with no witness, when no model keeps the hard
-        clauses. Otherwise the cut of each level is appended to the hard
-        clauses in turn, and a level whose clauses the witness in hand
-        satisfies is satisfiable as it stands.
+        context's) and their negations `false`, handed back with the walk's
+        last witness and its negations: level 0, with no witness, when no
+        model keeps the hard clauses. Otherwise the cut of each level is
+        appended to the hard clauses in turn, and a level whose clauses the
+        witness in hand satisfies is satisfiable as it stands.
 
         Where the witness misses one, and the own model is kept, the
         completion of the last searched model is tried first: the model
@@ -728,7 +786,7 @@ class _Levels:
         one and is never searched again. A completion changes no search
         state, so the search stays complete and every level exact."""
         pending: list[tuple[int, int]] = []
-        found = _search(hard, true, _negations(true), pending)
+        found = _search(hard, true, false, pending)
         if found is None:
             return 0, None, None
         model, false = witness, mask = found
@@ -757,6 +815,18 @@ class _Levels:
         return self.degrees[self.level(self.condition(context))]
 
 
+def _ratio(context: Fraction, joint: Fraction) -> Fraction:
+    """(1 − joint) / (1 − context), or 1 when `context` is 1, as one
+    `Fraction` built from the two degrees' numerators and denominators:
+    one normalization instead of the three of two subtractions and a
+    division."""
+    n, d = context.numerator, context.denominator
+    if n == d:
+        return ONE
+    jn, jd = joint.numerator, joint.denominator
+    return Fraction((jd - jn) * d, jd * (d - n))
+
+
 def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """`normalize.remove_subsumed` on integer clauses (`_ClauseBits`) with
     weight ranks (see `_encoded`): the merged entries that survive, in
@@ -777,7 +847,9 @@ def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     once into its models over the variables the clauses mention, and the
     test is an AND of models; above it the test is a DPLL search of the
     premises from the entry's negated literals, whose negations are the
-    entry itself.
+    entry itself. The premises are one list per group, heavier +
+    group, from which the entry under test is taken out and, if kept, put
+    back in its place: each search gets heavier + mine + group[t + 1:].
     """
     best: dict[int, int] = {}  # each distinct clause's largest rank
     for c, r in entries:
@@ -804,10 +876,15 @@ def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
                 rest.append(rest[-1] & m)
             rest.reverse()
             below, mine_models = rest[0], full
+        else:
+            premises = heavier + group
         mine: list[int] = []  # the group's kept clauses so far
         for t, c in enumerate(group):
             if found is None:
-                if _search(heavier + mine + group[t + 1 :], _negations(c), c, []) is not None:
+                slot = len(heavier) + len(mine)
+                del premises[slot]
+                if _search(premises, _negations(c), c, []) is not None:
+                    premises.insert(slot, c)
                     mine.append(c)
             elif mine_models & rest[t + 1] & ~models[t]:
                 mine_models &= models[t]
@@ -895,10 +972,12 @@ def possibility(b: WeightedBase, f: Formula) -> Fraction:
     Requires a consistent clausal base. Equals the maximum best-out degree
     over the models of `f`; an unsatisfiable `f` gets 0 (maximum over an
     empty set of worlds). `f` is asked of the base's weight levels as a
-    hard context: 1 minus the inconsistency degree of the base with `f`.
+    hard context: 1 minus the inconsistency degree of the base with `f`,
+    read from the levels' memo as the conditional given the own level,
+    whose degree is 0 (`_Levels.conditional`).
     """
     levels = _consistent_levels(b, "possibility")
-    return ONE - levels.degrees[levels.formula_level(f)]
+    return levels.conditional(levels.own_level(), levels.formula_level(f))
 
 
 def necessity(b: WeightedBase, f: Formula) -> Fraction:

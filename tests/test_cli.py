@@ -238,6 +238,58 @@ class TestQuery:
         capsys.readouterr()
         assert code == 2
 
+    @staticmethod
+    def conditional(path, capsys, lit, context):
+        code = main(["query", path, "cond", lit, "--context", context])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "context, same",
+        [
+            ("!(wi | se)", "!wi & !se"),
+            ("wi & true", "wi"),
+            ("!(!wi | se)", "wi & !se"),
+            ("!(wi & true)", "!wi"),
+            ("wi | false", "wi"),
+            ("true & !!su & !(false | !wi)", "su & wi"),
+            ("!(!wi | (se & true))", "wi & !se"),
+            ("wi & (se | true)", "wi"),
+        ],
+    )
+    def test_context_written_another_way(self, weather_file, capsys, context, same):
+        # Negations are pushed down to the literals, true parts of a
+        # conjunction dropped, and false parts of a disjunction, so the
+        # context answers as its conjunction of literals does; a
+        # disjunction with a true part is true.
+        for lit in ("su", "!su", "se", "!se", "wi"):
+            expected = self.conditional(weather_file, capsys, lit, same)
+            assert expected[0] == 0
+            assert self.conditional(weather_file, capsys, lit, context) == expected
+
+    def test_true_context_is_the_possibility(self, weather_file, capsys):
+        for lit in ("su", "!su", "se", "!se", "!wi"):
+            code, out, _ = self.conditional(weather_file, capsys, lit, "true")
+            assert code == 0
+            assert main(["query", weather_file, "pi", lit]) == 0
+            assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("context", ["wi & false", "false", "!true", "!(se | true)"])
+    def test_false_context_answers_as_a_contradiction(self, weather_file, capsys, context):
+        for lit in ("su", "!su", "se", "!se"):
+            expected = self.conditional(weather_file, capsys, lit, "wi & !wi")
+            assert expected == (0, "1\n", "")
+            assert self.conditional(weather_file, capsys, lit, context) == expected
+
+    @pytest.mark.parametrize(
+        "context",
+        ["wi | se", "!(wi & se)", "wi | !su | se", "(wi & se) | su", "!(wi & (se | su))"],
+    )
+    def test_disjunction_context_exits_2(self, weather_file, capsys, context):
+        code, out, err = self.conditional(weather_file, capsys, "!se", context)
+        assert code == 2 and out == ""
+        assert "context must be a conjunction of literals" in err
+
     def test_inconsistent_base_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.base"
         path.write_text("1: x\n1: !x\n")

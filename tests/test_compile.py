@@ -217,9 +217,9 @@ class TestHiddenParentClosure:
         walked = []
         refuted = semantics._Levels._refuted
 
-        def counted(levels, hard, true):
+        def counted(levels, hard, true, false):
             walked.append(true)
-            return refuted(levels, hard, true)
+            return refuted(levels, hard, true, false)
 
         monkeypatch.setattr(semantics._Levels, "_refuted", counted)
         b = helpers.support_base()
@@ -227,7 +227,7 @@ class TestHiddenParentClosure:
         assert hidden_parent_closure(b, A1, seed) == frozenset({A2, A3})
         levels = semantics._levels(b, "test")
         assert walked == [
-            levels.condition([neg(A2)]), levels.condition([neg(A2), neg(A1)])
+            levels.condition([neg(A2)])[0], levels.condition([neg(A2), neg(A1)])[0]
         ]
 
     def test_dpll_round_asks_only_standing_columns(self, monkeypatch):
@@ -241,9 +241,10 @@ class TestHiddenParentClosure:
         total = 0
         walk = semantics._Levels._walk
 
-        def counted(levels, ctx):
-            asked.append(ctx)
-            return walk(levels, ctx)
+        def counted(levels, true, false):
+            assert false == semantics._negations(true)
+            asked.append(true)
+            return walk(levels, true, false)
 
         for _ in range(60):
             b = random_clausal_base(rng, rng.randint(3, 7), rng.randint(3, 12))
@@ -351,8 +352,8 @@ class TestCptFor:
             asked.append(ctx)
             return level(levels, ctx)
 
-        def walked(levels, hard, true):
-            found = refuted(levels, hard, true)
+        def walked(levels, hard, true, false):
+            found = refuted(levels, hard, true, false)
             walks.append((true, found[1]))
             return found
 
@@ -952,6 +953,64 @@ class TestLevelKernel:
             assert cpt_for(b, var, parents) == CPT(var, parents, *columns), (
                 b, var, parents,
             )
+
+    def test_tables_divide_once_per_level_pair(self, solver_path, monkeypatch):
+        # A table's divisions come from the levels' memo of level pairs:
+        # one per distinct pair of unequal levels among its columns, none
+        # for a second table on the same levels, and columns of the same
+        # pair share their degree objects.
+        fills = []
+        ratio = semantics._ratio
+
+        def counted(context, joint):
+            fills.append((context, joint))
+            return ratio(context, joint)
+
+        monkeypatch.setattr(semantics, "_ratio", counted)
+        divided = 0
+        for rng, b in kernel_bases(47, 200, variables=(2, 6)):
+            var = rng.choice(b.variables)
+            pool = [v for v in b.variables if v != var]
+            parents = tuple(rng.sample(pool, rng.randint(0, len(pool))))
+            levels = semantics._levels(b, "test")
+            keys = list(levels.column_levels(var, parents))
+            pairs = {(max(key), min(key)) for key in keys if key[0] != key[1]}
+            del fills[:]
+            table = cpt_for(b, var, parents)
+            assert len(fills) == len(pairs)
+            assert cpt_for(b, var, parents) == table and len(fills) == len(pairs)
+            divided += len(pairs)
+            cells = {}
+            for key, cell in zip(keys, zip(table.neg, table.pos)):
+                first = cells.setdefault(key, cell)
+                assert first[0] is cell[0] and first[1] is cell[1]
+        assert divided
+
+    def test_column_walks_negate_nothing(self, monkeypatch):
+        # Above the cap a column's negations are its bits XOR the span of
+        # its parents' pairs, so no closure or table walk calls
+        # `_negations`; the levels are built before the count starts.
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
+        negations, refuted = semantics._negations, semantics._Levels._refuted
+        calls, walks = [], []
+
+        def counted(bits):
+            calls.append(bits)
+            return negations(bits)
+
+        def walked(levels, hard, true, false):
+            walks.append(true)
+            return refuted(levels, hard, true, false)
+
+        monkeypatch.setattr(semantics._Levels, "_refuted", walked)
+        for rng, b in kernel_bases(59, 80, variables=(2, 7)):
+            semantics._levels(b, "test")
+            with monkeypatch.context() as mp:
+                mp.setattr(semantics, "_negations", counted)
+                for var in b.variables:
+                    parents = hidden_parent_closure(b, var, immediate_parents(b, var))
+                    cpt_for(b, var, sorted(parents, key=lambda v: v.name))
+        assert walks and calls == []
 
     def test_compile_is_byte_identical(self, solver_path):
         rng = random.Random(41)

@@ -206,7 +206,7 @@ class TestRemoveSubsumed:
         search = semantics._search
 
         def logged(clauses, true, false, pending):
-            calls.append((sorted(clauses), true, false))
+            calls.append((list(clauses), true, false))
             return search(clauses, true, false, pending)
 
         monkeypatch.setattr(semantics, "_search", logged)
@@ -225,9 +225,16 @@ class TestRemoveSubsumed:
                 (semantics._negations(c), c) for c in tested
             ]
             for (premises, _, _), c in zip(calls, tested):
-                assert premises == sorted(
+                assert sorted(premises) == sorted(
                     d
                     for d in rank
                     if rank[d] > rank[c]
                     or rank[d] == rank[c] and (order(d) > order(c) or d in kept and d != c)
                 )
+                # In test order: the heavier clauses, the group's kept
+                # clauses tested before c, then the rest of its group.
+                same = [d for d in tested if rank[d] == rank[c]]
+                t = same.index(c)
+                assert premises == [d for d in tested if rank[d] > rank[c]] + [
+                    d for d in same[:t] if d in kept
+                ] + same[t + 1 :]

@@ -309,11 +309,11 @@ class TestDpllSearchCounts:
             entry[3] = search(clauses, true, false, pending)
             return entry[3]
 
-        def logged(levels, hard, true):
+        def logged(levels, hard, true, false):
             start = len(log["searches"])
             log["starts"].append((list(hard), true))
             own = levels._true
-            found = refuted(levels, hard, true)
+            found = refuted(levels, hard, true, false)
             log["questions"].append((levels, own, log["searches"][start:], found))
             return found
 
@@ -391,7 +391,8 @@ class TestDpllSearchCounts:
             return [joint] if self.searched(b, joint) else []
         level, model, false = asked[0][3]
         assert false == semantics._negations(model)
-        assert model & levels.condition(context) == levels.condition(context)
+        true = levels.condition(context)[0]
+        assert model & true == true
         for group in levels._groups[: level - 1]:
             assert all(c & model for c in group)
         if negate(lit) in context or not self.falsifies(model, levels, lit):
@@ -456,12 +457,12 @@ class TestDpllSearchCounts:
         for rng, b in self.bases():
             levels = semantics._levels(b, "test")
             inconsistency_degree(b)
-            expected.append(levels.condition())
+            expected.append(levels.condition()[0])
             for v in b.variables:
                 lit = Literal(v, rng.random() < 0.5)
                 certainty_degree(b, lit)
                 if self.searched(b, [negate(lit)]):
-                    expected.append(levels.condition([negate(lit)]))
+                    expected.append(levels.condition([negate(lit)])[0])
             lit = Literal(b.variables[0], True)
             for _ in range(4):
                 context = [
@@ -471,7 +472,7 @@ class TestDpllSearchCounts:
                 conditional_possibility(b, lit, context)
                 asked = questions["questions"][start:]
                 for c in self.conditional_contexts(b, lit, context, asked):
-                    expected.append(levels.condition(c))
+                    expected.append(levels.condition(c)[0])
             if inconsistency_degree(b) == 0:
                 for _ in range(5):
                     f = random_formula(rng, b.variables)
@@ -547,9 +548,10 @@ class TestDpllSearchCounts:
         )
         levels = semantics._levels(base, "test")
         assert levels._models is None
-        ctx = levels.condition([neg(b)])
-        a_bit, b_bit = levels.condition([pos(a)]), levels.condition([pos(b)])
-        assert levels._walk(ctx) == (3, semantics._negations(a_bit | ctx))
+        ctx, ctx_false = levels.condition([neg(b)])
+        assert ctx_false == semantics._negations(ctx)
+        a_bit, b_bit = levels.condition([pos(a)])[0], levels.condition([pos(b)])[0]
+        assert levels._walk(ctx, ctx_false) == (3, semantics._negations(a_bit | ctx))
         (_, own, searches, _), = questions["questions"]
         assert own is None and len(searches) == 2 and self.roots(searches) == 1
 
@@ -653,9 +655,9 @@ class TestOwnModel:
         refuted = semantics._Levels._refuted
         calls = []
 
-        def counted(levels, hard, true):
+        def counted(levels, hard, true, false):
             calls.append(1)
-            return refuted(levels, hard, true)
+            return refuted(levels, hard, true, false)
 
         monkeypatch.setattr(semantics._Levels, "_refuted", counted)
         # Possibility, necessity and certainty questions answered with no
@@ -783,9 +785,9 @@ class TestOwnModel:
         refuted = semantics._Levels._refuted
         calls = []
 
-        def counted(levels, hard, true):
+        def counted(levels, hard, true, false):
             calls.append(1)
-            return refuted(levels, hard, true)
+            return refuted(levels, hard, true, false)
 
         def no_cnf(f):
             raise AssertionError("a query built a CNF")
@@ -1092,9 +1094,9 @@ class TestPossibility:
         walked = []
         refuted = semantics._Levels._refuted
 
-        def counted(levels, hard, true):
+        def counted(levels, hard, true, false):
             walked.append(hard)
-            return refuted(levels, hard, true)
+            return refuted(levels, hard, true, false)
 
         monkeypatch.setattr(semantics._Levels, "_refuted", counted)
         f = Or((And((neg(SE), pos(WI))), Not(pos(SU))))
@@ -1166,9 +1168,9 @@ class TestMeasuresAgainstEnumeration:
         searched = []
         refuted = semantics._Levels._refuted
 
-        def counted(levels, hard, true):
+        def counted(levels, hard, true, false):
             searched.append(levels._models is None)
-            return refuted(levels, hard, true)
+            return refuted(levels, hard, true, false)
 
         monkeypatch.setattr(semantics._Levels, "_refuted", counted)
         monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 10)
@@ -1252,6 +1254,162 @@ class TestCertaintyDegree:
             (A1, A3),
         )
         assert certainty_degree(b, pos(A1)) == 0
+
+
+class TestDegreeMemo:
+    """Every degree read off the weight levels against plain `Fraction`
+    arithmetic on enumerated worlds, the memo of `_Levels.conditional`
+    counted by its fills, and its kernel `_ratio`."""
+
+    OUTSIDE = (Var("o1"), Var("o2"))
+
+    @staticmethod
+    def inconsistency(worlds, holds_in):
+        """Inc(Σ ∧ φ): 1 minus the best degree of a world where φ holds,
+        1 when there is none."""
+        return 1 - max((val for w, val in worlds if holds_in(w)), default=F(0))
+
+    @classmethod
+    def bases(cls, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            b = random_clausal_base(rng, rng.randint(1, 6), rng.randint(0, 10))
+            if rng.random() < 0.1:
+                b = b.extended([(Clause(), rng.choice((F(1, 5), F(1, 2), F(1))))])
+            yield rng, b, enumerated_worlds(b, cls.OUTSIDE)
+
+    @classmethod
+    def context(cls, rng, b):
+        """A random literal context over the base's variables and two it
+        lacks; a fifth of them contradict themselves."""
+        pool = b.variables + cls.OUTSIDE
+        context = [
+            Literal(rng.choice(pool), rng.random() < 0.5) for _ in range(rng.randint(0, 3))
+        ]
+        if rng.random() < 0.2:
+            v = rng.choice(pool)
+            context += [pos(v), neg(v)]
+            rng.shuffle(context)
+        return context
+
+    def test_degrees_equal_plain_arithmetic(self, solver_path):
+        inconsistent = 0
+        for rng, b, worlds in self.bases(73, 250):
+            inc = self.inconsistency(worlds, lambda w: True)
+            assert inconsistency_degree(b) == inc
+            pool = b.variables + self.OUTSIDE
+            for _ in range(4):
+                lit = Literal(rng.choice(pool), rng.random() < 0.5)
+                refuted = self.inconsistency(worlds, lambda w: holds(negate(lit), w))
+                assert certainty_degree(b, lit) == (refuted if refuted > inc else 0)
+                context = self.context(rng, b)
+                h = self.inconsistency(worlds, lambda w: all(holds(l, w) for l in context))
+                joint = self.inconsistency(
+                    worlds, lambda w: all(holds(l, w) for l in (*context, lit))
+                )
+                expected = F(1) if h == 1 else (1 - joint) / (1 - h)
+                assert conditional_possibility(b, lit, context) == expected
+                f = random_formula(rng, pool)
+                if inc:
+                    with pytest.raises(InconsistentBaseError):
+                        possibility(b, f)
+                    continue
+                assert possibility(b, f) == 1 - self.inconsistency(
+                    worlds, lambda w: holds(f, w)
+                )
+                assert necessity(b, f) == self.inconsistency(
+                    worlds, lambda w: not holds(f, w)
+                )
+            inconsistent += inc != 0
+        assert inconsistent
+
+    def test_a_level_pair_is_divided_once(self, solver_path, monkeypatch):
+        # The memo is keyed by the pair of level indices: every question
+        # whose pair was met before, the same question or another, makes
+        # no division.
+        fills = []
+        ratio = semantics._ratio
+
+        def counted(context, joint):
+            fills.append((context, joint))
+            return ratio(context, joint)
+
+        monkeypatch.setattr(semantics, "_ratio", counted)
+        repeated = 0
+        for rng, b, _ in self.bases(79, 150):
+            fresh = WeightedBase(b.entries, b.variables)
+            levels = semantics._levels(fresh, "test")
+            own = levels.own_level()
+            pairs = set()
+            del fills[:]
+            for _ in range(8):
+                lit = Literal(rng.choice(b.variables + self.OUTSIDE), rng.random() < 0.5)
+                context = self.context(rng, b)
+                pair = levels.conditional_levels(tuple(context), lit)
+                repeated += pair in pairs
+                pairs.add(pair)
+                first = conditional_possibility(fresh, lit, context)
+                assert len(fills) == len(pairs)
+                assert conditional_possibility(fresh, lit, context) is first
+                assert len(fills) == len(pairs)
+                if levels.degrees[own] == 0:
+                    f = random_formula(rng, b.variables + self.OUTSIDE)
+                    pair = own, levels.formula_level(f)
+                    repeated += pair in pairs
+                    pairs.add(pair)
+                    possibility(fresh, f)
+                    assert len(fills) == len(pairs)
+            assert sorted(fills) == sorted(
+                (levels.degrees[h], levels.degrees[joint]) for h, joint in pairs
+            )
+        assert repeated
+
+    def test_kernel_is_the_plain_ratio(self):
+        # Every pair of k/10 degrees, then random p/q pairs with 0 and 1.
+        tenths = [F(k, 10) for k in range(11)]
+        rng = random.Random(83)
+        drawn = [F(0), F(1)]
+        for _ in range(40):
+            q = rng.randint(1, 10**6)
+            drawn.append(F(rng.randint(0, q), q))
+        for degrees in (tenths, drawn):
+            for context, joint in itertools.product(degrees, repeat=2):
+                expected = F(1) if context == 1 else (1 - joint) / (1 - context)
+                got = semantics._ratio(context, joint)
+                assert got == expected and type(got) is Fraction, (context, joint)
+
+    def test_walks_negate_nothing(self, monkeypatch):
+        # Above the cap a context's negations are built with its bits by
+        # `condition`, so no walk calls `_negations` (a table column's are
+        # counted in `test_compile.py`). The levels' build, which finds
+        # tautologies with it, is done before the count starts.
+        monkeypatch.setattr(semantics, "_BITSET_MAX_VARS", 0)
+        negations, refuted = semantics._negations, semantics._Levels._refuted
+        calls, walks = [], []
+
+        def counted(bits):
+            calls.append(bits)
+            return negations(bits)
+
+        def walked(levels, hard, true, false):
+            walks.append(true)
+            return refuted(levels, hard, true, false)
+
+        monkeypatch.setattr(semantics._Levels, "_refuted", walked)
+        for rng, b, _ in self.bases(89, 80):
+            semantics._levels(b, "test")
+            with monkeypatch.context() as mp:
+                mp.setattr(semantics, "_negations", counted)
+                inc = inconsistency_degree(b)
+                for _ in range(4):
+                    lit = Literal(rng.choice(b.variables), rng.random() < 0.5)
+                    certainty_degree(b, lit)
+                    conditional_possibility(b, lit, self.context(rng, b))
+                    if not inc:
+                        f = random_formula(rng, b.variables + self.OUTSIDE)
+                        possibility(b, f)
+                        necessity(b, f)
+        assert walks and calls == []
 
 
 class TestBaseOfDistribution:
