@@ -25,8 +25,11 @@ from .model import (
 from .normalize import remove_subsumed, remove_tautologies
 from .semantics import (
     _ClauseBits,
+    _clause_models,
     _decoded,
     _encoded,
+    _kept,
+    _literal_tables,
     _reduce,
     distribution_of_base,
 )
@@ -77,14 +80,52 @@ def _marginal(
     """`marginal_base` on integer clauses with weight ranks (see
     `semantics._encoded`): the reduced entries of the marginal, and the
     number of pairs the cross product forms, one per clause without `var`
-    times one per clause without `¬var`. The pairs go to `_reduce` as they
-    are formed, which merges them and drops the tautologies among them."""
-    x = codec.bit(Literal(var, True))
-    not_x = codec.bit(Literal(var, False))
+    times one per clause without `¬var`.
+
+    Every pair is formed and tested, and the result is `_reduce`'s on the
+    whole cross product, order included. Up to the bitset cap the
+    variables of the entries, less `var`, are laid out once and each side
+    clause's models are built once. The pairs are merged here, each distinct one
+    at its largest rank in first-occurrence order, and keep the side
+    models of their first occurrence, whose OR is their own models;
+    `_reduce`'s group walk (`_kept`) forms those a group at a time. A pair
+    c1 | c2 is skipped as a tautology when c1 holds the negation of a
+    literal of c2, against each `¬var` side clause's negations, taken
+    once. A pair is a tautology otherwise only when a side clause is one;
+    its models are every world, so the walk drops it as redundant. Above
+    the cap the pairs go to `_reduce` as they are formed."""
+    x = codec.pairs.get(var, 0)  # the bit of `var`; that of `¬var` is above it
+    not_x = x << 1
     pos = _condition(entries, x, not_x)
     neg = _condition(entries, not_x, x)
-    cross = ((c1 | c2, r1 if r1 < r2 else r2) for c1, r1 in pos for c2, r2 in neg)
-    return _reduce(cross), len(pos) * len(neg)
+    used = 0
+    for c, _ in entries:
+        used |= c
+    found = _literal_tables(used & ~(x | not_x))
+    if found is None:
+        cross = ((c1 | c2, r1 if r1 < r2 else r2) for c1, r1 in pos for c2, r2 in neg)
+        return _reduce(cross), len(pos) * len(neg)
+    full, tables = found
+    low = codec._positive  # the lower bit of every pair
+    neg = [(c, (c & low) << 1 | c >> 1 & low, r, _clause_models(c, tables)) for c, r in neg]
+    best: dict[int, int] = {}
+    models: dict[int, tuple[int, int]] = {}  # the side models of each first occurrence
+    for c1, r1 in pos:
+        m1 = _clause_models(c1, tables)
+        for c2, n2, r2, m2 in neg:
+            if c1 & n2:
+                continue
+            c = c1 | c2
+            r = r1 if r1 < r2 else r2
+            old = best.get(c)
+            if old is None:
+                best[c] = r
+                models[c] = m1, m2
+            elif r > old:
+                best[c] = r
+    of = models.__getitem__
+    kept = _kept(best, full, lambda group: [m1 | m2 for m1, m2 in map(of, group)])
+    return kept, len(pos) * len(neg)
 
 
 def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
@@ -93,10 +134,12 @@ def marginal_base(b: WeightedBase, var: Var) -> WeightedBase:
 
     Built as all pairwise disjunctions of the two instantiation bases with
     min-combined weights, then canonicalized by `remove_subsumed`'s core,
-    `semantics._reduce` alone: tautologies dropped and duplicates merged as
-    the pairs are formed, then subsumed entries removed. Every step works
-    on integer clauses (`_marginal`), and only the result is decoded into a
-    base.
+    `semantics._reduce`: tautologies dropped and duplicates merged as the
+    pairs are formed, then subsumed entries removed. Every pair is still
+    formed and tested; up to the bitset cap each side clause's models are
+    built once, and a pair's models are the OR of its two sides'. Every
+    step works on integer clauses (`_marginal`), and only the result is
+    decoded into a base.
     """
     codec, encoded, weights = _encoded(b, "marginal_base")
     try:

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Iterator
+from itertools import accumulate, product
+from operator import and_
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, InconsistentBaseError
 from .model import (
@@ -234,6 +235,15 @@ class _ClauseBits:
         return c.bit_count(), -c
 
 
+def _in_order(clauses: Iterable[int]) -> list[int]:
+    """`clauses` sorted in `_ClauseBits.order` by two sorts at C level,
+    with no Python key call per clause: by descending integer, then by
+    length, which a stable sort keeps among clauses of one length."""
+    out = sorted(clauses, reverse=True)
+    out.sort(key=int.bit_count)
+    return out
+
+
 def _layout(bits: list[int]) -> tuple[int, dict[int, int]]:
     """The set of all worlds over the variables whose positive literal bits
     are `bits`, the first most significant, and the worlds where each
@@ -264,8 +274,10 @@ def _clause_models(c: int, tables: dict[int, int]) -> int:
     """The worlds that satisfy an integer clause, given the tables of
     `_literal_tables`: none for the empty clause, all for a tautology."""
     out = 0
-    for bit in _literal_bits(c):
+    while c:
+        bit = c & -c
         out |= tables[bit]
+        c ^= bit
     return out
 
 
@@ -429,7 +441,13 @@ class _Levels:
     i the worlds that satisfy every clause of the first i levels, so the
     entries only shrink, and entry i lines up with `degrees[i]`. A context
     is then the AND of its literals' truth tables, and its level is the
-    index of the first entry that misses it. Above the cap a question is one
+    index of the first entry that misses it. The used variables' truth
+    tables are laid out when the levels are built, and `_tables` is None
+    exactly above the cap; the ladder is built by the first `level`
+    question (`_ladder`), and a base's kept levels (`_levels`) build it at
+    once. `column_levels` reads only the groups, and lays out a ladder of
+    its own, so a compile stage whose levels answer only its closure and
+    table builds none. Above the cap a question is one
     depth-first search (`_search`) over the growing cut, resumed level by
     level, that starts from a literal context's bits (a formula context is
     its gate clauses instead, `_gate_clauses`, hard clauses searched from
@@ -494,8 +512,8 @@ class _Levels:
     """
 
     __slots__ = (
-        "degrees", "_pairs", "_tables", "_models", "_groups", "_own", "_kept",
-        "_true", "_false", "_world", "_columns", "_ratios",
+        "degrees", "_pairs", "_full", "_tables", "_models", "_groups", "_own",
+        "_kept", "_true", "_false", "_world", "_columns", "_ratios",
     )
 
     def __init__(
@@ -503,15 +521,16 @@ class _Levels:
     ):
         by_rank: dict[int, list[int]] = {}
         used = 0
+        low = codec._positive  # the lower bit of every pair
         for c, r in entries:
-            if not c & _negations(c):
+            if not c & c >> 1 & low:
                 by_rank.setdefault(r, []).append(c)
                 used |= c
         ranks = sorted(by_rank, reverse=True)
         self.degrees = (ONE, *(weights[r] for r in ranks), ZERO)
         # The positive literal's bit of each variable that some clause uses.
         self._pairs = {v: bit for v, bit in codec.pairs.items() if bit * 3 & used}
-        self._groups = groups = [by_rank[r] for r in ranks]
+        self._groups = [by_rank[r] for r in ranks]
         self._own: int | None = None
         # Set by `own_level` above the cap only, so None means there is no
         # model to consult: the own walk's answer, kept whole so that
@@ -523,14 +542,10 @@ class _Levels:
         self._columns: dict[Var, int] | None = None
         # `conditional`'s memo: the ratio of each pair of level indices met.
         self._ratios: dict[tuple[int, int], Fraction] = {}
-
-        found = _literal_tables(used)
-        if found is None:
-            self._tables = self._models = None
-            return
-        full, tables = found
-        self._tables = tables
-        self._models = _cuts(groups, tables, full)
+        # The ladder, built by the first `level` question (`_ladder`).
+        self._models: list[int] | None = None
+        # The layout of the used variables; no tables above the cap.
+        self._full, self._tables = _literal_tables(used) or (0, None)
 
     def condition(self, context: Iterable[Literal] = ()):
         """The worlds of a literal context: a bitset, 0 when the context
@@ -541,7 +556,7 @@ class _Levels:
         pairs, tables = self._pairs, self._tables
         free: set[Literal] = set()
         if tables is not None:
-            ctx = self._models[0]
+            ctx = self._full
             for lit in context:
                 bit = pairs.get(lit.var)
                 if bit is not None:
@@ -590,14 +605,13 @@ class _Levels:
         world = self._world
         if world is not None and _formula_models(f, world, 1):
             return self._own
-        pairs = self._pairs
-        if self._models is not None:
+        pairs, tables = self._pairs, self._tables
+        if tables is not None:
             columns = self._columns
             if columns is None:
-                tables = self._tables
                 columns = self._columns = {v: tables[bit] for v, bit in pairs.items()}
             try:
-                return self.level(_formula_models(f, columns, self._models[0]))
+                return self.level(_formula_models(f, columns, self._full))
             except KeyError:  # f mentions a variable that no clause uses
                 pass
         return self._refuted(_gate_clauses(f, pairs), 0, 0)[0]
@@ -609,8 +623,11 @@ class _Levels:
         the bitset path that is the first ladder entry that misses the
         context, and a contradictory context, no world, misses entry 0.
         Above the cap it is the level of the context's walk (`_walk`)."""
-        if self._models is not None:
-            for i, models in enumerate(self._models):
+        ladder = self._models
+        if ladder is None and self._tables is not None:
+            ladder = self._ladder()
+        if ladder is not None:
+            for i, models in enumerate(ladder):
                 if not models & ctx:
                     return i
             return len(self.degrees) - 1
@@ -618,6 +635,11 @@ class _Levels:
         if ctx is None:
             return 0
         return self._walk(*ctx)[0]
+
+    def _ladder(self) -> list[int]:
+        """The ladder of cuts on the bitset path (`_cuts`), built once."""
+        ladder = self._models = _cuts(self._groups, self._tables, self._full)
+        return ladder
 
     def conditional_levels(
         self, context: tuple[Literal, ...], lit: Literal
@@ -640,7 +662,7 @@ class _Levels:
         neg = bit << 1
         if not lit.positive:
             bit, neg = neg, bit
-        if self._models is not None:
+        if self._tables is not None:
             return self.level(ctx), self.level(ctx & self._tables[bit])
         if ctx is None:
             return 0, 0
@@ -677,11 +699,12 @@ class _Levels:
         and a second only for the half whose literal that walk's model
         makes false.
 
-        On the bitset path they are read off in one pass, as a list. The
-        ladder of cuts is rebuilt over the used variables laid out with the
-        rest most significant, then the parents in parent order, then
-        `var`, so that the low bits of a world number its cell (a parent
-        assignment and a value of `var`). `_project` forgets the variables
+        On the bitset path they are read off in one pass, as a list, from a
+        ladder of cuts of its own (`_ladder`'s is never read), built from
+        the groups over the used variables laid out with the rest most
+        significant, then the parents in parent order, then `var`, so that
+        the low bits of a world number its cell (a parent assignment and a
+        value of `var`). `_project` forgets the variables
         of the rest and leaves bit c of an entry set when the entry meets
         cell c. Entries are nested, so a cell meets a prefix of the ladder,
         and its level is the number of entries it meets: the cells' counts
@@ -691,7 +714,7 @@ class _Levels:
         no level, so its columns repeat those without it.
         """
         pairs = self._pairs
-        if self._models is None:
+        if self._tables is None:
             bits = [(pairs.get(p, 0) << 1, pairs.get(p, 0)) for p in parents]
             return _SearchedColumns(self, pairs.get(var, 0), bits)
         held = [p for p in parents if p in pairs]
@@ -734,8 +757,8 @@ class _Levels:
         its world for `formula_level`."""
         own = self._own
         if own is None:
-            if self._models is not None:
-                own = self.level(self._models[0])
+            if self._tables is not None:
+                own = self.level(self._full)
             else:
                 own, self._true, self._false = self._refuted([], 0, 0)
                 self._kept = own, self._false
@@ -842,12 +865,14 @@ def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     is never a premise: the weight groups can be walked heaviest first,
     each in `_ClauseBits.order`, and an entry's premises are every clause
     of a greater weight, the kept clauses of its group tested before it,
-    and the rest of its group. The entry is redundant when they have no
-    model outside its own. Up to the bitset cap each clause is encoded
-    once into its models over the variables the clauses mention, and the
-    test is an AND of models; above it the test is a DPLL search of the
-    premises from the entry's negated literals, whose negations are the
-    entry itself. The premises are one list per group, heavier +
+    and the rest of its group (`_kept`, the walk after the merge). The
+    entry is redundant when they have no model outside its own. Up to the
+    bitset cap each clause is encoded once into its models over the
+    variables the clauses mention, a group at a time (a marginal's pairs
+    take theirs from their sides' models instead, `marginalize._marginal`),
+    and the test is an AND of models; above it the test is a DPLL search
+    of the premises from the entry's negated literals, whose negations are
+    the entry itself. The premises are one list per group, heavier +
     group, from which the entry under test is taken out and, if kept, put
     back in its place: each search gets heavier + mine + group[t + 1:].
     """
@@ -855,41 +880,58 @@ def _reduce(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     for c, r in entries:
         if r > best.get(c, 0) and not c & _negations(c):
             best[c] = r
-    by_rank: dict[int, list[int]] = {}
     used = 0
-    for c, r in best.items():
-        by_rank.setdefault(r, []).append(c)
+    for c in best:
         used |= c
     found = _literal_tables(used)
-    if found is not None:
-        full, tables = found
-        below = full  # the models of every clause of a greater weight
+    if found is None:
+        return _kept(best, 0, None)
+    full, tables = found
+    return _kept(best, full, lambda group: [_clause_models(c, tables) for c in group])
+
+
+def _kept(
+    best: dict[int, int], full: int, models: Callable[[list[int]], list[int]] | None
+) -> list[tuple[int, int]]:
+    """`_reduce`'s weight-group walk on merged entries `best` (each
+    distinct clause at its largest rank, in first-occurrence order): the
+    entries that survive, in that order. `models` gives the models of each
+    clause of a group, over a layout of the worlds `full` that spans every
+    clause; None above the bitset cap, where each test is a search and the
+    entries must be tautology-free. On the bitset path a tautology's
+    models are every world, so it is dropped as redundant and changes no
+    other test.
+
+    Each group is tested in `_ClauseBits.order` (`_in_order`)."""
+    by_rank: dict[int, list[int]] = {}
+    for c, r in best.items():
+        by_rank.setdefault(r, []).append(c)
+    below = full  # the models of every clause of a greater weight
     heavier: list[int] = []  # every clause of a greater weight
     kept: set[int] = set()
     for r in sorted(by_rank, reverse=True):
-        group = sorted(by_rank[r], key=_ClauseBits.order)
-        if found is not None:
-            models = [_clause_models(c, tables) for c in group]
-            # rest[t]: the models of every heavier clause and of group[t:].
-            rest = [below]
-            for m in reversed(models):
-                rest.append(rest[-1] & m)
-            rest.reverse()
-            below, mine_models = rest[0], full
-        else:
-            premises = heavier + group
+        group = _in_order(by_rank[r])
         mine: list[int] = []  # the group's kept clauses so far
-        for t, c in enumerate(group):
-            if found is None:
+        if models is None:
+            premises = heavier + group
+            for c in group:
                 slot = len(heavier) + len(mine)
                 del premises[slot]
                 if _search(premises, _negations(c), c, []) is not None:
                     premises.insert(slot, c)
                     mine.append(c)
-            elif mine_models & rest[t + 1] & ~models[t]:
-                mine_models &= models[t]
-                mine.append(c)
-        heavier += group
+            heavier += group
+        else:
+            group_models = models(group)
+            # suffix[j]: the models of every heavier clause and of the
+            # group's last j clauses, one AND each at C level.
+            suffix = list(accumulate(reversed(group_models), and_, initial=below))
+            below = suffix.pop()
+            mine_models = full
+            for c, m, after in zip(group, group_models, reversed(suffix)):
+                if mine_models & after & ~m:
+                    mine_models &= m
+                    mine.append(c)
         kept.update(mine)
     return [(c, r) for c, r in best.items() if c in kept]
 
@@ -928,11 +970,15 @@ def _decoded(encoding: tuple, variables: Iterable[Var]) -> WeightedBase:
 def _levels(b: WeightedBase, op: str) -> _Levels:
     """The weight levels of a clausal base, built from `_encoded` on the
     first degree question asked of `b` and kept on the base, its only
-    cache, so every later question asked of it reads the same levels. `op`
-    names the caller in `_encoded`'s error for a base that is not clausal."""
+    cache, so every later question asked of it reads the same levels. On
+    the bitset path their ladder of cuts is built here too: every question
+    but a column sweep's reads it. `op` names the caller in `_encoded`'s
+    error for a base that is not clausal."""
     levels = b._levels
     if levels is None:
         levels = _Levels(*_encoded(b, op))
+        if levels._tables is not None:
+            levels._ladder()
         object.__setattr__(b, "_levels", levels)
     return levels
 

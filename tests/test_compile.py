@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, permutations, product
@@ -595,6 +597,29 @@ class TestCompileNetwork:
             skipped += on_clause.count(False)
             first_skipped += not on_clause[0]
         assert skipped >= 4 and first_skipped >= 4
+
+    def test_one_ladder_per_bitset_compile(self, monkeypatch):
+        # Outside the column sweep, which lays out a ladder of its own, only
+        # the consistency check reads a ladder of cuts: a stage's levels
+        # build none until a `level` question, which no stage asks. The
+        # check's build is timed in the first stage's `closure_s`.
+        b = oracle.random_base(3, 12, 24)
+        assert len(b.variables) <= semantics._BITSET_MAX_VARS
+        assert _on_clause(b, b.variables)[0]
+        cuts = semantics._cuts
+        outside = []
+
+        def counted(groups, tables, full):
+            if sys._getframe(1).f_code.co_name != "column_levels":
+                outside.append(len(groups))
+                time.sleep(0.05)
+            return cuts(groups, tables, full)
+
+        monkeypatch.setattr(semantics, "_cuts", counted)
+        stages = list(compile_stages(b, b.variables))
+        assert sum(s.cross_clauses > 0 for s in stages) > 1
+        assert len(outside) == 1
+        assert stages[0].closure_s >= 0.05
 
     def test_every_ordering_of_a_small_base(self, support):
         for order in permutations(support.variables):

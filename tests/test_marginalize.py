@@ -14,6 +14,7 @@ from posslog import (
     distribution_of_base,
     instantiate,
     marginal_base,
+    marginalize,
     negate,
     semantics,
     unit,
@@ -223,6 +224,47 @@ class TestMatchesClauseReference:
             want = clause_reference.marginal_base(b, var)
             assert (got.entries, got.variables) == (want.entries, want.variables), b
             self.assert_answers_as_rebuilt(got, var)
+
+
+class TestSideModelMerge:
+    """`_marginal` merges the cross product itself and builds each pair's
+    models from its sides'; its entries are `_reduce`'s on the explicit
+    cross product, order included."""
+
+    def test_matches_reduce_of_the_cross_product(self, solver_path):
+        rng = random.Random(71)
+        seen = set()
+        for k in range(400):
+            if k % 3 == 0:
+                b = random_planted_base(rng)
+            elif k % 3 == 1:
+                b = random_messy_base(rng)
+            else:
+                b = random_clausal_base(rng, rng.randint(1, 6), rng.randint(0, 12))
+            codec, entries, _ = semantics._encoded(b, "test")
+            var = rng.choice(b.variables)
+            x, not_x = codec.bit(Literal(var, True)), codec.bit(Literal(var, False))
+            pos = [(c & ~not_x, r) for c, r in entries if not c & x]
+            neg = [(c & ~x, r) for c, r in entries if not c & not_x]
+            cross = [(c1 | c2, min(r1, r2)) for c1, r1 in pos for c2, r2 in neg]
+            assert marginalize._marginal(codec, entries, var) == (
+                semantics._reduce(cross),
+                len(cross),
+            ), b
+            ranks: dict[int, set[int]] = {}
+            for c, r in cross:
+                ranks.setdefault(c, set()).add(r)
+            if not pos or not neg:
+                seen.add("empty side")
+            if any(len(rs) > 1 for rs in ranks.values()):
+                seen.add("duplicate pair at another rank")
+            if any(c & semantics._negations(c) for c in ranks):
+                seen.add("tautological pair")
+            if 0 in ranks:
+                seen.add("empty clause")
+        assert seen == {
+            "empty side", "duplicate pair at another rank", "tautological pair", "empty clause"
+        }
 
 
 class TestDecomposeCheck:

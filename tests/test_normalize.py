@@ -108,6 +108,25 @@ class TestRemoveTautologies:
 
 
 class TestRemoveSubsumed:
+    def test_two_sorts_give_the_clause_order(self):
+        # `_reduce` sorts each weight group by two C-level sorts; on seeded
+        # random integer clauses with many of one length, mixed lengths and
+        # the empty clause, they give `_ClauseBits.order`'s sequence.
+        rng = random.Random(79)
+        tied = 0
+        for _ in range(200):
+            bits = [1 << i for i in range(2 * rng.randint(1, 8))]
+            clauses = {0}
+            for _ in range(rng.randint(1, 40)):
+                clauses.add(sum(rng.sample(bits, rng.randint(1, min(4, len(bits))))))
+            clauses = list(clauses)
+            rng.shuffle(clauses)
+            lengths = [c.bit_count() for c in clauses]
+            tied += len(set(lengths)) < len(lengths)
+            want = sorted(clauses, key=semantics._ClauseBits.order)
+            assert semantics._in_order(clauses) == want
+        assert tied > 150
+
     def test_drops_weaker_disjunction(self):
         b = WeightedBase(
             [(clause(pos(A1)), F(1)), (clause(pos(A1), pos(X)), F(1, 2))], (A1, X)
